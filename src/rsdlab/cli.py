@@ -1,7 +1,7 @@
 """Command-line surface.
 
-Subcommands: ``gen`` (write family instances), ``exact`` (full-enumeration
-lottery and moments), ``opt`` (optimal matching), ``estimate`` (sampling
+Subcommands: ``gen`` (write family instances), ``exact`` (exact lottery and
+moments over all orderings), ``opt`` (optimal matching), ``estimate`` (sampling
 estimators), ``bounds`` (sample-size plans and windows), ``reduce``
 (bit-encoding round trip), ``coverage`` (empirical failure rates, CSV).
 
@@ -13,6 +13,7 @@ variable ``RSDLAB_ORACLE_CAP`` overrides the default enumeration cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,7 +29,6 @@ from .families import Family, FamilySpec, generate
 from .instance_io import InstanceFormatError, load_instance, save_instance
 from .optimal import solve_opt
 from .reduction import build_artifact, round_trip_matches
-from .instance_io import format_number
 
 
 class InputError(Exception):
@@ -260,11 +260,10 @@ def cmd_coverage(args) -> int:
         plan = sample_size(method, instance.n, eps, delta)
         if args.k is not None or args.lam is not None:
             # explicit k/lambda override the formula values
-            plan = plan.__class__(
-                method=plan.method, n=plan.n, eps=plan.eps, delta=plan.delta,
+            plan = dataclasses.replace(
+                plan,
                 k=args.k if args.k is not None else plan.k,
                 runs=args.lam if args.lam is not None else plan.runs,
-                k_raw=plan.k_raw, runs_raw=plan.runs_raw,
             )
         reference = _parse_eps(args.reference) if args.reference else None
         report = run_coverage(
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("exact", help="full-enumeration lottery and moments")
+    p = sub.add_parser("exact", help="exact lottery and moments over all orderings")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--objective", choices=[o.value for o in Objective])
     p.add_argument("--out")

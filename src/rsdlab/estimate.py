@@ -14,14 +14,18 @@ Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
 substream ``(seed, j, i)``, and per-run sums are accumulated exactly (as
 integers scaled by 2**1074, under which IEEE doubles are integers) before a
 single correctly-rounded conversion back to float.  Both choices make the
-report bit-for-bit identical however the samples are partitioned among
-workers.
+report bit-for-bit identical however the samples are partitioned.  Samples
+are drawn in one thread: the ``workers`` argument is accepted and has no
+effect on the result or on the number of threads.
+
+Sampling scores orderings in IEEE doubles, so an instance whose payoffs or
+matching totals exceed the double range is refused with ``ValueError``;
+its exact expected value comes from :func:`rsdlab.exact.enumerate_rsd`.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import fsum
@@ -83,7 +87,18 @@ class EstimateReport:
 def _sampling_tables(instance: AssignmentInstance, objective: Objective):
     objective.require_compatible(instance)
     prefs = preference_rows(instance)
-    payoff = tuple(tuple(float(x) for x in row) for row in instance.payoff_matrix())
+    matrix = instance.payoff_matrix()
+    try:
+        payoff = tuple(tuple(float(x) for x in row) for row in matrix)
+        # no matching can total more than the sum of the row maxima
+        float(sum(max(row) for row in matrix))
+    except OverflowError:
+        bits = max(x.numerator.bit_length() - x.denominator.bit_length() for row in matrix for x in row)
+        raise ValueError(
+            f"payoffs reach about 2**{bits}, so payoffs or matching totals exceed the "
+            f"floating-point range (2**1024) that sampling works in; compute the exact "
+            f"expected value with `rsdlab exact` instead"
+        ) from None
     return prefs, payoff
 
 
@@ -100,34 +115,12 @@ def _sample_value(prefs, payoff, rng, n: int, memo) -> float:
     return value
 
 
-def _run_slice(prefs, payoff, n, k_start, k_stop, seed, run) -> ExactFloatSum:
+def _run_mean(prefs, payoff, n, k, seed, run) -> float:
     memo: dict | None = {} if n <= _MEMO_MAX_N else None
     acc = ExactFloatSum()
-    for i in range(k_start, k_stop):
+    for i in range(k):
         rng = substream(seed, run, i)
         acc.add(_sample_value(prefs, payoff, rng, n, memo))
-    return acc
-
-
-def _slices(k: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, k))
-    step = -(-k // workers)
-    return [(lo, min(lo + step, k)) for lo in range(0, k, step)]
-
-
-def _run_mean(prefs, payoff, n, k, seed, run, workers) -> float:
-    acc = ExactFloatSum()
-    parts = _slices(k, workers)
-    if len(parts) == 1:
-        acc.merge(_run_slice(prefs, payoff, n, parts[0][0], parts[0][1], seed, run))
-    else:
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            futures = [
-                pool.submit(_run_slice, prefs, payoff, n, lo, hi, seed, run)
-                for lo, hi in parts
-            ]
-            for fut in futures:
-                acc.merge(fut.result())
     return acc.mean(k)
 
 
@@ -141,13 +134,13 @@ def estimate_mean(
     """Mean objective value over ``k`` uniformly random orderings.
 
     Identical ``(instance, objective, k, seed)`` give an identical report
-    for every worker count.
+    for every worker count; ``workers`` has no effect.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     started = time.perf_counter()
     prefs, payoff = _sampling_tables(instance, objective)
-    value = _run_mean(prefs, payoff, instance.n, k, seed, 0, workers)
+    value = _run_mean(prefs, payoff, instance.n, k, seed, 0)
     return EstimateReport(
         estimate=value,
         k=k,
@@ -187,16 +180,7 @@ def estimate_median_of_means(
         raise ValueError("k and runs must be at least 1")
     started = time.perf_counter()
     prefs, payoff = _sampling_tables(instance, objective)
-    n = instance.n
-    if workers > 1 and runs > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, runs)) as pool:
-            futures = [
-                pool.submit(_run_mean, prefs, payoff, n, k, seed, j, 1)
-                for j in range(runs)
-            ]
-            values = tuple(fut.result() for fut in futures)
-    else:
-        values = tuple(_run_mean(prefs, payoff, n, k, seed, j, workers) for j in range(runs))
+    values = tuple(_run_mean(prefs, payoff, instance.n, k, seed, j) for j in range(runs))
     return EstimateReport(
         estimate=median(values),
         k=k,

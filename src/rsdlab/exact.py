@@ -1,16 +1,21 @@
-"""Exact evaluation of random serial dictatorship by full enumeration.
+"""Exact evaluation of random serial dictatorship by a state-merging DP.
 
 Computing the assignment lottery (or the expected objective value) of RSD
-is #P-hard in general, so exactness here comes from brute force: iterate
-every one of the n! agent orderings, run serial dictatorship on each, and
-accumulate counts and moments in exact integer/rational arithmetic.  The
-enumeration is the reference oracle that every estimator and every encoded
-instance in this package is checked against, which is why it refuses to run
-past a configurable cap instead of silently grinding through factorials.
+is #P-hard in general, so no polynomial-time method is expected; this
+module pays an exponential cost over states instead of a factorial one over
+the n! agent orderings.  After any prefix of an ordering, what serial
+dictatorship does next depends only on which agents have acted and which
+items are taken, so every prefix that reaches the same pair of sets is
+merged into one state.  The DP walks the reachable states layer by layer
+(one layer per number of agents who have acted), keeping per state the
+number of prefixes that reach it and the sum and sum of squares of their
+partial objective values, all as exact integers.  Each state costs O(n^2)
+steps, and there are at most C(2n, n) < 4^n of them (pairs of equally
+sized agent and item sets), usually far fewer.
 
-Orderings are generated in lexicographic order and the accumulator is
-associative, so the work could be split by first-dictator branch and merged
-without changing any result; no floating point enters this module.
+The result is the reference oracle that every estimator and every encoded
+instance in this package is checked against, which is why it still refuses
+to run past a configurable cap; no floating point enters this module.
 """
 
 from __future__ import annotations
@@ -18,23 +23,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 from .core import AssignmentInstance, Objective, as_fraction, preference_rows
-from .sd import sd_assign
 
 DEFAULT_ORACLE_CAP = 10
 
 
 @dataclass(frozen=True)
 class ExactSummary:
-    """Full-enumeration summary of RSD on one instance.
+    """Exact summary of RSD over all n! orderings of one instance.
 
     ``counts[i-1][g-1]`` is the number of orderings under which agent ``i``
     receives item ``g``; every row and every column sums to ``n!``.
     ``lottery`` is the same matrix divided by ``n!`` (doubly stochastic).
     Moments are exact rationals over the uniform ordering distribution and
-    are ``None`` when no objective was requested.
+    are ``None`` when no objective was requested.  All of it is computed by
+    the state-merging DP of :func:`enumerate_rsd`, whose cost is exponential
+    in n, not factorial; ``order_count`` is still ``n!``, the number of
+    orderings the summary covers.
     """
 
     n: int
@@ -71,41 +77,57 @@ def enumerate_rsd(
     objective: Objective | None = None,
     cap: int = DEFAULT_ORACLE_CAP,
 ) -> ExactSummary:
-    """Enumerate all n! orderings and summarize RSD exactly.
+    """Summarize RSD exactly over all n! orderings by a state-merging DP.
 
-    With ``objective=None`` only the count matrix and lottery are computed,
-    which also covers abstract instances.
+    After a prefix of an ordering, serial dictatorship's future depends only
+    on which agents have acted and which items are taken.  A state is that
+    pair, packed into one int as ``taken | acted << n``, and carries ``w``,
+    the number of prefixes that reach it, and ``s`` and ``sq``, the sum and
+    the sum of squares of their partial objective values on the integer
+    payoffs of ``_scaled_int_matrix``.  At depth d, an agent ``a`` who has
+    not acted takes ``g``, its first untaken item in ``preference_rows`` (so
+    ties still go to the minimum item index); each of the (n-d-1)!
+    completions of those ``w`` prefixes gives ``a`` item ``g``, and with
+    payoff p the successor state receives
+    (w, s + w p, sq + 2 p s + w p^2).  Each layer is dropped once the next
+    is built.  The last layer holds a single state whose ``w`` is n! and
+    whose ``s`` and ``sq`` are the exact total and total of squares over all
+    orderings.  The cost grows with the number of reachable states, which is
+    exponential in n, not factorial.
+
+    With ``objective=None`` the payoffs are taken as zero and only the count
+    matrix and lottery are reported, which also covers abstract instances.
     """
     n = instance.n
     check_cap(n, cap)
-    if objective is not None:
+    if objective is None:
+        scaled, denom = [[0] * n] * n, 1
+    else:
         objective.require_compatible(instance)
+        scaled, denom = _scaled_int_matrix(instance)
 
     prefs = preference_rows(instance)
     counts = [[0] * n for _ in range(n)]
-
-    if objective is None:
-        for order in permutations(range(n)):
-            match = sd_assign(prefs, order)
+    layer = {0: (1, 0, 0)}
+    for depth in range(n):
+        completions = math.factorial(n - depth - 1)
+        nxt: dict[int, tuple[int, int, int]] = {}
+        for state, (w, s, sq) in layer.items():
             for a in range(n):
-                counts[a][match[a]] += 1
-        total = total_sq = None
-        denom = 1
-    else:
-        scaled, denom = _scaled_int_matrix(instance)
-        total = 0
-        total_sq = 0
-        for order in permutations(range(n)):
-            match = sd_assign(prefs, order)
-            s = 0
-            for a in range(n):
-                g = match[a]
-                counts[a][g] += 1
-                s += scaled[a][g]
-            total += s
-            total_sq += s * s
+                acted_bit = 1 << (n + a)
+                if state & acted_bit:
+                    continue
+                for g in prefs[a]:
+                    if not state >> g & 1:
+                        break
+                counts[a][g] += w * completions
+                key = state | acted_bit | 1 << g
+                p = scaled[a][g]
+                w0, s0, sq0 = nxt.get(key, (0, 0, 0))
+                nxt[key] = (w0 + w, s0 + s + w * p, sq0 + sq + (2 * s + w * p) * p)
+        layer = nxt
+    (fact, total, total_sq), = layer.values()
 
-    fact = math.factorial(n)
     lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in counts)
     if objective is None:
         mean = second = variance = None

@@ -1,8 +1,16 @@
-"""Shared battery builders for the seeded random-instance tests."""
+"""Shared battery builders for the seeded random-instance tests, and the
+slow reference enumerator that the exact oracle is checked against."""
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from itertools import permutations
+
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
+from rsdlab.core import Objective, preference_rows
+from rsdlab.exact import ExactSummary, _scaled_int_matrix
+from rsdlab.sd import sd_assign
 
 
 def metric_battery(count: int, base_seed: int, ns=(2, 3, 4, 5, 6, 7)) -> list[AssignmentInstance]:
@@ -15,3 +23,54 @@ def value_battery(count: int, base_seed: int, ns=(2, 3, 4, 5, 6, 7)) -> list[Ass
 
 def abstract_battery(count: int, base_seed: int, ns=(2, 3, 4)) -> list[AssignmentInstance]:
     return [random_abstract(ns[i % len(ns)], base_seed + i) for i in range(count)]
+
+
+def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objective | None = None) -> ExactSummary:
+    """Reference oracle: run serial dictatorship on every one of the n!
+    orderings and accumulate counts and moments in exact integers."""
+    n = instance.n
+    if objective is not None:
+        objective.require_compatible(instance)
+
+    prefs = preference_rows(instance)
+    counts = [[0] * n for _ in range(n)]
+
+    if objective is None:
+        for order in permutations(range(n)):
+            match = sd_assign(prefs, order)
+            for a in range(n):
+                counts[a][match[a]] += 1
+        total = total_sq = None
+        denom = 1
+    else:
+        scaled, denom = _scaled_int_matrix(instance)
+        total = 0
+        total_sq = 0
+        for order in permutations(range(n)):
+            match = sd_assign(prefs, order)
+            s = 0
+            for a in range(n):
+                g = match[a]
+                counts[a][g] += 1
+                s += scaled[a][g]
+            total += s
+            total_sq += s * s
+
+    fact = math.factorial(n)
+    lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in counts)
+    if objective is None:
+        mean = second = variance = None
+    else:
+        mean = Fraction(total, fact * denom)
+        second = Fraction(total_sq, fact * denom * denom)
+        variance = second - mean * mean
+    return ExactSummary(
+        n=n,
+        objective=objective,
+        order_count=fact,
+        counts=tuple(tuple(row) for row in counts),
+        lottery=lottery,
+        mean=mean,
+        second_moment=second,
+        variance=variance,
+    )

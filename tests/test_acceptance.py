@@ -5,6 +5,7 @@ criteria complete.  Every tolerance is fixed here; nothing is calibrated at
 run time.
 """
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -239,10 +240,7 @@ def test_criterion_11_determinism_across_workers():
         ok = ok and again.run_values == baseline.run_values and again.estimate == baseline.estimate
 
     plan = sample_size(Method.COST_MEDIAN_OF_MEANS, 6, "0.5", "0.5")
-    plan = plan.__class__(
-        method=plan.method, n=plan.n, eps=plan.eps, delta=plan.delta,
-        k=200, runs=4, k_raw=plan.k_raw, runs_raw=plan.runs_raw,
-    )
+    plan = dataclasses.replace(plan, k=200, runs=4)
     csvs = {
         coverage_csv(run_coverage(
             inst, Objective.COST, plan, trials=25, master_seed=5,

@@ -152,3 +152,31 @@ def test_oracle_cap_env_override(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "exact", "--in", str(path), "--objective", "welfare")
     assert code == 1
     assert "cap of 4" in err
+
+
+def test_raised_oracle_cap_warns_and_runs(tmp_path, capsys):
+    path = tmp_path / "value12.json"
+    run_cli(capsys, "gen", "--family", "random-value", "--n", "12", "--seed", "1", "--out", str(path))
+    code, out, err = run_cli(capsys, "exact", "--in", str(path), "--objective", "welfare", "--oracle-cap", "12")
+    assert code == 0
+    assert "orderings enumerated: 479001600" in out
+    assert "warning: enumeration cap raised to 12" in err
+
+
+def test_sampling_a_payoff_beyond_float_range_exits_one(tmp_path, capsys):
+    # the metric reduction of an n=9 instance has costs near 2**1539
+    src = tmp_path / "abstract9.json"
+    built = tmp_path / "b9.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "9", "--seed", "4", "--out", str(src))
+    code, out, _ = run_cli(capsys, "reduce", "--in", str(src), "--setting", "metric", "--out", str(built))
+    assert code == 0
+    assert "round trip vs enumeration: PASS" in out
+    for argv in (
+        ["estimate", "--in", str(built), "--objective", "cost", "--k", "10"],
+        ["coverage", "--in", str(built), "--objective", "cost", "--method", "cost-median-of-means",
+         "--eps", "0.5", "--delta", "0.2", "--trials", "1", "--k", "10", "--lambda", "1"],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: payoffs reach about 2**1539")
+        assert "rsdlab exact" in err

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,16 @@ def test_reports_are_deterministic_and_worker_independent():
     single = estimate_mean(inst, Objective.COST, k=997, seed=555)
     for workers in (2, 3, 4):
         assert estimate_mean(inst, Objective.COST, k=997, seed=555, workers=workers) == single
+
+
+def test_sampling_starts_no_thread_whatever_the_worker_count(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the estimator started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    inst = worst_case_metric_line(4)
+    estimate_median_of_means(inst, Objective.COST, k=50, runs=3, seed=1, workers=8)
+    estimate_mean(inst, Objective.COST, k=50, seed=1, workers=8)
 
 
 def test_estimator_distribution_is_binomial_on_bernoulli():

@@ -2,19 +2,82 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import metric_battery, value_battery
+from conftest import enumerate_rsd_by_orderings, metric_battery, value_battery
 from rsdlab import (
     AssignmentInstance,
+    Family,
+    FamilySpec,
     Objective,
     bernoulli_welfare,
     binomial_failure_probability,
     binomial_upper_tail,
+    build_reduction,
     counts_by_rank,
     enumerate_rsd,
+    generate,
+    random_abstract,
     solve_opt,
     verify_reverse_chernoff_grid,
 )
+
+OBJECTIVE_OF = {"value": Objective.WELFARE, "metric": Objective.COST}
+
+
+def assert_matches_reference(inst):
+    """The DP equals the n!-ordering reference field for field, with the
+    setting's objective and without one."""
+    for objective in dict.fromkeys((None, OBJECTIVE_OF.get(inst.setting))):
+        assert enumerate_rsd(inst, objective) == enumerate_rsd_by_orderings(inst, objective)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_dp_matches_ordering_enumeration_on_every_family(family):
+    seeds = (0,) if family in (Family.BERNOULLI_WELFARE, Family.WORST_CASE_METRIC_LINE) else (0, 1, 2)
+    for n in range(1, 8):
+        for seed in seeds:
+            assert_matches_reference(generate(FamilySpec(family, n, seed)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dp_matches_ordering_enumeration_under_ties(data):
+    # entries in {0, 1, 2} make most preference rows contain ties
+    n = data.draw(st.integers(1, 6))
+    entries = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    if data.draw(st.booleans()):
+        inst = AssignmentInstance.from_values(data.draw(st.lists(entries, min_size=n, max_size=n)))
+    else:
+        inst = AssignmentInstance.from_line_points(data.draw(entries), data.draw(entries))
+    assert_matches_reference(inst)
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_dp_matches_ordering_enumeration_on_reduction_instances(setting):
+    # payoffs are powers of two hundreds of bits long
+    for n in range(1, 6):
+        for seed in (0, 1):
+            assert_matches_reference(build_reduction(random_abstract(n, seed), setting))
+
+
+@pytest.mark.parametrize("family", [Family.RANDOM_VALUE, Family.RANDOM_METRIC_LINE, Family.RANDOM_ABSTRACT])
+def test_raised_cap_reaches_n_twelve(family):
+    inst = generate(FamilySpec(family, 12, seed=3))
+    objective = OBJECTIVE_OF.get(inst.setting)
+    summary = enumerate_rsd(inst, objective, cap=12)
+    fact = math.factorial(12)
+    assert summary.order_count == fact
+    for i in range(12):
+        assert sum(summary.counts[i]) == fact
+        assert sum(row[i] for row in summary.counts) == fact
+    if objective is not None:
+        matrix = inst.payoff_matrix()
+        assert summary.mean == sum(
+            summary.lottery[a][g] * matrix[a][g] for a in range(12) for g in range(12)
+        )
+        assert summary.variance == summary.second_moment - summary.mean**2
 
 
 @pytest.mark.parametrize("n", range(2, 7))
