@@ -36,8 +36,12 @@ class InputError(Exception):
 
 
 def fmt_rational(x: Fraction) -> str:
-    """Exact fraction next to a 17-significant-digit decimal."""
-    return f"{x} ({float(x):.17g})"
+    """Exact fraction next to a 17-significant-digit decimal, or the fraction
+    alone when it is beyond the double range."""
+    try:
+        return f"{x} ({float(x):.17g})"
+    except OverflowError:
+        return str(x)
 
 
 def _oracle_cap(args) -> int:
@@ -47,7 +51,7 @@ def _oracle_cap(args) -> int:
         cap = int(os.environ.get("RSDLAB_ORACLE_CAP", DEFAULT_ORACLE_CAP))
     if cap > DEFAULT_ORACLE_CAP:
         print(
-            f"warning: enumeration cap raised to {cap}; the cost grows factorially",
+            f"warning: enumeration cap raised to {cap}; the cost grows exponentially in n",
             file=sys.stderr,
         )
     return cap
@@ -67,13 +71,6 @@ def _load_validated(path):
     return instance
 
 
-def _objective(args) -> Objective:
-    try:
-        return Objective(args.objective)
-    except ValueError as exc:
-        raise InputError(f"unknown objective {args.objective!r}") from exc
-
-
 def _parse_eps(text: str) -> Fraction:
     try:
         return as_fraction(text)
@@ -88,11 +85,7 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_gen(args) -> int:
-    try:
-        family = Family(args.family)
-    except ValueError as exc:
-        raise InputError(f"unknown family {args.family!r}") from exc
-    spec = FamilySpec(family=family, n=args.n, seed=args.seed)
+    spec = FamilySpec(family=Family(args.family), n=args.n, seed=args.seed)
     instance = generate(spec)
     save_instance(instance, args.out)
     print(f"wrote {instance.setting} instance with n={instance.n} to {args.out}")
@@ -102,7 +95,7 @@ def cmd_gen(args) -> int:
 def cmd_exact(args) -> int:
     instance = _load_validated(args.infile)
     cap = _oracle_cap(args)
-    objective = _objective(args) if args.objective else None
+    objective = Objective(args.objective) if args.objective else None
     summary = enumerate_rsd(instance, objective, cap=cap)
     print(f"orderings enumerated: {summary.order_count}")
     if summary.mean is not None:
@@ -129,11 +122,8 @@ def cmd_exact(args) -> int:
 
 def cmd_opt(args) -> int:
     instance = _load_validated(args.infile)
-    objective = _objective(args)
-    try:
-        result = solve_opt(instance, objective)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    objective = Objective(args.objective)
+    result = solve_opt(instance, objective)
     print(f"optimal {objective.value}: {fmt_rational(result.objective_value)}")
     print("matching (agent -> item): " + ", ".join(
         f"{i + 1}->{g}" for i, g in enumerate(result.matching.assign)
@@ -149,16 +139,13 @@ def cmd_opt(args) -> int:
 
 def cmd_estimate(args) -> int:
     instance = _load_validated(args.infile)
-    objective = _objective(args)
-    try:
-        if args.lam and args.lam > 1:
-            report = estimate_median_of_means(
-                instance, objective, args.k, args.lam, args.seed, workers=args.workers
-            )
-        else:
-            report = estimate_mean(instance, objective, args.k, args.seed, workers=args.workers)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    objective = Objective(args.objective)
+    if args.lam and args.lam > 1:
+        report = estimate_median_of_means(
+            instance, objective, args.k, args.lam, args.seed, workers=args.workers
+        )
+    else:
+        report = estimate_mean(instance, objective, args.k, args.seed, workers=args.workers)
     print(f"estimate: {report.estimate!r}")
     print(f"k={report.k} runs={report.runs} seed={report.seed} objective={objective.value}")
     print("run values: " + ", ".join(repr(v) for v in report.run_values))
@@ -179,10 +166,7 @@ def cmd_bounds(args) -> int:
     eps = _parse_eps(args.eps)
     delta = _parse_eps(args.delta)
     if args.method == "welfare-lower-window":
-        try:
-            window = welfare_lower_bound_window(args.n, eps, delta)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        window = welfare_lower_bound_window(args.n, eps, delta)
         print(f"k_lo: {fmt_rational(window.k_lo)}")
         print(f"k_hi: {window.k_hi!r}")
         print(f"applicable: {window.applicable}" + (f" ({window.reason})" if window.reason else ""))
@@ -193,11 +177,8 @@ def cmd_bounds(args) -> int:
                 "applicable": window.applicable, "reason": window.reason,
             })
         return 0
-    try:
-        method = Method(args.method)
-        plan = sample_size(method, args.n, eps, delta)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    method = Method(args.method)
+    plan = sample_size(method, args.n, eps, delta)
     print(f"method: {method.value}")
     print(f"n={plan.n} eps={plan.eps} delta={plan.delta}")
     print(f"k: {plan.k}")
@@ -220,10 +201,7 @@ def cmd_reduce(args) -> int:
     if source.setting != "abstract":
         raise InputError("reduce expects an abstract instance (rankings only)")
     cap = _oracle_cap(args)
-    try:
-        artifact = build_artifact(source, args.setting, cap=cap)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    artifact = build_artifact(source, args.setting, cap=cap)
     matches = round_trip_matches(artifact, cap=cap)
     print(f"block bits q: {artifact.block_bits}")
     print(f"scaled total: {artifact.scaled_total}")
@@ -251,32 +229,28 @@ def cmd_reduce(args) -> int:
 
 def cmd_coverage(args) -> int:
     instance = _load_validated(args.infile)
-    objective = _objective(args)
+    objective = Objective(args.objective)
     eps = _parse_eps(args.eps)
     delta = _parse_eps(args.delta)
     cap = _oracle_cap(args)
-    try:
-        method = Method(args.method)
-        plan = sample_size(method, instance.n, eps, delta)
-        if args.k is not None or args.lam is not None:
-            # explicit k/lambda override the formula values
-            plan = dataclasses.replace(
-                plan,
-                k=args.k if args.k is not None else plan.k,
-                runs=args.lam if args.lam is not None else plan.runs,
-            )
-        reference = _parse_eps(args.reference) if args.reference else None
-        report = run_coverage(
-            instance, objective, plan,
-            trials=args.trials,
-            master_seed=args.seed,
-            reference=reference,
-            instance_id=str(args.infile),
-            workers=args.workers,
-            oracle_cap=cap,
+    plan = sample_size(Method(args.method), instance.n, eps, delta)
+    if args.k is not None or args.lam is not None:
+        # explicit k/lambda override the formula values
+        plan = dataclasses.replace(
+            plan,
+            k=args.k if args.k is not None else plan.k,
+            runs=args.lam if args.lam is not None else plan.runs,
         )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    reference = _parse_eps(args.reference) if args.reference else None
+    report = run_coverage(
+        instance, objective, plan,
+        trials=args.trials,
+        master_seed=args.seed,
+        reference=reference,
+        instance_id=str(args.infile),
+        workers=args.workers,
+        oracle_cap=cap,
+    )
     print(f"method: {report.method}  k={report.k}  runs={report.runs}")
     print(f"reference: {fmt_rational(report.reference)} [{report.reference_provenance}]")
     print(f"trials: {report.trials}  failures: {report.failures}")

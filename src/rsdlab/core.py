@@ -11,8 +11,12 @@ convention used throughout the package) under one of three payoff settings:
   materialized; lower is better and the objective is social cost.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
-Entries are stored as exact :class:`fractions.Fraction` values.  Estimation
-paths may downgrade to 64-bit floats for speed; exact paths never do.
+Entries are stored as exact :class:`fractions.Fraction` values.  Every
+computation on payoffs (exact enumeration, sampling, the optimal-assignment
+solver) runs on one integer table, :func:`integer_payoff_table`: the payoffs
+times their common denominator.  Sampling sums a run's scores exactly and
+rounds once, to the 64-bit float nearest the exact run mean; exact
+enumeration and the solver never round.
 
 Ties between equally good items are broken in favour of the minimum item
 index, everywhere.  This single tie-breaking rule is what makes the exact
@@ -23,6 +27,7 @@ matching.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -220,6 +225,20 @@ def preference_rows(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]
         tuple(sorted(range(n), key=lambda g: (row[g], g)))
         for row in instance.costs
     )
+
+
+def integer_payoff_table(instance: AssignmentInstance) -> tuple[list[list[int]], int]:
+    """Payoff matrix as exact integers over one common denominator.
+
+    Returns ``(rows, denom)`` with ``rows[i][g] == payoff[i][g] * denom``
+    (0-indexed), ``denom`` the least common denominator of the entries.
+    A positive scale preserves every comparison and every sum, so matchings
+    can be scored and compared on ``rows`` and divided by ``denom`` once.
+    """
+    matrix = instance.payoff_matrix()
+    denom = math.lcm(*(x.denominator for row in matrix for x in row))
+    rows = [[x.numerator * (denom // x.denominator) for x in row] for row in matrix]
+    return rows, denom
 
 
 def derive_preferences(instance: AssignmentInstance, agent: int) -> tuple[int, ...]:

@@ -11,16 +11,17 @@ Two estimators are provided:
   exponentially better confidence on heavy-tailed cost instances.
 
 Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
-substream ``(seed, j, i)``, and per-run sums are accumulated exactly (as
-integers scaled by 2**1074, under which IEEE doubles are integers) before a
-single correctly-rounded conversion back to float.  Both choices make the
-report bit-for-bit identical however the samples are partitioned.  Samples
-are drawn in one thread: the ``workers`` argument is accepted and has no
-effect on the result or on the number of threads.
+substream ``(seed, j, i)``, and each ordering is scored exactly on the
+integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
+sums its k integer scores and rounds once, to the float nearest the exact
+mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
+identical however the samples are partitioned.  Samples are drawn in one
+thread: the ``workers`` argument is accepted and has no effect on the result
+or on the number of threads.
 
-Sampling scores orderings in IEEE doubles, so an instance whose payoffs or
-matching totals exceed the double range is refused with ``ValueError``;
-its exact expected value comes from :func:`rsdlab.exact.enumerate_rsd`.
+The reported means are doubles, so an instance on which a matching could
+total more than the double range is refused with ``ValueError``; its exact
+expected value comes from :func:`rsdlab.exact.enumerate_rsd`.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import fsum
 
-from .core import AssignmentInstance, Objective, as_fraction, preference_rows
+from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
 from .rng import substream
 from .sd import sd_assign
 
@@ -38,16 +38,15 @@ from .sd import sd_assign
 # is small enough that the cache can actually be hit.
 _MEMO_MAX_N = 8
 
-# IEEE double scale: every finite double is an integer multiple of 2**-1074.
-_EXACT_SCALE = 1074
-
 
 class ExactFloatSum:
     """Exact, order-independent accumulator for IEEE doubles.
 
-    Each double is the integer ``numerator << (1074 - log2 denominator)``
-    in units of 2**-1074, so sums and merges are plain integer additions
-    and the final mean is rounded exactly once.
+    The estimators no longer use it (they sum integer scores); it stays for
+    the benchmark's traced replay of the sampling stages, ``bench/tracing.py``.
+    Each double is the integer ``numerator << (1074 - log2 denominator)`` in
+    units of 2**-1074, so sums and merges are plain integer additions and the
+    final mean is rounded exactly once.
     """
 
     __slots__ = ("_acc",)
@@ -57,13 +56,13 @@ class ExactFloatSum:
 
     def add(self, x: float) -> None:
         num, den = x.as_integer_ratio()
-        self._acc += num << (_EXACT_SCALE - (den.bit_length() - 1))
+        self._acc += num << (1074 - (den.bit_length() - 1))
 
     def merge(self, other: "ExactFloatSum") -> None:
         self._acc += other._acc
 
     def mean(self, count: int) -> float:
-        return float(Fraction(self._acc, count << _EXACT_SCALE))
+        return float(Fraction(self._acc, count << 1074))
 
 
 @dataclass(frozen=True)
@@ -86,42 +85,34 @@ class EstimateReport:
 
 def _sampling_tables(instance: AssignmentInstance, objective: Objective):
     objective.require_compatible(instance)
-    prefs = preference_rows(instance)
-    matrix = instance.payoff_matrix()
+    scaled, denom = integer_payoff_table(instance)
+    # No matching totals more than the sum of the row maxima, and rounding is
+    # monotone, so if that bound fits a double every run mean does too.
     try:
-        payoff = tuple(tuple(float(x) for x in row) for row in matrix)
-        # no matching can total more than the sum of the row maxima
-        float(sum(max(row) for row in matrix))
+        float(Fraction(sum(max(map(abs, row)) for row in scaled), denom))
     except OverflowError:
-        bits = max(x.numerator.bit_length() - x.denominator.bit_length() for row in matrix for x in row)
+        bits = max(p.bit_length() for row in scaled for p in row) - denom.bit_length()
         raise ValueError(
             f"payoffs reach about 2**{bits}, so payoffs or matching totals exceed the "
             f"floating-point range (2**1024) that sampling works in; compute the exact "
             f"expected value with `rsdlab exact` instead"
         ) from None
-    return prefs, payoff
+    return preference_rows(instance), scaled, denom
 
 
-def _sample_value(prefs, payoff, rng, n: int, memo) -> float:
-    perm = tuple(rng.permutation(n))
-    if memo is None:
-        match = sd_assign(prefs, perm)
-        return fsum(payoff[a][match[a]] for a in range(n))
-    value = memo.get(perm)
-    if value is None:
-        match = sd_assign(prefs, perm)
-        value = fsum(payoff[a][match[a]] for a in range(n))
-        memo[perm] = value
-    return value
-
-
-def _run_mean(prefs, payoff, n, k, seed, run) -> float:
-    memo: dict | None = {} if n <= _MEMO_MAX_N else None
-    acc = ExactFloatSum()
+def _run_mean(prefs, scaled, denom, k, seed, run) -> float:
+    n = len(prefs)
+    memo = {}
+    total = 0
     for i in range(k):
-        rng = substream(seed, run, i)
-        acc.add(_sample_value(prefs, payoff, rng, n, memo))
-    return acc.mean(k)
+        perm = tuple(substream(seed, run, i).permutation(n))
+        value = memo.get(perm)
+        if value is None:
+            value = sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
+            if n <= _MEMO_MAX_N:
+                memo[perm] = value
+        total += value
+    return float(Fraction(total, k * denom))
 
 
 def estimate_mean(
@@ -139,8 +130,8 @@ def estimate_mean(
     if k < 1:
         raise ValueError("k must be at least 1")
     started = time.perf_counter()
-    prefs, payoff = _sampling_tables(instance, objective)
-    value = _run_mean(prefs, payoff, instance.n, k, seed, 0)
+    prefs, scaled, denom = _sampling_tables(instance, objective)
+    value = _run_mean(prefs, scaled, denom, k, seed, 0)
     return EstimateReport(
         estimate=value,
         k=k,
@@ -179,8 +170,8 @@ def estimate_median_of_means(
     if k < 1 or runs < 1:
         raise ValueError("k and runs must be at least 1")
     started = time.perf_counter()
-    prefs, payoff = _sampling_tables(instance, objective)
-    values = tuple(_run_mean(prefs, payoff, instance.n, k, seed, j) for j in range(runs))
+    prefs, scaled, denom = _sampling_tables(instance, objective)
+    values = tuple(_run_mean(prefs, scaled, denom, k, seed, j) for j in range(runs))
     return EstimateReport(
         estimate=median(values),
         k=k,

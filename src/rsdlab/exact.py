@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AssignmentInstance, Objective, as_fraction, preference_rows
+from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -53,22 +53,11 @@ class ExactSummary:
     variance: Fraction | None
 
 
-def _scaled_int_matrix(instance: AssignmentInstance) -> tuple[list[list[int]], int]:
-    """Payoff matrix as integers over one common denominator."""
-    matrix = instance.payoff_matrix()
-    denom = 1
-    for row in matrix:
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [[int(x * denom) for x in row] for row in matrix]
-    return scaled, denom
-
-
 def check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise ValueError(
             f"exact enumeration over {n}! orderings refused: n={n} exceeds the cap of {cap} "
-            f"(raise the cap explicitly to accept the factorial cost)"
+            f"(raise the cap explicitly to accept a cost exponential in n)"
         )
 
 
@@ -84,11 +73,11 @@ def enumerate_rsd(
     pair, packed into one int as ``taken | acted << n``, and carries ``w``,
     the number of prefixes that reach it, and ``s`` and ``sq``, the sum and
     the sum of squares of their partial objective values on the integer
-    payoffs of ``_scaled_int_matrix``.  At depth d, an agent ``a`` who has
-    not acted takes ``g``, its first untaken item in ``preference_rows`` (so
-    ties still go to the minimum item index); each of the (n-d-1)!
-    completions of those ``w`` prefixes gives ``a`` item ``g``, and with
-    payoff p the successor state receives
+    payoffs of :func:`rsdlab.core.integer_payoff_table`.  At depth d, an
+    agent ``a`` who has not acted takes ``g``, its first untaken item in
+    ``preference_rows`` (so ties still go to the minimum item index); each
+    of the (n-d-1)! completions of those ``w`` prefixes gives ``a`` item
+    ``g``, and with payoff p the successor state receives
     (w, s + w p, sq + 2 p s + w p^2).  Each layer is dropped once the next
     is built.  The last layer holds a single state whose ``w`` is n! and
     whose ``s`` and ``sq`` are the exact total and total of squares over all
@@ -104,7 +93,7 @@ def enumerate_rsd(
         scaled, denom = [[0] * n] * n, 1
     else:
         objective.require_compatible(instance)
-        scaled, denom = _scaled_int_matrix(instance)
+        scaled, denom = integer_payoff_table(instance)
 
     prefs = preference_rows(instance)
     counts = [[0] * n for _ in range(n)]

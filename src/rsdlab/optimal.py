@@ -1,10 +1,13 @@
 """Optimal one-to-one assignment: max welfare or min cost, exactly.
 
-The O(n^3) potential-based assignment algorithm runs directly on the
-instance's rational entries, so the reported optimum is exact and can be
-compared with exact enumeration results without tolerances.  Welfare
-maximization negates the matrix and reuses the minimizer.  A factorial
-brute-force solver doubles as the independent test oracle.
+The O(n^3) potential-based assignment algorithm runs on the integer payoff
+table of :func:`rsdlab.core.integer_payoff_table` (the payoffs times their
+common denominator).  A positive scale preserves every comparison, so the
+matching is the one the rational payoffs give, and its value is then summed
+exactly from the instance; the reported optimum can be compared with exact
+enumeration results without tolerances.  Welfare maximization negates the
+table and reuses the minimizer.  A factorial brute-force solver over the
+rational entries doubles as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .core import AssignmentInstance, Matching, Objective
+from .core import AssignmentInstance, Matching, Objective, integer_payoff_table
 from .sd import evaluate
 
 
@@ -26,16 +29,16 @@ class OptResult:
     objective_value: Fraction
 
 
-def _min_assignment(cost: list[list[Fraction]]) -> list[int]:
+def _min_assignment(cost: list[list[int]]) -> list[int]:
     """Minimum-cost perfect matching (0-indexed agent -> item).
 
     Potential-based shortest-augmenting-path method; arithmetic stays in
-    Fractions apart from the +inf sentinel for unreached columns.
+    integers apart from the +inf sentinel for unreached columns.
     """
     n = len(cost)
     inf = math.inf
-    u = [Fraction(0)] * (n + 1)
-    v = [Fraction(0)] * (n + 1)
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
     match_col = [0] * (n + 1)  # match_col[j] = row currently assigned column j
     way = [0] * (n + 1)
     for i in range(1, n + 1):
@@ -80,11 +83,9 @@ def _min_assignment(cost: list[list[Fraction]]) -> list[int]:
 def solve_opt(instance: AssignmentInstance, objective: Objective) -> OptResult:
     """Exact optimum: maximum welfare or minimum cost perfect matching."""
     objective.require_compatible(instance)
-    matrix = instance.payoff_matrix()
+    rows, _ = integer_payoff_table(instance)
     if objective is Objective.WELFARE:
-        rows = [[-x for x in row] for row in matrix]
-    else:
-        rows = [list(row) for row in matrix]
+        rows = [[-p for p in row] for row in rows]
     assign = _min_assignment(rows)
     matching = Matching(tuple(g + 1 for g in assign))
     return OptResult(matching=matching, objective_value=evaluate(instance, matching, objective))

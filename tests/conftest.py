@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import permutations
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
-from rsdlab.core import Objective, preference_rows
-from rsdlab.exact import ExactSummary, _scaled_int_matrix
+from rsdlab.core import Objective, integer_payoff_table, preference_rows
+from rsdlab.exact import ExactSummary
 from rsdlab.sd import sd_assign
 
 
@@ -43,7 +43,7 @@ def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objectiv
         total = total_sq = None
         denom = 1
     else:
-        scaled, denom = _scaled_int_matrix(instance)
+        scaled, denom = integer_payoff_table(instance)
         total = 0
         total_sq = 0
         for order in permutations(range(n)):

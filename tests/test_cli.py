@@ -180,3 +180,21 @@ def test_sampling_a_payoff_beyond_float_range_exits_one(tmp_path, capsys):
         assert code == 1
         assert err.startswith("error: payoffs reach about 2**1539")
         assert "rsdlab exact" in err
+
+
+def test_exact_and_opt_print_values_beyond_float_range(tmp_path, capsys):
+    # metric reductions: the n=8 one has moments beyond 2**1024, the n=9 one
+    # costs near 2**1539
+    for n in (8, 9):
+        src = tmp_path / f"abstract{n}.json"
+        built = tmp_path / f"b{n}.json"
+        run_cli(capsys, "gen", "--family", "random-abstract", "--n", str(n), "--seed", "4", "--out", str(src))
+        assert run_cli(capsys, "reduce", "--in", str(src), "--setting", "metric", "--out", str(built))[0] == 0
+        code, out, _ = run_cli(capsys, "opt", "--in", str(built), "--objective", "cost")
+        assert code == 0
+        assert out.startswith("optimal cost: ")
+    code, out, _ = run_cli(capsys, "exact", "--in", str(tmp_path / "b8.json"), "--objective", "cost")
+    assert code == 0
+    summary = dict(line.split(": ", 1) for line in out.splitlines()[1:4])
+    assert Fraction(summary["mean"]) > 2**1024
+    assert Fraction(summary["second moment"]) > 2**2048

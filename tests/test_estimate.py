@@ -21,7 +21,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.estimate import ExactFloatSum
-from rsdlab.sd import random_ordering
+from rsdlab.sd import random_ordering, sd_run
 
 
 def test_k_one_equals_single_run_value():
@@ -165,3 +165,20 @@ def test_exact_float_sum_merges_exactly():
     left.merge(right)
     assert left.mean(200) == whole.mean(200)
     assert whole.mean(200) == float(sum(Fraction(v) for v in values) / 200)
+
+
+def test_run_means_are_the_correctly_rounded_mean_of_exact_sample_values():
+    # random_value payoffs are millionths, which no double holds exactly, so
+    # rounding any payoff or sample score before the mean shows in the last bits
+    k, runs, seed = 30, 3, 2024
+    for inst in value_battery(24, 7100, ns=(2, 3, 5, 7, 9, 10)):
+        expected = tuple(
+            float(Fraction(sum(
+                sd_run(inst, random_ordering(substream(seed, j, i), inst.n), Objective.WELFARE).objective_value
+                for i in range(k)
+            ), k))
+            for j in range(runs)
+        )
+        report = estimate_median_of_means(inst, Objective.WELFARE, k=k, runs=runs, seed=seed)
+        assert report.run_values == expected
+        assert estimate_mean(inst, Objective.WELFARE, k=k, seed=seed).estimate == expected[0]

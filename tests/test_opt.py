@@ -3,13 +3,14 @@ from itertools import permutations
 
 import pytest
 
-from conftest import metric_battery, value_battery
+from conftest import abstract_battery, metric_battery, value_battery
 from rsdlab import (
     AssignmentInstance,
     Matching,
     Objective,
     bernoulli_welfare,
     brute_force_opt,
+    build_reduction,
     evaluate,
     solve_opt,
     worst_case_metric_line,
@@ -49,6 +50,12 @@ def test_brute_force_cap():
 
 def test_solver_agrees_with_brute_force():
     instances = value_battery(60, 3100, ns=(2, 3, 4, 5, 6)) + metric_battery(60, 3300, ns=(2, 3, 4, 5, 6))
+    # reduction-built instances: payoffs up to about 2**360, far past float precision
+    instances += [
+        build_reduction(source, setting)
+        for source in abstract_battery(8, 3500, ns=(3, 4, 5, 6))
+        for setting in ("value", "metric")
+    ]
     for inst in instances:
         objective = Objective.WELFARE if inst.setting == "value" else Objective.COST
         fast = solve_opt(inst, objective)
