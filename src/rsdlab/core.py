@@ -9,6 +9,9 @@ convention used throughout the package) under one of three payoff settings:
   satisfying the four-point triangle inequality, or agent/item coordinates
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
+  :func:`validate` checks the inequality exactly in O(n^3), as two min-plus
+  products on the integer payoff table, and runs the full four-point scan
+  only to list the violations of an instance that fails.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 Entries are stored as exact :class:`fractions.Fraction` values.  Every
@@ -262,11 +265,47 @@ def _matrix_violations(name: str, rows: Sequence[Sequence[Fraction]], n: int) ->
     return out
 
 
+def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
+    """Every four-point failure ``c[i1][g1] > c[i1][g2] + c[i2][g2] + c[i2][g1]``
+    of a square, non-negative cost matrix, in (i1, g1, i2, g2) order.
+
+    Exact and O(n^3) on the integer table: cell (i1, g1) satisfies the
+    condition for every (i2, g2) iff ``c[i1][g1] <= min_i2 (M[i1][i2] +
+    c[i2][g1])`` with ``M[i1][i2] = min_g (c[i1][g] + c[i2][g])``, two
+    min-plus products.  Only a failing cell is scanned over all (i2, g2),
+    to list its violations.
+    """
+    costs = instance.costs
+    assert costs is not None
+    c, _ = integer_payoff_table(instance)
+    cols = list(zip(*c))
+    out = []
+    for i1, row in enumerate(c):
+        m_row = [min(map(int.__add__, row, other)) for other in c]
+        for g1, col in enumerate(cols):
+            lhs = row[g1]
+            if lhs <= min(map(int.__add__, m_row, col)):
+                continue
+            for i2, other in enumerate(c):
+                for g2, x in enumerate(row):
+                    if lhs > x + other[g2] + other[g1]:
+                        out.append(Violation(
+                            "triangle",
+                            (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                            f"c[{i1 + 1}][{g1 + 1}]={costs[i1][g1]} exceeds "
+                            f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
+                        ))
+    return out
+
+
 def validate(instance: AssignmentInstance) -> list[Violation]:
     """Check every type invariant; an empty list means the instance is valid.
 
     Never raises: malformed content comes back as a list of violations,
-    each naming the offending indices.
+    each naming the offending indices.  The metric check is an exact O(n^3)
+    min-plus test of the four-point condition on the integer payoff table;
+    the full four-point scan runs only over failing cells, to list every
+    violation.
     """
     n = instance.n
     out: list[Violation] = []
@@ -296,21 +335,7 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
         out.extend(_matrix_violations("costs", instance.costs, n))
         if out:
             return out
-        c = instance.costs
-        # Four-point condition: c[i1][g1] <= c[i1][g2] + c[i2][g2] + c[i2][g1].
-        for i1 in range(n):
-            for g1 in range(n):
-                lhs = c[i1][g1]
-                for i2 in range(n):
-                    for g2 in range(n):
-                        if lhs > c[i1][g2] + c[i2][g2] + c[i2][g1]:
-                            out.append(Violation(
-                                "triangle",
-                                (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                                f"c[{i1 + 1}][{g1 + 1}]={lhs} exceeds "
-                                f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
-                            ))
-        return out
+        return _triangle_violations(instance)
 
     if instance.setting == SETTING_ABSTRACT:
         if instance.rankings is None:

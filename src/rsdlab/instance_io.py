@@ -10,15 +10,18 @@ Schema (UTF-8 JSON object)::
      "rankings": [[...]]}         # abstract setting, 1-indexed items
 
 Numeric entries are integers or decimal strings and are parsed exactly:
-JSON number literals are routed through :class:`~fractions.Fraction` before
-any float rounding can occur, and strings like ``"0.25"`` or ``"257"`` are
+JSON number literals keep their text and are parsed like strings, so no
+float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
-no finite decimal expansion are rejected rather than rounded.
+no finite decimal expansion are rejected rather than rounded.  On reading,
+a literal whose decimal exponent exceeds :data:`MAX_EXPONENT` in magnitude,
+or whose denominator is zero, is rejected with :class:`InstanceFormatError`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,21 +34,39 @@ from .core import (
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
 
+MAX_EXPONENT = 4300
+"""Largest decimal exponent magnitude a numeric literal may carry; the same
+as Python's default limit on the digits of an int parsed from a string."""
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
+def _exponent_too_large(text: str) -> bool:
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "").lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
+
+
 def _parse_entry(x, where: str) -> Fraction:
     if isinstance(x, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction builds 10**e for an exponent e, so bound e on the text first
+        if _exponent_too_large(x):
+            raise InstanceFormatError(f"{where}: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
             return Fraction(x)
         except ValueError as exc:
             raise InstanceFormatError(f"{where}: {x!r} is not a numeric literal") from exc
+        except ZeroDivisionError as exc:
+            raise InstanceFormatError(f"{where}: {x!r} has a zero denominator") from exc
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {type(x).__name__}")
 
 
@@ -160,8 +181,9 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
 
 
 def loads_instance(text: str) -> AssignmentInstance:
-    # parse_float receives the raw literal, so decimals never touch floats
-    doc = json.loads(text, parse_float=Fraction)
+    # JSON numbers with a fraction or exponent stay literal text, parsed
+    # exactly (never as floats) and bounded by _parse_entry like strings
+    doc = json.loads(text, parse_float=str)
     return instance_from_dict(doc)
 
 

@@ -1,5 +1,5 @@
 """Shared battery builders for the seeded random-instance tests, and the
-slow reference enumerator that the exact oracle is checked against."""
+slow references that the exact oracle and the metric check are held to."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
-from rsdlab.core import Objective, integer_payoff_table, preference_rows
+from rsdlab.core import Objective, Violation, integer_payoff_table, preference_rows
 from rsdlab.exact import ExactSummary
 from rsdlab.sd import sd_assign
 
@@ -74,3 +74,24 @@ def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objectiv
         second_moment=second,
         variance=variance,
     )
+
+
+def four_point_scan(costs) -> list[Violation]:
+    """Reference metric check: test the four-point condition
+    c[i1][g1] <= c[i1][g2] + c[i2][g2] + c[i2][g1] on every index quadruple,
+    in Fractions, and list each failure in (i1, g1, i2, g2) order."""
+    n = len(costs)
+    out = []
+    for i1 in range(n):
+        for g1 in range(n):
+            lhs = costs[i1][g1]
+            for i2 in range(n):
+                for g2 in range(n):
+                    if lhs > costs[i1][g2] + costs[i2][g2] + costs[i2][g1]:
+                        out.append(Violation(
+                            "triangle",
+                            (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                            f"c[{i1 + 1}][{g1 + 1}]={lhs} exceeds "
+                            f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
+                        ))
+    return out

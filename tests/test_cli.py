@@ -127,6 +127,18 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     assert "malformed" in err
 
 
+def test_zero_denominator_exits_one(tmp_path, capsys):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"n": 2, "setting": "metric", "costs": [[0, 1], ["1/0", 0]]}')
+    points = tmp_path / "points.json"
+    points.write_text('{"n": 2, "setting": "metric", "agent_points": [0, "1/0"], "item_points": [0, 1]}')
+    for path, field in ((matrix, "costs[2][1]"), (points, "agent_points[2]")):
+        for argv in (["exact"], ["opt", "--objective", "cost"], ["estimate", "--objective", "cost", "--k", "10"]):
+            code, _, err = run_cli(capsys, argv[0], "--in", str(path), *argv[1:])
+            assert code == 1
+            assert err.startswith(f"error: malformed instance file {path}: {field}: '1/0' has a zero denominator")
+
+
 def test_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "opt", "--in", str(tmp_path / "nope.json"), "--objective", "cost")
     assert code == 1

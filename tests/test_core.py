@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import metric_battery
+from conftest import abstract_battery, four_point_scan, metric_battery
 from rsdlab import (
     AssignmentInstance,
     Objective,
     bernoulli_welfare,
+    build_reduction,
     derive_preferences,
+    random_metric_line,
     remove_agent_best,
     solve_opt,
     validate,
@@ -52,6 +54,33 @@ def test_triangle_violation_is_located():
     inst = AssignmentInstance.from_costs([[1, 10], [1, 1]])
     violations = validate(inst)
     assert any(v.code == "triangle" and v.indices == (1, 2, 2, 1) for v in violations)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_metric_check_lists_exactly_the_four_point_scan(data):
+    n = data.draw(st.integers(1, 5))
+    # 0, ties and entries far apart enough to break the four-point condition
+    entry = st.sampled_from([Fraction(x) for x in ("0", "1/3", "1/2", "1", "7/4", "3", "10")])
+    costs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert validate(AssignmentInstance.from_costs(costs)) == four_point_scan(costs)
+
+
+def test_metric_check_on_reduction_built_costs():
+    # costs of hundreds of bits; raising one entry to the sum of all costs breaks the metric
+    for source in abstract_battery(10, 4100, ns=(2, 3, 4, 5, 6)):
+        costs = [list(row) for row in build_reduction(source, "metric").costs]
+        assert validate(AssignmentInstance.from_costs(costs)) == four_point_scan(costs) == []
+        costs[-1][0] = sum(map(sum, costs))
+        violations = validate(AssignmentInstance.from_costs(costs))
+        assert violations == four_point_scan(costs)
+        assert violations
+
+
+def test_large_matrix_metric_instance_validates():
+    # n=60 guards the O(n^3) check: a quadruple scan would take minutes
+    inst = random_metric_line(60, 8)
+    assert validate(AssignmentInstance.from_costs(inst.costs)) == []
 
 
 def test_negative_value_entry_reported():

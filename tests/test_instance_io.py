@@ -6,6 +6,7 @@ from rsdlab import (
     AssignmentInstance,
     InstanceFormatError,
     bernoulli_welfare,
+    build_reduction,
     dumps_instance,
     loads_instance,
     random_abstract,
@@ -13,7 +14,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.instance_io import format_number
+from rsdlab.instance_io import MAX_EXPONENT, format_number
 
 
 def test_round_trip_all_settings():
@@ -23,6 +24,9 @@ def test_round_trip_all_settings():
         random_value(3, 5),
         random_metric_line(3, 6),
         random_abstract(4, 7),
+        # payoffs near 2**4176, written as long integer strings
+        build_reduction(random_abstract(12, 8), "value"),
+        build_reduction(random_abstract(12, 8), "metric"),
     ):
         assert loads_instance(dumps_instance(inst)) == inst
 
@@ -79,3 +83,28 @@ def test_bad_entries_are_addressed():
 def test_point_instance_requires_both_point_lists():
     with pytest.raises(InstanceFormatError, match="item_points"):
         loads_instance('{"n": 1, "setting": "metric", "agent_points": [0]}')
+
+
+def test_zero_denominator_is_addressed():
+    with pytest.raises(InstanceFormatError, match=r"costs\[2\]\[1\]: '1/0' has a zero denominator"):
+        loads_instance('{"n": 2, "setting": "metric", "costs": [[0, 1], ["1/0", 0]]}')
+    with pytest.raises(InstanceFormatError, match=r"item_points\[1\]"):
+        loads_instance('{"n": 1, "setting": "metric", "agent_points": [0], "item_points": ["3/0"]}')
+
+
+@pytest.mark.parametrize("entry", [
+    f'"1e{MAX_EXPONENT}"', f"1e{MAX_EXPONENT}", f'"2.5E-{MAX_EXPONENT}"', f"2.5E-{MAX_EXPONENT}",
+])
+def test_exponent_at_the_bound_loads(entry):
+    inst = loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
+    assert inst.value(1, 1) == Fraction(entry.strip('"'))
+
+
+@pytest.mark.parametrize("entry", [
+    f'"1e{MAX_EXPONENT + 1}"', f"1e{MAX_EXPONENT + 1}", f'"2.5E-{MAX_EXPONENT + 1}"',
+    f"2.5E-{MAX_EXPONENT + 1}", '"1e4_301"', "1e" + "9" * 50,
+])
+def test_exponent_past_the_bound_is_rejected_before_conversion(entry):
+    # rejected on the text, so no 10**e is ever built
+    with pytest.raises(InstanceFormatError, match=r"values\[1\]\[1\]: decimal exponent beyond"):
+        loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
