@@ -64,7 +64,10 @@ def _check_domain(n: int, eps: Fraction, delta: Fraction) -> None:
 
 def _ln(x: Fraction) -> Fraction:
     # the only inexact step: one double-precision logarithm, held exactly after
-    return Fraction(math.log(float(x)))
+    try:
+        return Fraction(math.log(float(x)))
+    except OverflowError:  # x beyond the double range; math.log takes ints of any size
+        return Fraction(math.log(x.numerator) - math.log(x.denominator))
 
 
 def sample_size(method: Method, n: int, eps, delta) -> SampleSizePlan:

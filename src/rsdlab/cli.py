@@ -21,14 +21,19 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import Method, sample_size, welfare_lower_bound_window
-from .core import Objective, as_fraction, validate
+from .core import Objective, validate
 from .coverage import coverage_csv, run_coverage, write_coverage_csv
-from .estimate import estimate_mean, estimate_median_of_means
+from .estimate import estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
 from .families import Family, FamilySpec, generate
-from .instance_io import InstanceFormatError, load_instance, save_instance
+from .instance_io import InstanceFormatError, load_instance, parse_literal, save_instance
 from .optimal import solve_opt
 from .reduction import build_artifact, round_trip_matches
+
+
+# A non-metric matrix can break the four-point condition ~n^4 times; the
+# report names the first ones and counts the rest.
+MAX_REPORTED_VIOLATIONS = 20
 
 
 class InputError(Exception):
@@ -66,16 +71,12 @@ def _load_validated(path):
         raise InputError(f"malformed instance file {path}: {exc}") from exc
     problems = validate(instance)
     if problems:
-        lines = "\n".join(f"  - {v.message}" for v in problems)
-        raise InputError(f"instance file {path} failed validation:\n{lines}")
+        shown = problems[:MAX_REPORTED_VIOLATIONS]
+        lines = "".join(f"\n  - {v.message}" for v in shown)
+        if len(problems) > len(shown):
+            lines += f"\n  … and {len(problems) - len(shown)} more ({len(problems)} violations)"
+        raise InputError(f"instance file {path} failed validation:{lines}")
     return instance
-
-
-def _parse_eps(text: str) -> Fraction:
-    try:
-        return as_fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a number: {text!r}") from exc
 
 
 def _write_json(path, payload) -> None:
@@ -140,12 +141,9 @@ def cmd_opt(args) -> int:
 def cmd_estimate(args) -> int:
     instance = _load_validated(args.infile)
     objective = Objective(args.objective)
-    if args.lam and args.lam > 1:
-        report = estimate_median_of_means(
-            instance, objective, args.k, args.lam, args.seed, workers=args.workers
-        )
-    else:
-        report = estimate_mean(instance, objective, args.k, args.seed, workers=args.workers)
+    report = estimate_median_of_means(
+        instance, objective, args.k, args.lam, args.seed, workers=args.workers
+    )
     print(f"estimate: {report.estimate!r}")
     print(f"k={report.k} runs={report.runs} seed={report.seed} objective={objective.value}")
     print("run values: " + ", ".join(repr(v) for v in report.run_values))
@@ -163,8 +161,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    eps = _parse_eps(args.eps)
-    delta = _parse_eps(args.delta)
+    eps = parse_literal(args.eps, "--eps")
+    delta = parse_literal(args.delta, "--delta")
     if args.method == "welfare-lower-window":
         window = welfare_lower_bound_window(args.n, eps, delta)
         print(f"k_lo: {fmt_rational(window.k_lo)}")
@@ -230,8 +228,8 @@ def cmd_reduce(args) -> int:
 def cmd_coverage(args) -> int:
     instance = _load_validated(args.infile)
     objective = Objective(args.objective)
-    eps = _parse_eps(args.eps)
-    delta = _parse_eps(args.delta)
+    eps = parse_literal(args.eps, "--eps")
+    delta = parse_literal(args.delta, "--delta")
     cap = _oracle_cap(args)
     plan = sample_size(Method(args.method), instance.n, eps, delta)
     if args.k is not None or args.lam is not None:
@@ -241,7 +239,7 @@ def cmd_coverage(args) -> int:
             k=args.k if args.k is not None else plan.k,
             runs=args.lam if args.lam is not None else plan.runs,
         )
-    reference = _parse_eps(args.reference) if args.reference else None
+    reference = parse_literal(args.reference, "--reference") if args.reference else None
     report = run_coverage(
         instance, objective, plan,
         trials=args.trials,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .bounds import SampleSizePlan
 from .core import AssignmentInstance, Objective, as_fraction
-from .estimate import check_approx, estimate_mean, estimate_median_of_means
+from .estimate import check_approx, estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
 from .rng import derive_seed
 
@@ -91,15 +91,12 @@ def run_coverage(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     ref, provenance = resolve_reference(instance, objective, reference, reference_provenance, oracle_cap)
-    runs = plan.runs or 1
+    runs = 1 if plan.runs is None else plan.runs
     rows = []
     failures = 0
     for t in range(trials):
         seed = derive_seed(master_seed, t)
-        if runs > 1:
-            report = estimate_median_of_means(instance, objective, plan.k, runs, seed, workers=workers)
-        else:
-            report = estimate_mean(instance, objective, plan.k, seed, workers=workers)
+        report = estimate_median_of_means(instance, objective, plan.k, runs, seed, workers=workers)
         verdict = check_approx(report.estimate, ref, plan.eps)
         if not verdict.holds:
             failures += 1

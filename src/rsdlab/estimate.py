@@ -1,23 +1,22 @@
 """Sampling estimators for the expected objective value of RSD.
 
-Two estimators are provided:
-
-* :func:`estimate_mean` draws ``k`` agent orderings independently and
-  uniformly with replacement, runs serial dictatorship on each, and returns
-  the mean objective value.
-* :func:`estimate_median_of_means` repeats that whole procedure ``runs``
-  times and returns the median of the per-run means (for an even number of
-  runs, the mean of the two middle order statistics), trading samples for
-  exponentially better confidence on heavy-tailed cost instances.
+One estimator, :func:`estimate_median_of_means`, draws ``runs`` independent
+runs of ``k`` agent orderings, each uniform and with replacement, runs
+serial dictatorship on each ordering, and returns the median of the per-run
+mean objective values (for an even number of runs, the mean of the two
+middle order statistics), trading samples for exponentially better
+confidence on heavy-tailed cost instances.  :func:`estimate_mean`, the plain
+k-sample mean, is its one-run case.
 
 Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
-substream ``(seed, j, i)``, and each ordering is scored exactly on the
-integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
+substream ``(seed, j, i)`` (drawn in index order through
+:func:`rsdlab.rng.run_substreams`), and each ordering is scored exactly on
+the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
 sums its k integer scores and rounds once, to the float nearest the exact
 mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
-identical however the samples are partitioned.  Samples are drawn in one
-thread: the ``workers`` argument is accepted and has no effect on the result
-or on the number of threads.
+identical however the samples are partitioned.  Every sample is drawn and
+scored afresh, in one loop and one thread: the ``workers`` argument is
+accepted and has no effect on the result or on the number of threads.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -31,12 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
-from .rng import substream
+from .rng import run_substreams
 from .sd import sd_assign
-
-# Memoize per-permutation objective values only while the permutation space
-# is small enough that the cache can actually be hit.
-_MEMO_MAX_N = 8
 
 
 class ExactFloatSum:
@@ -102,16 +97,9 @@ def _sampling_tables(instance: AssignmentInstance, objective: Objective):
 
 def _run_mean(prefs, scaled, denom, k, seed, run) -> float:
     n = len(prefs)
-    memo = {}
     total = 0
-    for i in range(k):
-        perm = tuple(substream(seed, run, i).permutation(n))
-        value = memo.get(perm)
-        if value is None:
-            value = sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
-            if n <= _MEMO_MAX_N:
-                memo[perm] = value
-        total += value
+    for rng in run_substreams(seed, run, k):
+        total += sum(map(list.__getitem__, scaled, sd_assign(prefs, rng.permutation(n))))
     return float(Fraction(total, k * denom))
 
 
@@ -122,25 +110,13 @@ def estimate_mean(
     seed: int,
     workers: int = 1,
 ) -> EstimateReport:
-    """Mean objective value over ``k`` uniformly random orderings.
+    """Mean objective value over ``k`` uniformly random orderings: the
+    one-run case of :func:`estimate_median_of_means`, whose report it returns.
 
     Identical ``(instance, objective, k, seed)`` give an identical report
     for every worker count; ``workers`` has no effect.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    started = time.perf_counter()
-    prefs, scaled, denom = _sampling_tables(instance, objective)
-    value = _run_mean(prefs, scaled, denom, k, seed, 0)
-    return EstimateReport(
-        estimate=value,
-        k=k,
-        runs=1,
-        objective=objective,
-        seed=seed,
-        run_values=(value,),
-        wall_time=time.perf_counter() - started,
-    )
+    return estimate_median_of_means(instance, objective, k, 1, seed, workers)
 
 
 def median(values) -> float:
@@ -164,8 +140,9 @@ def estimate_median_of_means(
 ) -> EstimateReport:
     """Median of ``runs`` independent k-sample mean estimates.
 
-    Run ``j`` (0-indexed internally) uses substreams ``(seed, j, i)``, so a
-    single run reproduces :func:`estimate_mean` with the same seed.
+    Run ``j`` (0-indexed internally) uses substreams ``(seed, j, i)``.
+    Identical arguments give an identical report for every worker count;
+    ``workers`` has no effect.
     """
     if k < 1 or runs < 1:
         raise ValueError("k and runs must be at least 1")

@@ -52,7 +52,9 @@ def _exponent_too_large(text: str) -> bool:
     return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
 
 
-def _parse_entry(x, where: str) -> Fraction:
+def parse_literal(x, where: str) -> Fraction:
+    """Exact value of an integer or a numeric string; ``where`` names it in
+    the :class:`InstanceFormatError` raised for anything else."""
     if isinstance(x, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(x, int):
@@ -74,7 +76,7 @@ def _parse_matrix(rows, where: str) -> list[list[Fraction]]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
     return [
-        [_parse_entry(x, f"{where}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
+        [parse_literal(x, f"{where}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -82,7 +84,7 @@ def _parse_matrix(rows, where: str) -> list[list[Fraction]]:
 def _parse_points(xs, where: str) -> list[Fraction]:
     if not isinstance(xs, list):
         raise InstanceFormatError(f"{where}: expected a list")
-    return [_parse_entry(x, f"{where}[{i + 1}]") for i, x in enumerate(xs)]
+    return [parse_literal(x, f"{where}[{i + 1}]") for i, x in enumerate(xs)]
 
 
 def instance_from_dict(doc: dict) -> AssignmentInstance:
@@ -182,7 +184,7 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
 
 def loads_instance(text: str) -> AssignmentInstance:
     # JSON numbers with a fraction or exponent stay literal text, parsed
-    # exactly (never as floats) and bounded by _parse_entry like strings
+    # exactly (never as floats) and bounded by parse_literal like strings
     doc = json.loads(text, parse_float=str)
     return instance_from_dict(doc)
 

@@ -16,12 +16,16 @@ partitioning of the work among workers:
 * ``substream(seed, run, index)`` derives an independent generator for one
   (run, sample) cell, so sample ``index`` of run ``run`` is the same no
   matter which worker computes it or in which order.
+  ``run_substreams(seed, run, k)`` yields the first ``k`` of them in index
+  order, mixing the run's part of the state once instead of ``k`` times.
 
 Permutations are drawn with the decreasing-index Fisher-Yates shuffle, one
 bounded draw per position from ``n - 1`` down to ``1``.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -59,9 +63,13 @@ class SplitMix64:
         """Uniform permutation of ``range(n)`` (decreasing-index shuffle)."""
         items = list(range(n))
         for i in range(n - 1, 0, -1):
-            j = self.below(i + 1)
+            j = (self.next_u64() * (i + 1)) >> 64  # below(i + 1), inlined
             items[i], items[j] = items[j], items[i]
         return items
+
+
+def _run_state(seed: int, run: int) -> int:
+    return mix64(mix64(seed) + run)
 
 
 def substream(seed: int, run: int, index: int) -> SplitMix64:
@@ -71,8 +79,14 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
     ``mix64`` is a bijection, distinct runs and indices yield structurally
     distinct states.
     """
-    state = mix64(mix64(mix64(seed) + run) + index)
-    return SplitMix64(state)
+    return SplitMix64(mix64(_run_state(seed, run) + index))
+
+
+def run_substreams(seed: int, run: int, k: int) -> Iterator[SplitMix64]:
+    """``substream(seed, run, i)`` for ``i`` in ``range(k)``, in that order."""
+    base = _run_state(seed, run)
+    for i in range(k):
+        yield SplitMix64(mix64(base + i))
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

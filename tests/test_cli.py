@@ -116,7 +116,7 @@ def test_invalid_instance_exits_one(tmp_path, capsys):
     path.write_text('{"n": 2, "setting": "metric", "costs": [[1, 10], [1, 1]]}')
     code, _, err = run_cli(capsys, "exact", "--in", str(path), "--objective", "cost")
     assert code == 1
-    assert "failed validation" in err
+    assert err == f"error: instance file {path} failed validation:\n  - c[1][2]=10 exceeds c[1][1]+c[2][1]+c[2][2]\n"
 
 
 def test_malformed_json_exits_one(tmp_path, capsys):
@@ -210,3 +210,78 @@ def test_exact_and_opt_print_values_beyond_float_range(tmp_path, capsys):
     summary = dict(line.split(": ", 1) for line in out.splitlines()[1:4])
     assert Fraction(summary["mean"]) > 2**1024
     assert Fraction(summary["second moment"]) > 2**2048
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--k", "10", "--lambda", "0"),
+    ("estimate", "--k", "10", "--lambda", "-5"),
+    ("coverage", "--method", "cost-median-of-means", "--eps", "0.5", "--delta", "0.2",
+     "--trials", "1", "--k", "10", "--lambda", "0"),
+])
+def test_fewer_than_one_run_exits_one(tmp_path, capsys, argv):
+    path = tmp_path / "line4.json"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(path))
+    code, out, err = run_cli(capsys, argv[0], "--in", str(path), "--objective", "cost", *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: k and runs must be at least 1\n"
+
+
+def test_number_flags_take_exponents_up_to_the_bound(capsys):
+    # the literal parses; the range check after it is what refuses eps = 10**4300
+    bounds = ("bounds", "--method", "welfare-bernstein", "--n", "10")
+    code, _, err = run_cli(capsys, *bounds, "--eps", "1e4300", "--delta", "0.1")
+    assert (code, err) == (1, "error: eps must lie in (0, 1]\n")
+    code, _, err = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1E+4300")
+    assert (code, err) == (1, "error: delta must lie in (0, 1]\n")
+    code, _, err = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1e-4300")
+    assert code == 1
+    assert "decimal exponent" not in err
+    # a delta below the double range still gets a plan
+    code, out, _ = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1e-400")
+    assert code == 0
+    assert "k: " in out
+
+
+@pytest.mark.parametrize("flag,literal", [
+    ("--eps", "1e4301"),
+    ("--eps", "1e-4301"),
+    ("--delta", "0.1E+4301"),
+    ("--delta", "1e-" + "9" * 50),
+    ("--reference", "1e4301"),
+    ("--reference", "2.5e" + "1" * 50),
+])
+def test_number_flags_refuse_exponents_past_the_bound(tmp_path, capsys, flag, literal):
+    # refused on the text: none of these literals is ever turned into a number
+    path = tmp_path / "line4.json"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(path))
+    values = {"--eps": "0.5", "--delta": "0.2", "--reference": "1", flag: literal}
+    code, out, err = run_cli(
+        capsys, "coverage", "--in", str(path), "--objective", "cost", "--method", "cost-single-run",
+        "--trials", "1", "--k", "10", *(x for item in values.items() for x in item),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag}: decimal exponent beyond ±4300\n"
+
+
+def test_validation_report_names_the_first_violations_and_counts_the_rest(tmp_path, capsys):
+    from random import Random
+
+    from rsdlab import AssignmentInstance, save_instance, validate
+    from rsdlab.cli import MAX_REPORTED_VIOLATIONS
+
+    rng = Random(1)
+    inst = AssignmentInstance.from_costs([[rng.choice((0, 1, 100)) for _ in range(14)] for _ in range(14)])
+    problems = validate(inst)
+    assert len(problems) > 100 * MAX_REPORTED_VIOLATIONS
+    path = tmp_path / "bad.json"
+    save_instance(inst, path)
+    code, _, err = run_cli(capsys, "opt", "--in", str(path), "--objective", "cost")
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: instance file {path} failed validation:",
+        *(f"  - {v.message}" for v in problems[:MAX_REPORTED_VIOLATIONS]),
+        f"  … and {len(problems) - MAX_REPORTED_VIOLATIONS} more ({len(problems)} violations)",
+    ]
+

@@ -7,15 +7,12 @@ import pytest
 from conftest import metric_battery, value_battery
 from rsdlab import (
     Objective,
-    Ordering,
     bernoulli_welfare,
     check_approx,
     enumerate_rsd,
     estimate_mean,
     estimate_median_of_means,
-    evaluate,
     median,
-    serial_dictatorship,
     solve_opt,
     substream,
     worst_case_metric_line,
@@ -28,7 +25,7 @@ def test_k_one_equals_single_run_value():
     inst = worst_case_metric_line(4)
     report = estimate_mean(inst, Objective.COST, k=1, seed=99)
     ordering = random_ordering(substream(99, 0, 0), 4)
-    expected = float(evaluate(inst, serial_dictatorship(inst, ordering), Objective.COST))
+    expected = float(sd_run(inst, ordering, Objective.COST).objective_value)
     assert report.estimate == expected
     assert report.run_values == (expected,)
 
