@@ -66,7 +66,7 @@ def _ln(x: Fraction) -> Fraction:
     # the only inexact step: one double-precision logarithm, held exactly after
     try:
         return Fraction(math.log(float(x)))
-    except OverflowError:  # x beyond the double range; math.log takes ints of any size
+    except (OverflowError, ValueError):  # x beyond or below the double range; math.log takes ints of any size
         return Fraction(math.log(x.numerator) - math.log(x.denominator))
 
 
@@ -115,7 +115,10 @@ class LowerBoundWindow:
     ``k_lo <= k < k_hi`` (k_lo = 3n/eps^2, k_hi = n/(9 eps^2) * ln(1/delta))
     leaves some instance on which the k-sample mean misses an
     eps-approximation with probability above delta.  Outside those
-    hypotheses no claim is made and ``applicable`` is false.
+    hypotheses no claim is made and ``applicable`` is false.  ``k_hi`` is
+    the double nearest ``n/(9 eps^2) * _ln(1/delta)``, also for eps or delta
+    beyond the double range; a ``k_hi`` beyond that range is refused with
+    ``ValueError``.
     """
 
     n: int
@@ -138,9 +141,15 @@ def welfare_lower_bound_window(n: int, eps, delta) -> LowerBoundWindow:
         raise ValueError("delta must be positive")
     eps2 = eps * eps
     k_lo = Fraction(3 * n) / eps2
-    k_hi = float(Fraction(n, 9) / eps2) * math.log(1 / float(delta))
+    coef = Fraction(n, 9) / eps2
+    try:
+        k_hi = float(coef * _ln(1 / delta))
+    except OverflowError:
+        raise ValueError(
+            "k_hi = n ln(1/delta) / (9 eps^2) exceeds the floating-point range (2**1024)"
+        ) from None
     reason = None
-    if float(delta) >= math.exp(-27):
+    if delta >= 1 or float(delta) >= math.exp(-27):
         reason = "delta must be below e^-27"
     elif not k_lo < k_hi:
         reason = "window is empty"

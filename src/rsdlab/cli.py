@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import Method, sample_size, welfare_lower_bound_window
-from .core import Objective, validate
+from .core import Objective, exact_str, validate
 from .coverage import coverage_csv, run_coverage, write_coverage_csv
 from .estimate import estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
@@ -44,9 +44,19 @@ def fmt_rational(x: Fraction) -> str:
     """Exact fraction next to a 17-significant-digit decimal, or the fraction
     alone when it is beyond the double range."""
     try:
-        return f"{x} ({float(x):.17g})"
+        return f"{exact_str(x)} ({float(x):.17g})"
     except OverflowError:
-        return str(x)
+        return exact_str(x)
+
+
+def _json_int(v: int) -> int | str:
+    """``v``, or its decimal string when it has more digits than Python's
+    int-to-str limit lets ``json`` write."""
+    try:
+        str(v)
+    except ValueError:
+        return exact_str(v)
+    return v
 
 
 def _oracle_cap(args) -> int:
@@ -113,9 +123,9 @@ def cmd_exact(args) -> int:
             "order_count": summary.order_count,
             "counts": [list(row) for row in summary.counts],
             "lottery": [[str(p) for p in row] for row in summary.lottery],
-            "mean": str(summary.mean) if summary.mean is not None else None,
-            "second_moment": str(summary.second_moment) if summary.second_moment is not None else None,
-            "variance": str(summary.variance) if summary.variance is not None else None,
+            "mean": exact_str(summary.mean) if summary.mean is not None else None,
+            "second_moment": exact_str(summary.second_moment) if summary.second_moment is not None else None,
+            "variance": exact_str(summary.variance) if summary.variance is not None else None,
         }
         _write_json(args.out, payload)
     return 0
@@ -132,7 +142,7 @@ def cmd_opt(args) -> int:
     if args.out:
         _write_json(args.out, {
             "objective": objective.value,
-            "optimal_value": str(result.objective_value),
+            "optimal_value": exact_str(result.objective_value),
             "matching": list(result.matching.assign),
         })
     return 0
@@ -170,25 +180,25 @@ def cmd_bounds(args) -> int:
         print(f"applicable: {window.applicable}" + (f" ({window.reason})" if window.reason else ""))
         if args.out:
             _write_json(args.out, {
-                "n": args.n, "eps": str(eps), "delta": str(delta),
-                "k_lo": str(window.k_lo), "k_hi": window.k_hi,
+                "n": args.n, "eps": exact_str(eps), "delta": exact_str(delta),
+                "k_lo": exact_str(window.k_lo), "k_hi": window.k_hi,
                 "applicable": window.applicable, "reason": window.reason,
             })
         return 0
     method = Method(args.method)
     plan = sample_size(method, args.n, eps, delta)
     print(f"method: {method.value}")
-    print(f"n={plan.n} eps={plan.eps} delta={plan.delta}")
-    print(f"k: {plan.k}")
+    print(f"n={plan.n} eps={exact_str(plan.eps)} delta={exact_str(plan.delta)}")
+    print(f"k: {exact_str(plan.k)}")
     if plan.runs is not None:
         print(f"runs (lambda): {plan.runs}")
     if args.out:
         _write_json(args.out, {
             "method": method.value,
             "n": plan.n,
-            "eps": str(plan.eps),
-            "delta": str(plan.delta),
-            "k": plan.k,
+            "eps": exact_str(plan.eps),
+            "delta": exact_str(plan.delta),
+            "k": _json_int(plan.k),
             "lambda": plan.runs,
         })
     return 0
@@ -252,7 +262,7 @@ def cmd_coverage(args) -> int:
     print(f"method: {report.method}  k={report.k}  runs={report.runs}")
     print(f"reference: {fmt_rational(report.reference)} [{report.reference_provenance}]")
     print(f"trials: {report.trials}  failures: {report.failures}")
-    print(f"empirical failure rate: {fmt_rational(report.empirical_rate)}  target delta: {report.delta}")
+    print(f"empirical failure rate: {fmt_rational(report.empirical_rate)}  target delta: {exact_str(report.delta)}")
     if args.out:
         write_coverage_csv(report, args.out)
         print(f"wrote per-trial CSV to {args.out}")

@@ -58,6 +58,26 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
 
 
+_PIECE_DIGITS = 512  # below every int-to-str digit limit Python accepts (>= 640)
+_PIECE = 10**_PIECE_DIGITS
+
+
+def exact_str(x: int | Fraction) -> str:
+    """``str(x)`` for an int or Fraction of any size.
+
+    Python refuses ``str`` of an int longer than its digit limit (4300 by
+    default), which a literal at the exponent bound or a sample count
+    planned from it can exceed; longer ints are written in pieces.
+    """
+    if isinstance(x, Fraction):
+        num = exact_str(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{exact_str(x.denominator)}"
+    if -_PIECE < x < _PIECE:
+        return str(x)
+    high, low = divmod(abs(x), _PIECE)
+    return ("-" if x < 0 else "") + exact_str(high) + str(low).zfill(_PIECE_DIGITS)
+
+
 def _matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(as_fraction(x) for x in row) for row in rows)
 

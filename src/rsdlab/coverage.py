@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import SampleSizePlan
-from .core import AssignmentInstance, Objective, as_fraction
+from .core import AssignmentInstance, Objective, as_fraction, exact_str
 from .estimate import check_approx, estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
 from .rng import derive_seed
@@ -137,8 +137,8 @@ def coverage_csv(report: CoverageReport) -> str:
     for row in report.rows:
         verdict = "pass" if row.holds else "fail"
         out.write(
-            f"{row.trial_index},{row.seed},{row.estimate!r},{row.reference},"
-            f"{row.eps},{verdict},{row.side}\n"
+            f"{row.trial_index},{row.seed},{row.estimate!r},{exact_str(row.reference)},"
+            f"{exact_str(row.eps)},{verdict},{row.side}\n"
         )
     return out.getvalue()
 

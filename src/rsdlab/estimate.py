@@ -9,8 +9,10 @@ confidence on heavy-tailed cost instances.  :func:`estimate_mean`, the plain
 k-sample mean, is its one-run case.
 
 Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
-substream ``(seed, j, i)`` (drawn in index order through
-:func:`rsdlab.rng.run_substreams`), and each ordering is scored exactly on
+substream ``(seed, j, i)``; a run takes its orderings in index order from
+:func:`rsdlab.rng.run_permutations`, which draws up to 1024 of them at once
+on packed 64-bit lanes and is bit-identical to the scalar
+``substream(seed, j, i).permutation(n)``.  Each ordering is scored exactly on
 the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
 sums its k integer scores and rounds once, to the float nearest the exact
 mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
-from .rng import run_substreams
+from .rng import run_permutations
 from .sd import sd_assign
 
 
@@ -96,10 +98,9 @@ def _sampling_tables(instance: AssignmentInstance, objective: Objective):
 
 
 def _run_mean(prefs, scaled, denom, k, seed, run) -> float:
-    n = len(prefs)
     total = 0
-    for rng in run_substreams(seed, run, k):
-        total += sum(map(list.__getitem__, scaled, sd_assign(prefs, rng.permutation(n))))
+    for perm in run_permutations(seed, run, k, len(prefs)):
+        total += sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
     return float(Fraction(total, k * denom))
 
 

@@ -16,21 +16,33 @@ partitioning of the work among workers:
 * ``substream(seed, run, index)`` derives an independent generator for one
   (run, sample) cell, so sample ``index`` of run ``run`` is the same no
   matter which worker computes it or in which order.
-  ``run_substreams(seed, run, k)`` yields the first ``k`` of them in index
-  order, mixing the run's part of the state once instead of ``k`` times.
 
 Permutations are drawn with the decreasing-index Fisher-Yates shuffle, one
 bounded draw per position from ``n - 1`` down to ``1``.
+
+``SplitMix64``, ``substream`` and ``permutation`` are the scalar reference.
+``run_permutations(seed, run, k, n)`` yields exactly
+``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``, but
+runs the generators of up to ``_CHUNK`` samples at once, packed into one
+Python int: sample ``i`` of a chunk owns the 64-bit lane in the low half of
+the 128-bit slot ``i``.  Masking with ``& lane`` (all-ones in every lane)
+after each shift-xor and before each multiply keeps every product of a lane
+and a 64-bit constant inside its slot, so the packed arithmetic is the
+scalar arithmetic on every lane at once.  The draws are read out as native
+64-bit words; the swaps of each shuffle stay per sample.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
+from functools import lru_cache
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
+_CHUNK = 1024  # lanes per packed chunk; the speed is flat from 512 to 8192
 
 
 def mix64(z: int) -> int:
@@ -82,11 +94,54 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
     return SplitMix64(mix64(_run_state(seed, run) + index))
 
 
-def run_substreams(seed: int, run: int, k: int) -> Iterator[SplitMix64]:
-    """``substream(seed, run, i)`` for ``i`` in ``range(k)``, in that order."""
+@lru_cache(maxsize=8)  # rebuilding them for every chunk costs about 2.5% of an n=6 estimate
+def _lanes(count: int) -> tuple[int, int, int]:
+    """``(ones, lane, ramp)`` for ``count`` lanes: a 1, the 64-bit mask and
+    the slot's index at the bottom of every 128-bit slot."""
+    ones = ((1 << (128 * count)) - 1) // ((1 << 128) - 1)
+    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(count)), "little")
+    return ones, ones * _MASK64, ramp
+
+
+def _mix_lanes(z: int, lane: int) -> int:
+    """``mix64`` on every lane of ``z``."""
+    z = ((z ^ (z >> 30)) & lane) * _MIX_MUL1 & lane
+    z = ((z ^ (z >> 27)) & lane) * _MIX_MUL2 & lane
+    return (z ^ (z >> 31)) & lane
+
+
+def _words(z: int, count: int) -> memoryview:
+    """The ``count`` lanes of ``z`` as native 64-bit words, in lane order."""
+    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    # little-endian: slot i is words 2i (its lane) and 2i + 1; big-endian
+    # puts the last slot first and each slot's lane second
+    return words[::2] if sys.byteorder == "little" else words[::-2]
+
+
+def run_permutations(seed: int, run: int, k: int, n: int) -> Iterator[list[int]]:
+    """``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``,
+    in that order, drawn ``_CHUNK`` samples at a time on packed lanes."""
     base = _run_state(seed, run)
-    for i in range(k):
-        yield SplitMix64(mix64(base + i))
+    identity = list(range(n))
+    positions = range(n - 1, 0, -1)
+    if n < 2:  # no draws
+        for _ in range(k):
+            yield identity[:]
+        return
+    for start in range(0, k, _CHUNK):
+        count = min(_CHUNK, k - start)
+        ones, lane, ramp = _lanes(count)
+        step = _GOLDEN * ones
+        state = _mix_lanes(((base + start) * ones + ramp) & lane, lane)
+        draws = []
+        for i in positions:
+            state = (state + step) & lane
+            draws.append(_words((_mix_lanes(state, lane) * (i + 1)) >> 64 & lane, count))
+        for js in zip(*draws):
+            items = identity[:]
+            for i, j in zip(positions, js):
+                items[i], items[j] = items[j], items[i]
+            yield items
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

@@ -1,5 +1,6 @@
 """Shared battery builders for the seeded random-instance tests, and the
-slow references that the exact oracle and the metric check are held to."""
+slow references that the exact oracle, the metric check and the sampler are
+held to."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from itertools import permutations
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
 from rsdlab.core import Objective, Violation, integer_payoff_table, preference_rows
 from rsdlab.exact import ExactSummary
+from rsdlab.rng import substream
 from rsdlab.sd import sd_assign
 
 
@@ -95,3 +97,21 @@ def four_point_scan(costs) -> list[Violation]:
                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
                         ))
     return out
+
+
+def reference_run_means(instance: AssignmentInstance, objective: Objective, k: int, runs: int, seed: int):
+    """Reference sampler: one scalar ``substream(seed, run, i)`` per sample,
+    its Fisher-Yates permutation, serial dictatorship and the exact integer
+    score; each run's total is rounded once."""
+    objective.require_compatible(instance)
+    prefs = preference_rows(instance)
+    scaled, denom = integer_payoff_table(instance)
+    n = instance.n
+    means = []
+    for run in range(runs):
+        total = 0
+        for i in range(k):
+            match = sd_assign(prefs, substream(seed, run, i).permutation(n))
+            total += sum(scaled[a][match[a]] for a in range(n))
+        means.append(float(Fraction(total, k * denom)))
+    return tuple(means)

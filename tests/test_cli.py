@@ -1,8 +1,14 @@
 import json
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rsdlab
 from rsdlab import loads_instance
 from rsdlab.cli import main
 
@@ -234,13 +240,109 @@ def test_number_flags_take_exponents_up_to_the_bound(capsys):
     assert (code, err) == (1, "error: eps must lie in (0, 1]\n")
     code, _, err = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1E+4300")
     assert (code, err) == (1, "error: delta must lie in (0, 1]\n")
-    code, _, err = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1e-4300")
-    assert code == 1
-    assert "decimal exponent" not in err
     # a delta below the double range still gets a plan
     code, out, _ = run_cli(capsys, *bounds, "--eps", "0.5", "--delta", "1e-400")
     assert code == 0
     assert "k: " in out
+
+
+def test_literals_at_the_exponent_bound_print(tmp_path, capsys):
+    # 10**4300 has one digit more than Python's int-to-str limit
+    big = "1" + "0" * 4300
+    plan = tmp_path / "plan.json"
+    code, out, err = run_cli(
+        capsys, "bounds", "--method", "welfare-bernstein", "--n", "10",
+        "--eps", "0.5", "--delta", "1e-4300", "--out", str(plan),
+    )
+    assert (code, err) == (0, "")
+    assert f"n=10 eps=1/2 delta=1/{big}\n" in out
+    assert json.loads(plan.read_text())["delta"] == f"1/{big}"
+    # at the other end, a planned k of 8604 digits is printed and written as a string
+    code, out, err = run_cli(
+        capsys, "bounds", "--method", "cost-single-run", "--n", "10",
+        "--eps", "1e-4300", "--delta", "0.5", "--out", str(plan),
+    )
+    assert (code, err) == (0, "")
+    k = "3" + "0" * 8603
+    assert f"eps=1/{big} " in out and f"k: {k}\n" in out
+    assert json.loads(plan.read_text())["k"] == k
+    code, out, err = run_cli(
+        capsys, "bounds", "--method", "welfare-lower-window", "--n", "10",
+        "--eps", "0.5", "--delta", "1E+4300", "--out", str(plan),
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(plan.read_text())["delta"] == big
+    path = tmp_path / "line4.json"
+    csv = tmp_path / "coverage.csv"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(path))
+    for reference, text in (("1e4300", big), ("1e-4300", f"1/{big}")):
+        code, out, err = run_cli(
+            capsys, "coverage", "--in", str(path), "--objective", "cost", "--method", "cost-single-run",
+            "--eps", "0.5", "--delta", "0.2", "--trials", "2", "--k", "10", "--reference", reference,
+            "--out", str(csv),
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith(f"reference: {text} ")
+        assert [row.split(",")[3] for row in csv.read_text().splitlines()[1:]] == [text, text]
+
+
+@pytest.mark.parametrize("eps,digits,kind", [("1e-2148", 4300, int), ("3e-2149", 4301, str)])
+def test_bounds_json_writes_k_as_a_number_up_to_the_digit_limit(tmp_path, capsys, eps, digits, kind):
+    # json reads and writes ints of up to 4300 digits; a longer k is written
+    # as its decimal string, like the other exact fields
+    plan = tmp_path / "plan.json"
+    code, out, err = run_cli(
+        capsys, "bounds", "--method", "cost-single-run", "--n", "10",
+        "--eps", eps, "--delta", "0.5", "--out", str(plan),
+    )
+    assert (code, err) == (0, "")
+    printed = out.split("k: ")[1].split("\n")[0]
+    assert len(printed) == digits
+    k = json.loads(plan.read_text())["k"]
+    assert type(k) is kind
+    assert str(k) == printed
+
+
+@pytest.mark.parametrize("eps,delta,code,message", [
+    ("0.5", "1e-400", 0, "applicable: True\n"),
+    ("0.5", "4e-324", 0, "applicable: True\n"),
+    ("0.5", "1e-4300", 0, "applicable: True\n"),
+    ("0.5", "1e4300", 0, "applicable: False (delta must be below e^-27)\n"),
+    ("1e-200", "0.1", 1, "error: k_hi = n ln(1/delta) / (9 eps^2) exceeds the floating-point range (2**1024)\n"),
+    ("1e-154", "1e-20", 1, "error: k_hi = n ln(1/delta) / (9 eps^2) exceeds the floating-point range (2**1024)\n"),
+])
+def test_lower_window_outside_the_double_range(capsys, eps, delta, code, message):
+    got, out, err = run_cli(
+        capsys, "bounds", "--method", "welfare-lower-window", "--n", "10", "--eps", eps, "--delta", delta,
+    )
+    assert got == code
+    assert (out if code == 0 else err).endswith(message)
+    if code == 0:
+        assert err == ""
+        ln_inverse = math.log(Fraction(delta).denominator) - math.log(Fraction(delta).numerator)
+        k_hi = float(out.split("k_hi: ")[1].split()[0])
+        assert k_hi == pytest.approx(10 / (9 * 0.25) * ln_inverse)
+
+
+def test_sampling_commands_do_not_import_numpy(tmp_path):
+    script = (
+        "import sys\n"
+        "from rsdlab.cli import main\n"
+        "path = sys.argv[1]\n"
+        "assert main(['gen', '--family', 'worst-case-metric-line', '--n', '6', '--out', path]) == 0\n"
+        "assert main(['estimate', '--in', path, '--objective', 'cost', '--k', '3000', '--lambda', '2']) == 0\n"
+        "assert main(['coverage', '--in', path, '--objective', 'cost', '--method', 'cost-single-run',\n"
+        "             '--eps', '0.5', '--delta', '0.2', '--trials', '2', '--k', '100']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(rsdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "line6.json")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize("flag,literal", [

@@ -1,13 +1,16 @@
 import math
 import threading
 from fractions import Fraction
+from random import Random
 
 import pytest
 
-from conftest import metric_battery, value_battery
+from conftest import abstract_battery, metric_battery, reference_run_means, value_battery
 from rsdlab import (
+    AssignmentInstance,
     Objective,
     bernoulli_welfare,
+    build_reduction,
     check_approx,
     enumerate_rsd,
     estimate_mean,
@@ -18,6 +21,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.estimate import ExactFloatSum
+from rsdlab.rng import _CHUNK
 from rsdlab.sd import random_ordering, sd_run
 
 
@@ -179,3 +183,38 @@ def test_run_means_are_the_correctly_rounded_mean_of_exact_sample_values():
         report = estimate_median_of_means(inst, Objective.WELFARE, k=k, runs=runs, seed=seed)
         assert report.run_values == expected
         assert estimate_mean(inst, Objective.WELFARE, k=k, seed=seed).estimate == expected[0]
+
+
+def objective_of(inst):
+    return Objective.WELFARE if inst.setting == "value" else Objective.COST
+
+
+def tie_battery(count: int, seed: int) -> list[AssignmentInstance]:
+    # entries in {0, 1, 2} make most preference rows contain ties
+    rng = Random(seed)
+    out = []
+    for i in range(count):
+        n = (2, 4, 6)[i % 3]
+        if i % 2:
+            out.append(AssignmentInstance.from_values([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+        else:
+            out.append(AssignmentInstance.from_line_points(
+                [rng.randint(0, 2) for _ in range(n)], [rng.randint(0, 2) for _ in range(n)]))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_run_means_equal_the_scalar_reference(k):
+    instances = (
+        value_battery(3, 8100, ns=(1, 3, 8))
+        + metric_battery(3, 8200, ns=(1, 2, 7))
+        + tie_battery(3, 8300)
+        # reduction-built: payoffs up to about 2**360
+        + [build_reduction(source, setting)
+           for source in abstract_battery(2, 8400, ns=(4, 5))
+           for setting in ("value", "metric")]
+    )
+    runs, seed = 2, 8500 + k
+    for inst in instances:
+        report = estimate_median_of_means(inst, objective_of(inst), k=k, runs=runs, seed=seed)
+        assert report.run_values == reference_run_means(inst, objective_of(inst), k, runs, seed), inst

@@ -104,14 +104,34 @@ def test_package_matches_reference_on_many_draws():
         assert [ours.below(b) for b in range(1, 200)] == [ref.below(b) for b in range(1, 200)]
 
 
-@pytest.mark.parametrize("seed,run,k", [(0, 0, 1), (7, 3, 50), (2**64 - 1, 2**40, 20), (-5, 1, 3)])
-def test_run_substreams_yield_the_substream_sequence(seed, run, k):
-    streams = list(rng.run_substreams(seed, run, k))
-    assert len(streams) == k
-    for i, gen in enumerate(streams):
-        expected = rng.substream(seed, run, i)
-        assert [gen.next_u64() for _ in range(3)] == [expected.next_u64() for _ in range(3)]
-    assert list(rng.run_substreams(seed, run, 0)) == []
+@pytest.mark.parametrize("seed,run,k,n", [
+    (0, 0, 1, 6),
+    (7, 3, 50, 20),
+    (2**64 - 1, 2**40, 20, 33),
+    (-5, 1, 3, 2),
+    (11, 2, rng._CHUNK - 1, 6),
+    (11, 2, rng._CHUNK, 6),
+    (11, 2, rng._CHUNK + 1, 6),
+    (12, 0, 2 * rng._CHUNK + 5, 3),
+    (13, 4, 9, 300),
+    (14, 1, 5, 1),
+    (15, 1, 5, 0),
+])
+def test_run_permutations_match_substreams(seed, run, k, n):
+    perms = list(rng.run_permutations(seed, run, k, n))
+    assert perms == [rng.substream(seed, run, i).permutation(n) for i in range(k)]
+    # and the independent reference agrees
+    assert perms[:5] == [ref_substream(seed, run, i).permutation(n) for i in range(min(k, 5))]
+    assert list(rng.run_permutations(seed, run, 0, n)) == []
+
+
+def test_run_permutations_wrap_the_lane_counter(monkeypatch):
+    # the per-sample states base + i pass 2**64 inside one chunk and must wrap
+    base = 2**64 - 3
+    monkeypatch.setattr(rng, "_run_state", lambda seed, run: base)
+    for n in (2, 6, 20):
+        expected = [RefGenerator(ref_mix64(base + i)).permutation(n) for i in range(7)]
+        assert list(rng.run_permutations(1, 0, 7, n)) == expected
 
 
 def test_below_refuses_an_empty_range():
