@@ -5,9 +5,10 @@ moments over all orderings), ``opt`` (optimal matching), ``estimate`` (sampling
 estimators), ``bounds`` (sample-size plans and windows), ``reduce``
 (bit-encoding round trip), ``coverage`` (empirical failure rates, CSV).
 
-Exit codes: 0 on success, 1 when input data fails validation or a
-requested computation is refused, 2 on usage errors.  The environment
-variable ``RSDLAB_ORACLE_CAP`` overrides the default enumeration cap.
+Exit codes: 0 on success, 1 when input data fails validation, a file
+cannot be read or written, or a requested computation is refused, 2 on
+usage errors.  The environment variable ``RSDLAB_ORACLE_CAP`` overrides the
+default enumeration cap.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__
@@ -37,7 +39,8 @@ MAX_REPORTED_VIOLATIONS = 20
 
 
 class InputError(Exception):
-    """Bad input data: reported on stderr, exit status 1."""
+    """Bad input data, or a file that cannot be read or written: reported on
+    stderr, exit status 1."""
 
 
 def fmt_rational(x: Fraction) -> str:
@@ -75,7 +78,7 @@ def _oracle_cap(args) -> int:
 def _load_validated(path):
     try:
         instance = load_instance(path)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (InstanceFormatError, json.JSONDecodeError) as exc:
         raise InputError(f"malformed instance file {path}: {exc}") from exc
@@ -89,8 +92,17 @@ def _load_validated(path):
     return instance
 
 
+@contextmanager
+def _writing(path):
+    """Turn a failed write of ``path`` into an :class:`InputError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -98,7 +110,8 @@ def _write_json(path, payload) -> None:
 def cmd_gen(args) -> int:
     spec = FamilySpec(family=Family(args.family), n=args.n, seed=args.seed)
     instance = generate(spec)
-    save_instance(instance, args.out)
+    with _writing(args.out):
+        save_instance(instance, args.out)
     print(f"wrote {instance.setting} instance with n={instance.n} to {args.out}")
     return 0
 
@@ -220,7 +233,8 @@ def cmd_reduce(args) -> int:
         print(f"top block: {artifact.top_block}")
     print(f"round trip vs enumeration: {'PASS' if matches else 'FAIL'}")
     if args.out:
-        save_instance(artifact.built, args.out)
+        with _writing(args.out):
+            save_instance(artifact.built, args.out)
         print(f"wrote built {args.setting} instance to {args.out}")
         sidecar = {
             "setting": args.setting,
@@ -264,7 +278,8 @@ def cmd_coverage(args) -> int:
     print(f"trials: {report.trials}  failures: {report.failures}")
     print(f"empirical failure rate: {fmt_rational(report.empirical_rate)}  target delta: {exact_str(report.delta)}")
     if args.out:
-        write_coverage_csv(report, args.out)
+        with _writing(args.out):
+            write_coverage_csv(report, args.out)
         print(f"wrote per-trial CSV to {args.out}")
     else:
         sys.stdout.write(coverage_csv(report))

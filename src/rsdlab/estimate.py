@@ -16,9 +16,18 @@ on packed 64-bit lanes and is bit-identical to the scalar
 the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
 sums its k integer scores and rounds once, to the float nearest the exact
 mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
-identical however the samples are partitioned.  Every sample is drawn and
-scored afresh, in one loop and one thread: the ``workers`` argument is
-accepted and has no effect on the result or on the number of threads.
+identical however the samples are partitioned.
+
+When a call draws at least ``n!`` samples in all (``k * runs``) and n is at
+most :data:`TABLE_MAX_N` (8, so at most 40,320 entries), it first scores
+each of the ``n!`` orderings once, into a table indexed by the ordering's
+Fisher-Yates code (:func:`rsdlab.rng.code_permutations`), and a sample is
+then one lookup of the code :func:`rsdlab.rng.run_codes` draws for it: the
+same integer score, so the same run totals, with no more serial-dictatorship
+calls than sampling would make.  Otherwise every sample is drawn and scored
+afresh.  Either way the work runs in one loop and one thread: the
+``workers`` argument is accepted and has no effect on the result or on the
+number of threads.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -30,10 +39,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
-from .rng import run_permutations
+from .rng import code_permutations, run_codes, run_permutations
 from .sd import sd_assign
+
+TABLE_MAX_N = 8
+"""Largest n whose ``factorial(n)`` orderings are scored once into a table
+(at most 40,320 ints) when a call draws at least that many samples."""
 
 
 class ExactFloatSum:
@@ -97,11 +111,21 @@ def _sampling_tables(instance: AssignmentInstance, objective: Objective):
     return preference_rows(instance), scaled, denom
 
 
-def _run_mean(prefs, scaled, denom, k, seed, run) -> float:
-    total = 0
-    for perm in run_permutations(seed, run, k, len(prefs)):
-        total += sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
-    return float(Fraction(total, k * denom))
+def _run_totals(prefs, scaled, k, runs, seed):
+    """Each run's integer total of its k sample scores."""
+    n = len(prefs)
+    if n <= TABLE_MAX_N and factorial(n) <= k * runs:
+        # entry c scores the ordering of code c; built through the module's
+        # sd_assign, so a patched sd_assign sees every table entry
+        table = [sum(map(list.__getitem__, scaled, sd_assign(prefs, perm))) for perm in code_permutations(n)]
+        for run in range(runs):
+            yield sum(sum(map(table.__getitem__, codes)) for codes in run_codes(seed, run, k, n))
+        return
+    for run in range(runs):
+        total = 0
+        for perm in run_permutations(seed, run, k, n):
+            total += sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
+        yield total
 
 
 def estimate_mean(
@@ -149,7 +173,7 @@ def estimate_median_of_means(
         raise ValueError("k and runs must be at least 1")
     started = time.perf_counter()
     prefs, scaled, denom = _sampling_tables(instance, objective)
-    values = tuple(_run_mean(prefs, scaled, denom, k, seed, j) for j in range(runs))
+    values = tuple(float(Fraction(total, k * denom)) for total in _run_totals(prefs, scaled, k, runs, seed))
     return EstimateReport(
         estimate=median(values),
         k=k,

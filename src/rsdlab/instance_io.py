@@ -185,7 +185,10 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
 def loads_instance(text: str) -> AssignmentInstance:
     # JSON numbers with a fraction or exponent stay literal text, parsed
     # exactly (never as floats) and bounded by parse_literal like strings
-    doc = json.loads(text, parse_float=str)
+    try:
+        doc = json.loads(text, parse_float=str)
+    except RecursionError:
+        raise InstanceFormatError("JSON nested too deeply to parse") from None
     return instance_from_dict(doc)
 
 

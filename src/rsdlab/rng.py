@@ -30,6 +30,14 @@ after each shift-xor and before each multiply keeps every product of a lane
 and a 64-bit constant inside its slot, so the packed arithmetic is the
 scalar arithmetic on every lane at once.  The draws are read out as native
 64-bit words; the swaps of each shuffle stay per sample.
+
+A shuffle's draws ``j_m = below(m + 1)``, ``m`` from ``n - 1`` down to ``1``,
+are the digits of a mixed-radix number, its code ``sum(j_m * factorial(m))``,
+which maps ``range(factorial(n))`` one-to-one onto the orderings.
+``run_codes(seed, run, k, n)`` yields the codes of the same k samples without
+building any ordering (the packed draws times ``m!``, summed on the lanes),
+and ``code_permutations(n)`` lists every ordering in code order, so a table
+indexed by code turns each sample into one lookup.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import product
+from math import factorial
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -118,30 +128,63 @@ def _words(z: int, count: int) -> memoryview:
     return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
-def run_permutations(seed: int, run: int, k: int, n: int) -> Iterator[list[int]]:
-    """``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``,
-    in that order, drawn ``_CHUNK`` samples at a time on packed lanes."""
+def _packed_draws(seed: int, run: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
+    """Samples ``0 .. k - 1`` of ``(seed, run)``, ``_CHUNK`` at a time: each
+    chunk's size and, for ``i`` from ``n - 1`` down to ``1``, one packed int
+    whose lane ``s`` is the draw ``below(i + 1)`` of the chunk's sample ``s``."""
     base = _run_state(seed, run)
-    identity = list(range(n))
-    positions = range(n - 1, 0, -1)
-    if n < 2:  # no draws
-        for _ in range(k):
-            yield identity[:]
-        return
     for start in range(0, k, _CHUNK):
         count = min(_CHUNK, k - start)
         ones, lane, ramp = _lanes(count)
         step = _GOLDEN * ones
         state = _mix_lanes(((base + start) * ones + ramp) & lane, lane)
         draws = []
-        for i in positions:
+        for i in range(n - 1, 0, -1):
             state = (state + step) & lane
-            draws.append(_words((_mix_lanes(state, lane) * (i + 1)) >> 64 & lane, count))
-        for js in zip(*draws):
-            items = identity[:]
-            for i, j in zip(positions, js):
-                items[i], items[j] = items[j], items[i]
-            yield items
+            draws.append((_mix_lanes(state, lane) * (i + 1)) >> 64 & lane)
+        yield count, draws
+
+
+def _shuffled(identity: list[int], positions: range, js) -> list[int]:
+    """A copy of ``identity`` shuffled by the draws ``js`` at ``positions``."""
+    items = identity[:]
+    for i, j in zip(positions, js):
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def run_permutations(seed: int, run: int, k: int, n: int) -> Iterator[list[int]]:
+    """``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``,
+    in that order, drawn ``_CHUNK`` samples at a time on packed lanes."""
+    identity = list(range(n))
+    positions = range(n - 1, 0, -1)
+    if n < 2:  # no draws
+        for _ in range(k):
+            yield identity[:]
+        return
+    for count, draws in _packed_draws(seed, run, k, n):
+        for js in zip(*[_words(d, count) for d in draws]):
+            yield _shuffled(identity, positions, js)
+
+
+def run_codes(seed: int, run: int, k: int, n: int) -> Iterator[memoryview]:
+    """The codes of the orderings ``run_permutations(seed, run, k, n)``
+    yields, in that order, as one sequence of ints per chunk of up to
+    ``_CHUNK`` samples.  A code must fit its 64-bit lane, so n is at most 20.
+    """
+    if n > 20:
+        raise ValueError("codes fit 64 bits only for n <= 20")
+    for count, draws in _packed_draws(seed, run, k, n):
+        yield _words(sum(d * factorial(i) for i, d in zip(range(n - 1, 0, -1), draws)), count)
+
+
+def code_permutations(n: int) -> Iterator[list[int]]:
+    """The ordering of every code ``0 .. factorial(n) - 1``, in code order."""
+    identity = list(range(n))
+    positions = range(n - 1, 0, -1)
+    # the most significant digit first, so product counts the codes up
+    for js in product(*[range(i + 1) for i in positions]):
+        yield _shuffled(identity, positions, js)
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

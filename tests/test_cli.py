@@ -11,6 +11,7 @@ import pytest
 import rsdlab
 from rsdlab import loads_instance
 from rsdlab.cli import main
+from rsdlab.families import MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +149,53 @@ def test_zero_denominator_exits_one(tmp_path, capsys):
 def test_missing_file_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "opt", "--in", str(tmp_path / "nope.json"), "--objective", "cost")
     assert code == 1
+
+
+def test_reading_a_directory_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "exact", "--in", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {tmp_path}: [Errno 21] Is a directory")
+
+
+def test_writing_over_a_directory_exits_one(tmp_path, capsys):
+    path = tmp_path / "line4.json"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(path))
+    code, _, err = run_cli(capsys, "estimate", "--in", str(path), "--objective", "cost", "--k", "10",
+                           "--out", str(tmp_path))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {tmp_path}: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "bernoulli-welfare", "--n", "3"),
+    ("exact", "--in", "{inst}"),
+    ("coverage", "--in", "{inst}", "--objective", "cost", "--method", "cost-median-of-means",
+     "--eps", "0.5", "--delta", "0.2", "--trials", "1", "--k", "10", "--lambda", "1"),
+])
+def test_writing_into_a_missing_directory_exits_one(tmp_path, capsys, argv):
+    inst = tmp_path / "line4.json"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(inst))
+    argv = [a.format(inst=inst) for a in argv]
+    out = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {out}: [Errno 2] No such file or directory")
+
+
+def test_gen_refuses_n_past_the_bound(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    code, out, err = run_cli(capsys, "gen", "--family", "random-value", "--n", str(MAX_N + 1), "--out", str(path))
+    assert (code, out, err) == (1, "", f"error: n must be between 1 and {MAX_N}\n")
+    assert not path.exists()
+
+
+def test_deeply_nested_json_exits_one(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    for argv in (["exact"], ["opt", "--objective", "cost"], ["estimate", "--objective", "cost", "--k", "10"]):
+        code, _, err = run_cli(capsys, argv[0], "--in", str(path), *argv[1:])
+        assert code == 1
+        assert err == f"error: malformed instance file {path}: JSON nested too deeply to parse\n"
 
 
 def test_unknown_flag_exits_two(tmp_path):

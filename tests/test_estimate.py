@@ -20,9 +20,10 @@ from rsdlab import (
     substream,
     worst_case_metric_line,
 )
+from rsdlab import estimate as estimate_module
 from rsdlab.estimate import ExactFloatSum
 from rsdlab.rng import _CHUNK
-from rsdlab.sd import random_ordering, sd_run
+from rsdlab.sd import random_ordering, sd_assign, sd_run
 
 
 def test_k_one_equals_single_run_value():
@@ -203,9 +204,27 @@ def tie_battery(count: int, seed: int) -> list[AssignmentInstance]:
     return out
 
 
-@pytest.mark.parametrize("k", [1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1])
-def test_run_means_equal_the_scalar_reference(k):
-    instances = (
+@pytest.fixture
+def samplers(monkeypatch):
+    """The sampler each run of an estimator call reads, in order: "table"
+    (``run_codes``) or "per-sample" (``run_permutations``)."""
+    seen = []
+    for name, path in (("run_codes", "table"), ("run_permutations", "per-sample")):
+        def spy(*args, fn=getattr(estimate_module, name), path=path):
+            seen.append(path)
+            return fn(*args)
+
+        monkeypatch.setattr(estimate_module, name, spy)
+    return seen
+
+
+def battery_at(n, base_seed):
+    return (value_battery(3, base_seed, ns=(n,)) + metric_battery(3, base_seed + 100, ns=(n,))
+            + [inst for inst in tie_battery(6, base_seed + 200) if inst.n == n])
+
+
+def mixed_battery():
+    return (
         value_battery(3, 8100, ns=(1, 3, 8))
         + metric_battery(3, 8200, ns=(1, 2, 7))
         + tie_battery(3, 8300)
@@ -214,7 +233,38 @@ def test_run_means_equal_the_scalar_reference(k):
            for source in abstract_battery(2, 8400, ns=(4, 5))
            for setting in ("value", "metric")]
     )
-    runs, seed = 2, 8500 + k
-    for inst in instances:
+
+
+@pytest.mark.parametrize("k,runs,instances", [
+    pytest.param(k, 2, mixed_battery, id=str(k)) for k in (1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1)
+] + [
+    # k * runs one short of n!, and n!: on either side of the table's bound
+    pytest.param(7, 17, lambda: battery_at(5, 8600), id="n5-below"),
+    pytest.param(8, 15, lambda: battery_at(5, 8600), id="n5-at"),
+    pytest.param(719, 1, lambda: battery_at(6, 8700), id="n6-below"),
+    pytest.param(240, 3, lambda: battery_at(6, 8700), id="n6-at"),
+])
+def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
+    seed = 8500 + k
+    for inst in instances():
+        samplers.clear()
         report = estimate_median_of_means(inst, objective_of(inst), k=k, runs=runs, seed=seed)
         assert report.run_values == reference_run_means(inst, objective_of(inst), k, runs, seed), inst
+        table = inst.n <= 8 and math.factorial(inst.n) <= k * runs
+        assert samplers == ["table" if table else "per-sample"] * runs, inst
+
+
+@pytest.mark.parametrize("n,table_size", [(5, 120), (8, 40320), (9, 0)])
+def test_the_table_scores_each_of_up_to_8_factorial_orderings_once(monkeypatch, n, table_size):
+    # k * runs = n! samples, enough to pay for a table of every ordering
+    sd_calls = []
+
+    def counted(prefs, order):
+        sd_calls.append(order)
+        return sd_assign(prefs, order)
+
+    monkeypatch.setattr(estimate_module, "sd_assign", counted)
+    monkeypatch.setattr(estimate_module, "run_permutations", lambda *args: iter(()))  # no per-sample work
+    estimate_median_of_means(bernoulli_welfare(n), Objective.WELFARE, k=math.factorial(n) // 2, runs=2, seed=3)
+    assert len(sd_calls) == table_size
+    assert len(set(map(tuple, sd_calls))) == table_size

@@ -17,6 +17,11 @@ from rsdlab import (
 from rsdlab.instance_io import MAX_EXPONENT, format_number
 
 
+def test_deep_nesting_is_a_format_error():
+    with pytest.raises(InstanceFormatError, match="nested too deeply"):
+        loads_instance("[" * 100_000 + "]" * 100_000)
+
+
 def test_round_trip_all_settings():
     for inst in (
         bernoulli_welfare(3),

@@ -4,6 +4,9 @@ it and ``rsdlab.rng`` must reproduce.  Every sampled output of the package
 depends on these words, so a change to any of them is a contract change.
 """
 
+import math
+from itertools import chain, permutations
+
 import pytest
 
 from rsdlab import rng
@@ -132,6 +135,43 @@ def test_run_permutations_wrap_the_lane_counter(monkeypatch):
     for n in (2, 6, 20):
         expected = [RefGenerator(ref_mix64(base + i)).permutation(n) for i in range(7)]
         assert list(rng.run_permutations(1, 0, 7, n)) == expected
+
+
+def decode(code, n):
+    """The ordering of a Fisher-Yates code: its mixed-radix digit
+    ``code // i! % (i + 1)`` is the draw that swaps position i."""
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = code // math.factorial(i) % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 8])
+@pytest.mark.parametrize("k", [1, 1023, 1024, 1025, 2053])
+def test_run_codes_decode_to_run_permutations(k, n):
+    codes = list(chain.from_iterable(rng.run_codes(31, 5, k, n)))
+    assert [decode(c, n) for c in codes] == list(rng.run_permutations(31, 5, k, n))
+
+
+def test_run_codes_wrap_the_lane_counter(monkeypatch):
+    base = 2**64 - 3
+    monkeypatch.setattr(rng, "_run_state", lambda seed, run: base)
+    for n in (2, 6, 8):
+        expected = [RefGenerator(ref_mix64(base + i)).permutation(n) for i in range(7)]
+        assert [decode(c, n) for c in chain.from_iterable(rng.run_codes(1, 0, 7, n))] == expected
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_code_permutations_list_every_ordering_once_in_code_order(n):
+    listed = list(rng.code_permutations(n))
+    assert listed == [decode(c, n) for c in range(math.factorial(n))]
+    assert sorted(listed) == sorted(map(list, permutations(range(n))))
+
+
+def test_run_codes_refuse_codes_wider_than_a_lane():
+    with pytest.raises(ValueError):
+        next(rng.run_codes(1, 0, 1, 21))
 
 
 def test_below_refuses_an_empty_range():
