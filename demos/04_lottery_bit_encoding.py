@@ -14,9 +14,8 @@ from rsdlab import (
     AssignmentInstance,
     block_bits,
     build_artifact,
-    enumerate_rsd,
-    counts_by_rank,
     random_abstract,
+    round_trip_matches,
 )
 
 
@@ -45,18 +44,16 @@ def main():
         if artifact.top_block is not None:
             print(f"bits above position n^2*q hold {artifact.top_block} "
                   f"(= n * n! = {n} * 6, reported but never decoded from)")
-        oracle = counts_by_rank(enumerate_rsd(artifact.built), artifact.built)
-        print(f"matches full enumeration: {oracle == artifact.counts}")
+        print(f"matches full enumeration: {round_trip_matches(artifact)}")
         print()
 
     print("the same round trip on a random 4-agent profile, both settings:")
     source = random_abstract(4, seed=99)
     for setting in ("value", "metric"):
         artifact = build_artifact(source, setting)
-        oracle = counts_by_rank(enumerate_rsd(artifact.built), artifact.built)
         digits = len(str(artifact.scaled_total))
         print(f"  {setting:<7}: scaled total has {digits} decimal digits; "
-              f"decode matches enumeration = {oracle == artifact.counts}")
+              f"decode matches enumeration = {round_trip_matches(artifact)}")
 
 
 if __name__ == "__main__":

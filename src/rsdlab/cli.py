@@ -62,11 +62,30 @@ def _json_int(v: int) -> int | str:
     return v
 
 
+def _positive_int(text: str) -> int | None:
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
+
+
+def _cap_flag(text: str) -> int:
+    """``--oracle-cap``: a positive integer, or a usage error (exit 2)."""
+    cap = _positive_int(text)
+    if cap is None:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return cap
+
+
 def _oracle_cap(args) -> int:
     if args.oracle_cap is not None:
         cap = args.oracle_cap
     else:
-        cap = int(os.environ.get("RSDLAB_ORACLE_CAP", DEFAULT_ORACLE_CAP))
+        raw = os.environ.get("RSDLAB_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
+        cap = _positive_int(raw)
+        if cap is None:
+            raise InputError(f"RSDLAB_ORACLE_CAP must be a positive integer, got {raw!r}")
     if cap > DEFAULT_ORACLE_CAP:
         print(
             f"warning: enumeration cap raised to {cap}; the cost grows exponentially in n",
@@ -80,7 +99,7 @@ def _load_validated(path):
         instance = load_instance(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (InstanceFormatError, json.JSONDecodeError) as exc:
+    except (InstanceFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed instance file {path}: {exc}") from exc
     problems = validate(instance)
     if problems:
@@ -221,11 +240,10 @@ def cmd_reduce(args) -> int:
     source = _load_validated(args.infile)
     if source.setting != "abstract":
         raise InputError("reduce expects an abstract instance (rankings only)")
-    cap = _oracle_cap(args)
-    artifact = build_artifact(source, args.setting, cap=cap)
-    matches = round_trip_matches(artifact, cap=cap)
+    artifact = build_artifact(source, args.setting, cap=_oracle_cap(args))
+    matches = round_trip_matches(artifact)
     print(f"block bits q: {artifact.block_bits}")
-    print(f"scaled total: {artifact.scaled_total}")
+    print(f"scaled total: {exact_str(artifact.scaled_total)}")
     print("decoded counts (rows = agents, columns = preference ranks):")
     for row in artifact.counts:
         print("  " + "  ".join(str(c) for c in row))
@@ -239,9 +257,9 @@ def cmd_reduce(args) -> int:
         sidecar = {
             "setting": args.setting,
             "block_bits": artifact.block_bits,
-            "scaled_total": str(artifact.scaled_total),
+            "scaled_total": exact_str(artifact.scaled_total),
             "counts": [list(row) for row in artifact.counts],
-            "top_block": str(artifact.top_block) if artifact.top_block is not None else None,
+            "top_block": exact_str(artifact.top_block) if artifact.top_block is not None else None,
             "lottery": [[str(p) for p in row] for row in artifact.lottery],
             "round_trip": "pass" if matches else "fail",
         }
@@ -305,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--objective", choices=[o.value for o in Objective])
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=int, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("opt", help="optimal matching value")
@@ -339,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--setting", required=True, choices=["value", "metric"])
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=int, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("coverage", help="empirical failure-rate experiment")
@@ -355,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=int, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
     p.set_defaults(fn=cmd_coverage)
 
     return parser

@@ -78,6 +78,17 @@ def exact_str(x: int | Fraction) -> str:
     return ("-" if x < 0 else "") + exact_str(high) + str(low).zfill(_PIECE_DIGITS)
 
 
+def exact_int(digits: str) -> int:
+    """``int(digits)`` for a string of ASCII decimal digits of any length,
+    read in pieces below the int-to-str digit limit; the inverse of
+    :func:`exact_str` on non-negative ints."""
+    value = 0
+    for start in range(0, len(digits), _PIECE_DIGITS):
+        piece = digits[start:start + _PIECE_DIGITS]
+        value = value * 10**len(piece) + int(piece)
+    return value
+
+
 def _matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(as_fraction(x) for x in row) for row in rows)
 

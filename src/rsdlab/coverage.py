@@ -18,7 +18,7 @@ from pathlib import Path
 from .bounds import SampleSizePlan
 from .core import AssignmentInstance, Objective, as_fraction, exact_str
 from .estimate import check_approx, estimate_median_of_means
-from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
+from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd, expected_objective
 from .rng import derive_seed
 
 EXACT_ORACLE = "exact-oracle"
@@ -62,7 +62,7 @@ def resolve_reference(
     provenance: str | None = None,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> tuple[Fraction, str]:
-    """Reference expected value: user-supplied, or exact enumeration."""
+    """Reference expected value: user-supplied, or by linearity off one count-only DP."""
     if reference is not None:
         return as_fraction(reference), provenance or USER_SUPPLIED
     if instance.n > oracle_cap:
@@ -70,9 +70,8 @@ def resolve_reference(
             f"no reference available: n={instance.n} exceeds the enumeration cap "
             f"{oracle_cap}; supply a reference expected value explicitly"
         )
-    summary = enumerate_rsd(instance, objective, cap=oracle_cap)
-    assert summary.mean is not None
-    return summary.mean, EXACT_ORACLE
+    counts = enumerate_rsd(instance, cap=oracle_cap).counts
+    return expected_objective(instance, objective, counts), EXACT_ORACLE
 
 
 def run_coverage(

@@ -8,10 +8,10 @@ dictatorship does next depends only on which agents have acted and which
 items are taken, so every prefix that reaches the same pair of sets is
 merged into one state.  The DP walks the reachable states layer by layer
 (one layer per number of agents who have acted), keeping per state the
-number of prefixes that reach it and the sum and sum of squares of their
-partial objective values, all as exact integers.  Each state costs O(n^2)
-steps, and there are at most C(2n, n) < 4^n of them (pairs of equally
-sized agent and item sets), usually far fewer.
+number of prefixes that reach it and the sums the second moment needs, as
+exact integers.  The mean needs no per-state sums: it is read off the count
+matrix by linearity (:func:`expected_objective`).  Each state costs O(n^2)
+steps, and there are at most C(2n, n) < 4^n of them, usually far fewer.
 
 The result is the reference oracle that every estimator and every encoded
 instance in this package is checked against, which is why it still refuses
@@ -80,9 +80,9 @@ def enumerate_rsd(
     ``g``, and with payoff p the successor state receives
     (w, s + w p, sq + 2 p s + w p^2).  Each layer is dropped once the next
     is built.  The last layer holds a single state whose ``w`` is n! and
-    whose ``s`` and ``sq`` are the exact total and total of squares over all
-    orderings.  The cost grows with the number of reachable states, which is
-    exponential in n, not factorial.
+    whose ``sq`` is the exact total of squares over all orderings; ``s`` only
+    feeds that recurrence, as :func:`expected_objective` reads the mean off
+    the counts.  The cost is exponential in n (reachable states), not n!.
 
     With ``objective=None`` the payoffs are taken as zero and only the count
     matrix and lottery are reported, which also covers abstract instances.
@@ -90,7 +90,7 @@ def enumerate_rsd(
     n = instance.n
     check_cap(n, cap)
     if objective is None:
-        scaled, denom = [[0] * n] * n, 1
+        scaled = [[0] * n] * n
     else:
         objective.require_compatible(instance)
         scaled, denom = integer_payoff_table(instance)
@@ -115,13 +115,13 @@ def enumerate_rsd(
                 w0, s0, sq0 = nxt.get(key, (0, 0, 0))
                 nxt[key] = (w0 + w, s0 + s + w * p, sq0 + sq + (2 * s + w * p) * p)
         layer = nxt
-    (fact, total, total_sq), = layer.values()
+    (fact, _, total_sq), = layer.values()
 
     lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in counts)
     if objective is None:
         mean = second = variance = None
     else:
-        mean = Fraction(total, fact * denom)
+        mean = expected_objective(instance, objective, counts)
         second = Fraction(total_sq, fact * denom * denom)
         variance = second - mean * mean
     return ExactSummary(
@@ -134,6 +134,15 @@ def enumerate_rsd(
         second_moment=second,
         variance=variance,
     )
+
+
+def expected_objective(instance: AssignmentInstance, objective: Objective, counts) -> Fraction:
+    """E[objective] by linearity: the sum of counts[a][g] * payoff[a][g] over
+    the n!-ordering count matrix, divided by n!, on the integer payoff table."""
+    objective.require_compatible(instance)
+    scaled, denom = integer_payoff_table(instance)
+    total = sum(c * p for crow, prow in zip(counts, scaled) for c, p in zip(crow, prow))
+    return Fraction(total, math.factorial(instance.n) * denom)
 
 
 def counts_by_rank(summary: ExactSummary, instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]:

@@ -13,9 +13,12 @@ Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
 float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
-no finite decimal expansion are rejected rather than rounded.  On reading,
-a literal whose decimal exponent exceeds :data:`MAX_EXPONENT` in magnitude,
-or whose denominator is zero, is rejected with :class:`InstanceFormatError`.
+no finite decimal expansion are rejected rather than rounded.  Integers of
+any length are written and read in pieces (:func:`rsdlab.core.exact_str`,
+:func:`rsdlab.core.exact_int`), past Python's int-to-str digit limit.  On
+reading, a literal longer than :data:`MAX_LITERAL_LENGTH` characters, one
+whose decimal exponent exceeds :data:`MAX_EXPONENT` in magnitude, or one
+whose denominator is zero is rejected with :class:`InstanceFormatError`.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .core import (
     SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
+    exact_int,
+    exact_str,
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
@@ -38,6 +43,11 @@ MAX_EXPONENT = 4300
 """Largest decimal exponent magnitude a numeric literal may carry; the same
 as Python's default limit on the digits of an int parsed from a string."""
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+MAX_LITERAL_LENGTH = 10_000
+"""Longest numeric literal text read, in characters, checked before any
+conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
+_INTEGER = re.compile(r"\s*([-+]?)([0-9]+)\s*")
 
 
 class InstanceFormatError(ValueError):
@@ -60,15 +70,22 @@ def parse_literal(x, where: str) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if len(x) > MAX_LITERAL_LENGTH:
+            raise InstanceFormatError(f"{where}: literal longer than {MAX_LITERAL_LENGTH} characters")
         # Fraction builds 10**e for an exponent e, so bound e on the text first
         if _exponent_too_large(x):
             raise InstanceFormatError(f"{where}: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
             return Fraction(x)
         except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {x!r} is not a numeric literal") from exc
+            # an integer past Python's int-to-str digit limit is read in pieces
+            integer = _INTEGER.fullmatch(x)
+            if integer is None:
+                raise InstanceFormatError(f"{where}: {x!r} is not a numeric literal") from exc
         except ZeroDivisionError as exc:
             raise InstanceFormatError(f"{where}: {x!r} has a zero denominator") from exc
+        value = exact_int(integer[2])
+        return Fraction(-value if integer[1] == "-" else value)
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {type(x).__name__}")
 
 
@@ -143,7 +160,7 @@ def format_number(x: Fraction) -> int | str:
     x = Fraction(x)
     if x.denominator == 1:
         v = x.numerator
-        return v if abs(v) < _JSON_INT_LIMIT else str(v)
+        return v if abs(v) < _JSON_INT_LIMIT else exact_str(v)
     den = x.denominator
     twos = 0
     while den % 2 == 0:
@@ -182,11 +199,16 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
     return doc
 
 
+def _json_int(text: str) -> int | str:
+    return int(text) if len(text) < 20 else text
+
+
 def loads_instance(text: str) -> AssignmentInstance:
-    # JSON numbers with a fraction or exponent stay literal text, parsed
-    # exactly (never as floats) and bounded by parse_literal like strings
+    # JSON numbers with a fraction or exponent, and integers of 20 characters
+    # or more, stay literal text, parsed exactly (never as floats) and bounded
+    # by parse_literal like strings
     try:
-        doc = json.loads(text, parse_float=str)
+        doc = json.loads(text, parse_float=str, parse_int=_json_int)
     except RecursionError:
         raise InstanceFormatError("JSON nested too deeply to parse") from None
     return instance_from_dict(doc)

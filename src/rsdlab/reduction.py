@@ -3,11 +3,11 @@
 Given an abstract instance (strict rankings only), build a value or metric
 instance whose payoffs are powers of two chosen so that the integer
 ``n! * E[objective]`` carries the whole ordering-count matrix in disjoint
-bit blocks.  Decoding that one number therefore recovers the full lottery,
-which is what makes computing the expected objective as hard as computing
-the lottery itself.  Everything here is arbitrary-precision integer
-arithmetic; a single misplaced bit would silently corrupt a decode, so the
-block width comes from integer bit length, never from floating-point logs.
+bit blocks.  By linearity that integer is the sum of L[i][g] * payoff[i][g]
+over the count matrix L, so decoding one number recovers the full lottery:
+computing the expected objective is as hard as computing the lottery.
+:func:`build_artifact` sums it off one count-only DP and decodes it.  All of
+it is exact integer arithmetic; the block width is an integer bit length.
 
 Layout, with q = bit length of n! (= ceil(log2(n! + 1))) and L[i][j] the
 number of orderings assigning agent i its rank-j item:
@@ -37,7 +37,7 @@ from .core import (
     Objective,
     validate,
 )
-from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
+from .exact import DEFAULT_ORACLE_CAP, counts_by_rank, enumerate_rsd, expected_objective
 
 
 def block_bits(n: int) -> int:
@@ -75,14 +75,16 @@ def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInsta
     raise ValueError(f"setting must be 'value' or 'metric', got {setting!r}")
 
 
-def exact_scaled_total(built: AssignmentInstance, objective: Objective, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """The integer ``n! * E[objective]`` over all agent orderings."""
-    summary = enumerate_rsd(built, objective, cap=cap)
-    assert summary.mean is not None
-    total = summary.mean * summary.order_count
+def _scaled_total(built: AssignmentInstance, objective: Objective, counts) -> int:
+    total = expected_objective(built, objective, counts) * math.factorial(built.n)
     if total.denominator != 1:
         raise ValueError("scaled total is not an integer; instance entries are not integral")
     return total.numerator
+
+
+def exact_scaled_total(built: AssignmentInstance, objective: Objective, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """The integer ``n! * E[objective]``, by linearity off one count-only DP."""
+    return _scaled_total(built, objective, enumerate_rsd(built, cap=cap).counts)
 
 
 def decode_counts(scaled_total: int, n: int, setting: str) -> tuple[tuple[tuple[int, ...], ...], int | None]:
@@ -132,7 +134,8 @@ def lottery_from_counts(
 
 @dataclass(frozen=True)
 class ReductionArtifact:
-    """Everything one encode/decode round produces."""
+    """Everything one encode/decode round produces.  ``counts`` are decoded from
+    ``scaled_total``, which was summed off the DP counts ``oracle_counts``."""
 
     source: AssignmentInstance
     setting: str
@@ -142,13 +145,15 @@ class ReductionArtifact:
     counts: tuple[tuple[int, ...], ...]
     top_block: int | None
     lottery: tuple[tuple[Fraction, ...], ...]
+    oracle_counts: tuple[tuple[int, ...], ...]
 
 
 def build_artifact(source: AssignmentInstance, setting: str, cap: int = DEFAULT_ORACLE_CAP) -> ReductionArtifact:
-    """Build the instance, enumerate its scaled total, and decode it back."""
+    """Build the instance, sum its scaled total off one count-only DP, decode it."""
     built = build_reduction(source, setting)
     objective = Objective.WELFARE if setting == SETTING_VALUE else Objective.COST
-    total = exact_scaled_total(built, objective, cap=cap)
+    summary = enumerate_rsd(built, cap=cap)
+    total = _scaled_total(built, objective, summary.counts)
     counts, top_block = decode_counts(total, source.n, setting)
     return ReductionArtifact(
         source=source,
@@ -159,12 +164,10 @@ def build_artifact(source: AssignmentInstance, setting: str, cap: int = DEFAULT_
         counts=counts,
         top_block=top_block,
         lottery=lottery_from_counts(counts, source),
+        oracle_counts=counts_by_rank(summary, built),
     )
 
 
-def round_trip_matches(artifact: ReductionArtifact, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """True iff the decoded counts equal the enumeration oracle's counts."""
-    from .exact import counts_by_rank
-
-    summary = enumerate_rsd(artifact.built, cap=cap)
-    return counts_by_rank(summary, artifact.built) == artifact.counts
+def round_trip_matches(artifact: ReductionArtifact) -> bool:
+    """True iff the decoded counts equal the DP counts they were summed from."""
+    return artifact.oracle_counts == artifact.counts

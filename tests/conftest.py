@@ -10,7 +10,7 @@ from itertools import permutations
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
 from rsdlab.core import Objective, Violation, integer_payoff_table, preference_rows
-from rsdlab.exact import ExactSummary
+from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
 from rsdlab.rng import substream
 from rsdlab.sd import sd_assign
 
@@ -76,6 +76,19 @@ def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objectiv
         second_moment=second,
         variance=variance,
     )
+
+
+def count_dp_calls(monkeypatch, module) -> list:
+    """Replace ``module.enumerate_rsd`` by a wrapper that appends the
+    objective of every call to the list it returns."""
+    calls = []
+
+    def counted(instance, objective=None, cap=DEFAULT_ORACLE_CAP):
+        calls.append(objective)
+        return enumerate_rsd(instance, objective, cap=cap)
+
+    monkeypatch.setattr(module, "enumerate_rsd", counted)
+    return calls
 
 
 def four_point_scan(costs) -> list[Violation]:

@@ -435,3 +435,84 @@ def test_validation_report_names_the_first_violations_and_counts_the_rest(tmp_pa
         f"  … and {len(problems) - MAX_REPORTED_VIOLATIONS} more ({len(problems)} violations)",
     ]
 
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_reduce_at_n_twelve_decodes_every_row_to_n_factorial(tmp_path, capsys, setting):
+    path = tmp_path / "abstract12.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "12", "--seed", "2", "--out", str(path))
+    code, out, err = run_cli(capsys, "reduce", "--in", str(path), "--setting", setting, "--oracle-cap", "12")
+    assert code == 0
+    assert "warning: enumeration cap raised to 12" in err
+    lines = out.splitlines()
+    start = lines.index("decoded counts (rows = agents, columns = preference ranks):") + 1
+    rows = [[int(c) for c in line.split()] for line in lines[start:start + 12]]
+    assert [sum(row) for row in rows] == [math.factorial(12)] * 12
+    assert lines[-1] == "round trip vs enumeration: PASS"
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_reduce_prints_and_writes_totals_past_the_int_string_limit(tmp_path, capsys, monkeypatch, setting):
+    # the n=18 DP is replaced by uniform counts (17! per cell), so only the
+    # encoding, the decoding and the output path run
+    import rsdlab.reduction
+    from rsdlab import build_reduction, random_abstract
+    from rsdlab.core import exact_str
+    from rsdlab.exact import ExactSummary
+
+    n, fact = 18, math.factorial(18)
+    cell = fact // n
+
+    def uniform_dp(instance, objective=None, cap=10):
+        assert objective is None and cap == n
+        return ExactSummary(n, None, fact, ((cell,) * n,) * n, ((Fraction(1, n),) * n,) * n, None, None, None)
+
+    monkeypatch.setattr(rsdlab.reduction, "enumerate_rsd", uniform_dp)
+    source, built_path = tmp_path / "abstract18.json", tmp_path / "built18.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "18", "--seed", "1", "--out", str(source))
+    code, out, err = run_cli(capsys, "reduce", "--in", str(source), "--setting", setting,
+                             "--oracle-cap", "18", "--out", str(built_path))
+    assert code == 0
+    built = build_reduction(random_abstract(18, 1), setting)
+    total = cell * sum(int(x) for row in built.payoff_matrix() for x in row)
+    assert len(exact_str(total)) > 5000
+    assert f"scaled total: {exact_str(total)}\n" in out
+    assert "round trip vs enumeration: PASS" in out
+    assert loads_instance(built_path.read_text()) == built
+    sidecar = json.loads(Path(str(built_path) + ".decode.json").read_text())
+    assert sidecar["scaled_total"] == exact_str(total)
+    assert sidecar["counts"] == [[cell] * n] * n
+    assert sidecar["round_trip"] == "pass"
+
+
+@pytest.mark.parametrize("cap", ["0", "-3", "abc"])
+def test_oracle_cap_flag_below_one_is_a_usage_error(tmp_path, capsys, cap):
+    path = tmp_path / "abstract4.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "4", "--out", str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--in", str(path), "--setting", "value", "--oracle-cap", cap])
+    assert exc.value.code == 2
+    assert f"argument --oracle-cap: must be a positive integer, got '{cap}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-2", ""])
+@pytest.mark.parametrize("command", ["exact", "reduce"])
+def test_bad_oracle_cap_variable_exits_one_and_names_it(tmp_path, capsys, monkeypatch, cap, command):
+    path = tmp_path / "abstract4.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "4", "--out", str(path))
+    monkeypatch.setenv("RSDLAB_ORACLE_CAP", cap)
+    argv = ["--setting", "value"] if command == "reduce" else []
+    code, out, err = run_cli(capsys, command, "--in", str(path), *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: RSDLAB_ORACLE_CAP must be a positive integer, got '{cap}'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact",), ("opt", "--objective", "cost"), ("reduce", "--setting", "value"),
+])
+def test_non_utf8_instance_file_is_named_as_malformed(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, argv[0], "--in", str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: malformed instance file {path}: 'utf-8' codec can't decode byte 0xff")

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import rsdlab.coverage
+from conftest import count_dp_calls
 from rsdlab import (
     AssignmentInstance,
     Method,
@@ -38,6 +40,14 @@ def test_reference_resolution_modes():
         inst, Objective.WELFARE, reference=Fraction(1, 4), provenance=ANALYTIC_FAMILY
     )
     assert provenance == ANALYTIC_FAMILY
+
+
+def test_the_oracle_reference_runs_one_count_only_dp(monkeypatch):
+    calls = count_dp_calls(monkeypatch, rsdlab.coverage)
+    inst = worst_case_metric_line(5)
+    ref, provenance = resolve_reference(inst, Objective.COST)
+    assert (ref, provenance) == (enumerate_rsd(inst, Objective.COST).mean, EXACT_ORACLE)
+    assert calls == [None]
 
 
 def test_missing_reference_is_an_instructive_error():

@@ -14,7 +14,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.instance_io import MAX_EXPONENT, format_number
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number
 
 
 def test_deep_nesting_is_a_format_error():
@@ -112,4 +112,35 @@ def test_exponent_at_the_bound_loads(entry):
 def test_exponent_past_the_bound_is_rejected_before_conversion(entry):
     # rejected on the text, so no 10**e is ever built
     with pytest.raises(InstanceFormatError, match=r"values\[1\]\[1\]: decimal exponent beyond"):
+        loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_reductions_past_the_int_string_limit_round_trip(setting):
+    # the n=18 payoffs have about 5,200 (value) and 5,300 (metric) digits
+    built = build_reduction(random_abstract(18, 1), setting)
+    assert max(x.numerator.bit_length() for row in built.payoff_matrix() for x in row) > 17_000
+    assert loads_instance(dumps_instance(built)) == built
+
+
+@pytest.mark.parametrize("sign", ["", "-", "+"])
+def test_integer_strings_up_to_the_length_bound_load(sign):
+    digits = "7" * (MAX_LITERAL_LENGTH - len(sign))
+    magnitude = (10 ** len(digits) - 1) // 9 * 7
+    inst = loads_instance(f'{{"n": 1, "setting": "value", "values": [["{sign}{digits}"]]}}')
+    assert inst.value(1, 1) == (-magnitude if sign == "-" else magnitude)
+
+
+def test_bare_json_integers_past_the_int_string_limit_load():
+    inst = loads_instance(f'{{"n": 1, "setting": "value", "values": [[{"7" * 5000}]]}}')
+    assert inst.value(1, 1) == (10**5000 - 1) // 9 * 7
+
+
+@pytest.mark.parametrize("entry", [
+    '"' + "1" * (MAX_LITERAL_LENGTH + 1) + '"',
+    "1" * (MAX_LITERAL_LENGTH + 1),
+    '"' + "0." + "5" * (MAX_LITERAL_LENGTH - 1) + '"',
+])
+def test_literal_past_the_length_bound_is_rejected_before_conversion(entry):
+    with pytest.raises(InstanceFormatError, match=rf"values\[1\]\[1\]: literal longer than {MAX_LITERAL_LENGTH}"):
         loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_battery
+import rsdlab.reduction
+from conftest import abstract_battery, count_dp_calls, enumerate_rsd_by_orderings
 from rsdlab import (
     AssignmentInstance,
     Objective,
@@ -18,6 +19,7 @@ from rsdlab import (
     enumerate_rsd,
     exact_scaled_total,
     lottery_from_counts,
+    random_abstract,
     round_trip_matches,
     validate,
 )
@@ -160,3 +162,21 @@ def test_encode_decode_identity_on_synthetic_counts(data):
         )
         decoded, _ = decode_counts(total, n, setting)
         assert decoded == tuple(tuple(row) for row in counts)
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_a_round_trip_runs_one_count_only_dp(monkeypatch, setting):
+    calls = count_dp_calls(monkeypatch, rsdlab.reduction)
+    artifact = build_artifact(random_abstract(5, 3), setting)
+    assert round_trip_matches(artifact)
+    assert calls == [None]
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_scaled_total_is_n_factorial_times_the_reference_mean(setting):
+    objective = Objective.WELFARE if setting == "value" else Objective.COST
+    for n in range(2, 7):
+        for seed in (0, 1):
+            built = build_reduction(random_abstract(n, seed), setting)
+            reference = enumerate_rsd_by_orderings(built, objective)
+            assert exact_scaled_total(built, objective) == math.factorial(n) * reference.mean
