@@ -15,11 +15,13 @@ convention used throughout the package) under one of three payoff settings:
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 Entries are stored as exact :class:`fractions.Fraction` values.  Every
-computation on payoffs (exact enumeration, sampling, the optimal-assignment
-solver) runs on one integer table, :func:`integer_payoff_table`: the payoffs
-times their common denominator.  Sampling sums a run's scores exactly and
-rounds once, to the 64-bit float nearest the exact run mean; exact
-enumeration and the solver never round.
+computation on payoffs (preference ranking, exact enumeration, sampling, the
+optimal-assignment solver, the metric check) runs on one integer table,
+:func:`integer_payoff_table`: the payoffs times their common denominator.
+No Fraction is compared on these paths; :func:`validate` reads an entry's
+sign off its numerator.  Sampling sums a run's scores exactly and rounds
+once, to the 64-bit float nearest the exact run mean; exact enumeration and
+the solver never round.
 
 Ties between equally good items are broken in favour of the minimum item
 index, everywhere.  This single tie-breaking rule is what makes the exact
@@ -82,6 +84,8 @@ def exact_int(digits: str) -> int:
     """``int(digits)`` for a string of ASCII decimal digits of any length,
     read in pieces below the int-to-str digit limit; the inverse of
     :func:`exact_str` on non-negative ints."""
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
     value = 0
     for start in range(0, len(digits), _PIECE_DIGITS):
         piece = digits[start:start + _PIECE_DIGITS]
@@ -241,24 +245,17 @@ class Violation:
 def preference_rows(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]:
     """0-indexed preference table: row ``a`` lists items best-first.
 
-    Value setting sorts by value descending, metric by cost ascending,
-    abstract copies the stored rankings; ties go to the minimum item index.
+    Value setting sorts by value descending, metric by cost ascending, both
+    on the integer payoff table; abstract copies the stored rankings.  The
+    sort is stable, also reversed, so ties go to the minimum item index.
     """
-    n = instance.n
     if instance.setting == SETTING_ABSTRACT:
         assert instance.rankings is not None
         return tuple(tuple(g - 1 for g in row) for row in instance.rankings)
-    if instance.setting == SETTING_VALUE:
-        assert instance.values is not None
-        return tuple(
-            tuple(sorted(range(n), key=lambda g: (-row[g], g)))
-            for row in instance.values
-        )
-    assert instance.costs is not None
-    return tuple(
-        tuple(sorted(range(n), key=lambda g: (row[g], g)))
-        for row in instance.costs
-    )
+    rows, _ = integer_payoff_table(instance)
+    best_first = instance.setting == SETTING_VALUE
+    items = range(instance.n)
+    return tuple(tuple(sorted(items, key=row.__getitem__, reverse=best_first)) for row in rows)
 
 
 def integer_payoff_table(instance: AssignmentInstance) -> tuple[list[list[int]], int]:
@@ -291,8 +288,8 @@ def _matrix_violations(name: str, rows: Sequence[Sequence[Fraction]], n: int) ->
             out.append(Violation("shape", (i, len(row)), f"{name} row {i} has {len(row)} entries, expected {n}"))
     for i, row in enumerate(rows, start=1):
         for g, x in enumerate(row, start=1):
-            if x < 0:
-                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {x} at agent {i}, item {g}"))
+            if x.numerator < 0:
+                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {exact_str(x)} at agent {i}, item {g}"))
     return out
 
 
@@ -323,7 +320,7 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
                         out.append(Violation(
                             "triangle",
                             (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                            f"c[{i1 + 1}][{g1 + 1}]={costs[i1][g1]} exceeds "
+                            f"c[{i1 + 1}][{g1 + 1}]={exact_str(costs[i1][g1])} exceeds "
                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
                         ))
     return out

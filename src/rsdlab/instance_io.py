@@ -13,12 +13,22 @@ Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
 float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
-no finite decimal expansion are rejected rather than rounded.  Integers of
-any length are written and read in pieces (:func:`rsdlab.core.exact_str`,
-:func:`rsdlab.core.exact_int`), past Python's int-to-str digit limit.  On
-reading, a literal longer than :data:`MAX_LITERAL_LENGTH` characters, one
-whose decimal exponent exceeds :data:`MAX_EXPONENT` in magnitude, or one
-whose denominator is zero is rejected with :class:`InstanceFormatError`.
+no finite decimal expansion are rejected rather than rounded.
+
+A string in one of the ASCII forms ``[sign]digits[.digits]``,
+``[sign].digits`` or ``[sign]digits/digits`` (sign ``-`` or ``+``, optional
+whitespace around the whole) is read by this module at any length, with one
+int conversion per digit run up to 512 digits and in pieces past that
+(:func:`rsdlab.core.exact_int`).  Every other string goes to
+:class:`fractions.Fraction`, which also reads underscores, exponents and
+other Unicode digits; what it accepts beyond the forms above varies with the
+Python version (underscores from 3.11, for one).  Integers and decimals are
+written in pieces past Python's int-to-str digit limit
+(:func:`rsdlab.core.exact_str`).  On reading, a literal longer than
+:data:`MAX_LITERAL_LENGTH` characters, one whose decimal exponent exceeds
+:data:`MAX_EXPONENT` in magnitude, or one whose denominator is zero is
+rejected with :class:`InstanceFormatError`; a message quotes at most the
+first :data:`QUOTED_LENGTH` characters of a literal, and its length.
 """
 
 from __future__ import annotations
@@ -47,7 +57,13 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 MAX_LITERAL_LENGTH = 10_000
 """Longest numeric literal text read, in characters, checked before any
 conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
-_INTEGER = re.compile(r"\s*([-+]?)([0-9]+)\s*")
+# The ASCII forms of Fraction's grammar without underscores or an exponent,
+# read here at any length: [sign]digits[.digits], [sign].digits and
+# [sign]digits/digits, with optional whitespace around the whole.
+_DIGITS = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/([0-9]+))?\s*")
+
+QUOTED_LENGTH = 40
+"""Longest literal quoted whole in an error message; a longer one is cut."""
 
 
 class InstanceFormatError(ValueError):
@@ -62,46 +78,64 @@ def _exponent_too_large(text: str) -> bool:
     return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, or for a long literal its first characters and length."""
+    if len(text) <= QUOTED_LENGTH:
+        return repr(text)
+    return f"{text[:QUOTED_LENGTH]!r}… ({len(text)} characters)"
+
+
 def parse_literal(x, where: str) -> Fraction:
     """Exact value of an integer or a numeric string; ``where`` names it in
     the :class:`InstanceFormatError` raised for anything else."""
-    if isinstance(x, bool):
-        raise InstanceFormatError(f"{where}: booleans are not numbers")
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, str):
         if len(x) > MAX_LITERAL_LENGTH:
             raise InstanceFormatError(f"{where}: literal longer than {MAX_LITERAL_LENGTH} characters")
+        digits = _DIGITS.fullmatch(x)
+        if digits is not None:
+            sign, whole, frac, den = digits.groups("")
+            denominator = exact_int(den) if den else 10 ** len(frac)
+            if denominator == 0:
+                raise InstanceFormatError(f"{where}: {_quoted(x)} has a zero denominator")
+            numerator = exact_int(whole + frac)
+            return Fraction(-numerator if sign == "-" else numerator, denominator)
         # Fraction builds 10**e for an exponent e, so bound e on the text first
         if _exponent_too_large(x):
             raise InstanceFormatError(f"{where}: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
             return Fraction(x)
         except ValueError as exc:
-            # an integer past Python's int-to-str digit limit is read in pieces
-            integer = _INTEGER.fullmatch(x)
-            if integer is None:
-                raise InstanceFormatError(f"{where}: {x!r} is not a numeric literal") from exc
+            raise InstanceFormatError(f"{where}: {_quoted(x)} is not a numeric literal") from exc
         except ZeroDivisionError as exc:
-            raise InstanceFormatError(f"{where}: {x!r} has a zero denominator") from exc
-        value = exact_int(integer[2])
-        return Fraction(-value if integer[1] == "-" else value)
+            raise InstanceFormatError(f"{where}: {_quoted(x)} has a zero denominator") from exc
+    if isinstance(x, bool):
+        raise InstanceFormatError(f"{where}: booleans are not numbers")
+    if isinstance(x, int):
+        return Fraction(x)
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {type(x).__name__}")
+
+
+def _parse_list(xs: list, where: str) -> list[Fraction]:
+    """The entries of ``xs``; the address ``where[j]`` of an entry is
+    formatted only when it fails, by parsing it again."""
+    try:
+        return [parse_literal(x, where) for x in xs]
+    except InstanceFormatError:
+        for j, x in enumerate(xs, start=1):
+            parse_literal(x, f"{where}[{j}]")
+        raise
 
 
 def _parse_matrix(rows, where: str) -> list[list[Fraction]]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
-    return [
-        [parse_literal(x, f"{where}[{i + 1}][{j + 1}]") for j, x in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
+    return [_parse_list(row, f"{where}[{i}]") for i, row in enumerate(rows, start=1)]
 
 
 def _parse_points(xs, where: str) -> list[Fraction]:
     if not isinstance(xs, list):
         raise InstanceFormatError(f"{where}: expected a list")
-    return [parse_literal(x, f"{where}[{i + 1}]") for i, x in enumerate(xs)]
+    return _parse_list(xs, where)
 
 
 def instance_from_dict(doc: dict) -> AssignmentInstance:
@@ -171,11 +205,11 @@ def format_number(x: Fraction) -> int | str:
         den //= 5
         fives += 1
     if den != 1:
-        raise ValueError(f"{x} has no finite decimal representation")
+        raise ValueError(f"{exact_str(x)} has no finite decimal representation")
     scale = max(twos, fives)
     digits = x.numerator * 10**scale // x.denominator
     sign = "-" if digits < 0 else ""
-    text = str(abs(digits)).rjust(scale + 1, "0")
+    text = exact_str(abs(digits)).rjust(scale + 1, "0")
     whole, frac = text[:-scale] if scale else text, text[-scale:] if scale else ""
     return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 

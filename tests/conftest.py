@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
-from rsdlab.core import Objective, Violation, integer_payoff_table, preference_rows
+from rsdlab.core import SETTING_VALUE, Objective, Violation, integer_payoff_table, preference_rows
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
 from rsdlab.rng import substream
 from rsdlab.sd import sd_assign
@@ -89,6 +89,34 @@ def count_dp_calls(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "enumerate_rsd", counted)
     return calls
+
+
+def preference_rows_by_fractions(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]:
+    """Reference ranking of a value or metric instance: each payoff row
+    sorted on (payoff, item) keys in Fractions, values negated so the best
+    comes first; ties go to the minimum item index."""
+    n = instance.n
+    if instance.setting == SETTING_VALUE:
+        assert instance.values is not None
+        return tuple(tuple(sorted(range(n), key=lambda g: (-row[g], g))) for row in instance.values)
+    assert instance.costs is not None
+    return tuple(tuple(sorted(range(n), key=lambda g: (row[g], g))) for row in instance.costs)
+
+
+def matrix_violations_by_fractions(name: str, rows, n: int) -> list[Violation]:
+    """Reference shape and sign check of a payoff matrix: the row count,
+    each row's length, then every entry compared with 0 as a Fraction."""
+    out = []
+    if len(rows) != n:
+        out.append(Violation("shape", (len(rows),), f"{name} has {len(rows)} rows, expected {n}"))
+    for i, row in enumerate(rows, start=1):
+        if len(row) != n:
+            out.append(Violation("shape", (i, len(row)), f"{name} row {i} has {len(row)} entries, expected {n}"))
+    for i, row in enumerate(rows, start=1):
+        for g, x in enumerate(row, start=1):
+            if x < 0:
+                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {x} at agent {i}, item {g}"))
+    return out
 
 
 def four_point_scan(costs) -> list[Violation]:

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rsdlab
 from rsdlab import loads_instance
 from rsdlab.cli import main
 from rsdlab.families import MAX_N
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH
 
 
 def run_cli(capsys, *argv):
@@ -516,3 +522,95 @@ def test_non_utf8_instance_file_is_named_as_malformed(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, argv[0], "--in", str(path), *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith(f"error: malformed instance file {path}: 'utf-8' codec can't decode byte 0xff")
+
+
+# Literals at and one past the length and exponent bounds, past the
+# int-to-str digit limit, and plainly malformed ones.
+_LITERALS = [
+    "1" * MAX_LITERAL_LENGTH, "1" * (MAX_LITERAL_LENGTH + 1),
+    "0." + "5" * (MAX_LITERAL_LENGTH - 2), "0." + "5" * (MAX_LITERAL_LENGTH - 1),
+    f"1e{MAX_EXPONENT}", f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT}", f"2.5E-{MAX_EXPONENT + 1}",
+    "1" * 5000 + "/3", "1/0", "-1", "0", "0.5", "3", "x", "",
+]
+# A literal as a JSON string, or bare: a JSON number, or malformed JSON.
+_ENTRY = st.one_of(
+    st.sampled_from(_LITERALS).map(json.dumps),
+    st.sampled_from(_LITERALS),
+    st.sampled_from(["true", "null", "[]", "{}", "1.5e3", "-0", "NaN"]),
+)
+
+
+def _json_array(element):
+    return st.lists(element, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]")
+
+
+_FIELD = st.tuples(
+    st.sampled_from(["values", "costs", "agent_points", "item_points", "rankings"]),
+    st.one_of(_ENTRY, _json_array(_ENTRY), _json_array(_json_array(_ENTRY))),
+)
+_DOCUMENT = st.builds(
+    lambda n, setting, fields: "{" + ", ".join(
+        [f'"n": {n}', f'"setting": {setting}'] + [f'"{key}": {value}' for key, value in fields]) + "}",
+    st.one_of(st.integers(-1, 3).map(str), st.sampled_from(['"2"', "true", "1.5", "null"])),
+    st.sampled_from(['"value"', '"metric"', '"abstract"', '"euclidean"', "3"]),
+    st.lists(_FIELD, max_size=3),
+)
+_SMALL = st.sampled_from(["0", "1", "2", "7", '"0.5"', '"1/3"', '"2.25"'])
+
+
+@st.composite
+def _well_shaped_document(draw):
+    """An instance document of the right shape for its setting, with small
+    valid entries and at most one drawn from ``_ENTRY``."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["values", "costs", "points", "rankings"]))
+    if kind == "rankings":
+        rows = [list(draw(st.permutations(range(1, n + 1)))) for _ in range(n)]
+        return json.dumps({"n": n, "setting": "abstract", "rankings": rows})
+    size = 2 * n if kind == "points" else n * n
+    cells = draw(st.lists(_SMALL, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        cells[draw(st.integers(0, size - 1))] = draw(_ENTRY)
+    rows = ["[" + ", ".join(cells[i:i + n]) + "]" for i in range(0, size, n)]
+    if kind == "points":
+        fields = f'"agent_points": {rows[0]}, "item_points": {rows[1]}'
+    else:
+        fields = f'"{kind}": [{", ".join(rows)}]'
+    setting = "value" if kind == "values" else "metric"
+    return f'{{"n": {n}, "setting": "{setting}", {fields}}}'
+
+
+_INSTANCE_FILE = st.one_of(
+    _well_shaped_document().map(str.encode),
+    _DOCUMENT.map(str.encode),
+    st.sampled_from(["", "[]", "3", '"x"', "null", "{}", "[[[", '{"n": 1']).map(str.encode),
+    _DOCUMENT.map(lambda text: text.encode("utf-16")),
+    st.binary(max_size=20).map(lambda raw: b"\xff" + raw),
+)
+_SAMPLING = ("--eps", "0.5", "--delta", "0.2", "--trials", "1", "--k", "2", "--lambda", "1")
+_READS_AN_INSTANCE = [
+    ("exact",), ("exact", "--objective", "welfare"), ("exact", "--objective", "cost"),
+    ("opt", "--objective", "welfare"), ("opt", "--objective", "cost"),
+    ("estimate", "--objective", "welfare", "--k", "3"), ("estimate", "--objective", "cost", "--k", "3"),
+    ("reduce", "--setting", "value"), ("reduce", "--setting", "metric"),
+    ("coverage", "--objective", "welfare", "--method", "welfare-hoeffding", *_SAMPLING),
+    ("coverage", "--objective", "cost", "--method", "cost-median-of-means", *_SAMPLING),
+]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(content=_INSTANCE_FILE, argv=st.sampled_from(_READS_AN_INSTANCE))
+def test_malformed_instance_files_exit_with_a_message_never_a_traceback(content, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([argv[0], "--in", path, *argv[1:]])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().strip()

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import abstract_battery, four_point_scan, metric_battery
+from conftest import (
+    abstract_battery,
+    four_point_scan,
+    matrix_violations_by_fractions,
+    metric_battery,
+    preference_rows_by_fractions,
+)
 from rsdlab import (
     AssignmentInstance,
     Objective,
@@ -17,6 +23,7 @@ from rsdlab import (
     validate,
     worst_case_metric_line,
 )
+from rsdlab.core import preference_rows
 
 
 def test_bernoulli_preferences_follow_min_index():
@@ -171,3 +178,70 @@ def test_line_points_always_metric(agents, items):
     n = min(len(agents), len(items))
     inst = AssignmentInstance.from_line_points(agents[:n], items[:n])
     assert validate(inst) == []
+
+
+def _square(entry, n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ranking_on_the_integer_table_matches_the_fraction_sort_under_ties(data):
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(_square(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]), n))
+    for inst in (AssignmentInstance.from_values(rows), AssignmentInstance.from_costs(rows)):
+        assert preference_rows(inst) == preference_rows_by_fractions(inst)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_ranking_matches_the_fraction_sort_with_negative_entries(data):
+    n = data.draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    rows = data.draw(_square(entry, n))
+    for inst in (AssignmentInstance.from_values(rows), AssignmentInstance.from_costs(rows)):
+        assert preference_rows(inst) == preference_rows_by_fractions(inst)
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_ranking_matches_the_fraction_sort_on_reductions(setting):
+    for source in abstract_battery(12, 5300, ns=(2, 3, 4, 5)):
+        inst = build_reduction(source, setting)
+        assert preference_rows(inst) == preference_rows_by_fractions(inst)
+
+
+def test_validate_reports_shapes_then_signs_in_order():
+    rows = (
+        (Fraction(1), Fraction(-1, 2), Fraction(0)),
+        (Fraction(-3),),
+        (Fraction(2), Fraction(2), Fraction("-0.25"), Fraction(7)),
+    )
+    for setting, field, noun in (("value", "values", "value"), ("metric", "costs", "cost")):
+        messages = [v.message for v in validate(AssignmentInstance(n=3, setting=setting, **{field: rows}))]
+        assert messages == [
+            f"{field} row 2 has 1 entries, expected 3",
+            f"{field} row 3 has 4 entries, expected 3",
+            f"negative {noun} -1/2 at agent 1, item 2",
+            f"negative {noun} -3 at agent 2, item 1",
+            f"negative {noun} -1/4 at agent 3, item 3",
+        ]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_validate_lists_the_fraction_sign_check_on_bad_matrices(data):
+    n = data.draw(st.integers(1, 4))
+    entry = st.sampled_from([Fraction(x) for x in ("-7/2", "-1", "-1/3", "0", "1/2", "2")])
+    rows = data.draw(st.lists(st.lists(entry, max_size=n + 1), max_size=n + 1))
+    rows = tuple(tuple(row) for row in rows)
+    for setting, field in (("value", "values"), ("metric", "costs")):
+        expected = matrix_violations_by_fractions(field, rows, n)
+        if setting == "metric" and not expected:
+            expected = four_point_scan(rows)
+        assert validate(AssignmentInstance(n=n, setting=setting, **{field: rows})) == expected
+
+
+def test_validate_reports_a_negative_entry_past_the_int_string_limit():
+    huge = -(10**5000)
+    (violation,) = validate(AssignmentInstance.from_values([[huge]]))
+    assert violation.message == f"negative value -1{'0' * 5000} at agent 1, item 1"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rsdlab import (
     AssignmentInstance,
@@ -14,7 +16,8 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number
+from rsdlab.core import exact_int
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, QUOTED_LENGTH, format_number, parse_literal
 
 
 def test_deep_nesting_is_a_format_error():
@@ -144,3 +147,100 @@ def test_bare_json_integers_past_the_int_string_limit_load():
 def test_literal_past_the_length_bound_is_rejected_before_conversion(entry):
     with pytest.raises(InstanceFormatError, match=rf"values\[1\]\[1\]: literal longer than {MAX_LITERAL_LENGTH}"):
         loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
+
+
+_DIGIT_TEXT = st.text("0123456789", min_size=1, max_size=300)
+
+
+@given(
+    sign=st.sampled_from(["", "-"]),
+    whole=_DIGIT_TEXT,
+    frac=st.one_of(st.just(""), _DIGIT_TEXT),
+)
+@example(sign="-", whole="0", frac="")
+@example(sign="-", whole="0", frac="000")
+@example(sign="", whole="0" * 300, frac="0" * 299 + "1")
+@example(sign="-", whole="9" * 300, frac="9" * 300)
+@example(sign="", whole="1" * 512, frac="")
+@example(sign="-", whole="1" * 256, frac="2" * 257)
+def test_plain_decimals_read_as_fraction_reads_them(sign, whole, frac):
+    text = sign + whole + ("." + frac if frac else "")
+    value = parse_literal(text, "x")
+    assert type(value) is Fraction
+    assert value == Fraction(text)
+
+
+def _fraction_reading(text):
+    """What Fraction's grammar, which varies with the Python version, makes
+    of ``text``: its value, or the message parse_literal gives a refusal."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        return f"x: {text!r} is not a numeric literal"
+
+
+# Forms other than a plain decimal, with the value or the message they have
+# always had; the last two are read by Fraction, whose grammar varies.
+_FALLBACK_FORMS = [
+    (" 1.5 ", Fraction(3, 2)),
+    ("+2", Fraction(2)),
+    (".5", Fraction(1, 2)),
+    ("5.", Fraction(5)),
+    ("1e3", Fraction(1000)),
+    ("3/4", Fraction(3, 4)),
+    ("\u0661\u0662.\u0665", Fraction(25, 2)),
+    ("1" * 301, Fraction(int("1" * 301))),
+    ("0." + "1" * 301, Fraction(int("1" * 301), 10**301)),
+    ("-1-1", "x: '-1-1' is not a numeric literal"),
+    ("", "x: '' is not a numeric literal"),
+    ("1/0", "x: '1/0' has a zero denominator"),
+    ("1_000", _fraction_reading("1_000")),
+    ("1 / 3", _fraction_reading("1 / 3")),
+]
+
+
+@pytest.mark.parametrize("text, expected", _FALLBACK_FORMS)
+def test_other_forms_read_as_before(text, expected):
+    if isinstance(expected, Fraction):
+        assert parse_literal(text, "x") == expected
+    else:
+        with pytest.raises(InstanceFormatError) as info:
+            parse_literal(text, "x")
+        assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(exact_int("1" * 5000), 10),
+    -Fraction(exact_int("9" * 5000), 10**2500),
+    Fraction(1, 10**5000),
+])
+def test_decimals_past_the_int_string_limit_round_trip(value):
+    inst = AssignmentInstance.from_values([[value]])
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+def test_format_number_writes_decimals_past_the_int_string_limit():
+    assert format_number(Fraction(exact_int("1" * 5000), 10)) == "1" * 4999 + ".1"
+
+
+@pytest.mark.parametrize("entry, value", [
+    ('"0.' + "1" * 5000 + '"', Fraction(exact_int("1" * 5000), 10**5000)),
+    ("0." + "1" * 5000, Fraction(exact_int("1" * 5000), 10**5000)),
+    ('"' + "1" * 5000 + '/3"', Fraction(exact_int("1" * 5000), 3)),
+    ('"-3/' + "1" * 5000 + '"', Fraction(-3, exact_int("1" * 5000))),
+])
+def test_decimal_and_fraction_literals_past_the_int_string_limit_load(entry, value):
+    inst = loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
+    assert inst.value(1, 1) == value
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("x" * 5000, "is not a numeric literal"),
+    ("1" * 5000 + "/0", "has a zero denominator"),
+    ("1" * 5000 + "/3.5", "is not a numeric literal"),
+])
+def test_long_literals_are_quoted_by_a_prefix_and_their_length(entry, message):
+    quoted = f"{entry[:QUOTED_LENGTH]!r}… ({len(entry)} characters)"
+    with pytest.raises(InstanceFormatError) as info:
+        loads_instance(f'{{"n": 2, "setting": "value", "values": [[1, 2], [3, "{entry}"]]}}')
+    assert str(info.value) == f"values[2][2]: {quoted} {message}"
