@@ -53,9 +53,15 @@ class SampleSizePlan:
     runs_raw: Fraction | None
 
 
+MAX_N = 100_000
+"""Largest n that :func:`sample_size` plans for.  The ``cost-bernstein`` k
+grows as 2^n, about 30,100 digits at this bound, and the time to write it
+out grows as the square of its digits."""
+
+
 def _check_domain(n: int, eps: Fraction, delta: Fraction) -> None:
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be between 1 and {MAX_N}")
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     if not 0 < delta <= 1:

@@ -183,9 +183,7 @@ def cmd_opt(args) -> int:
 def cmd_estimate(args) -> int:
     instance = _load_validated(args.infile)
     objective = Objective(args.objective)
-    report = estimate_median_of_means(
-        instance, objective, args.k, args.lam, args.seed, workers=args.workers
-    )
+    report = estimate_median_of_means(instance, objective, args.k, args.lam, args.seed)
     print(f"estimate: {report.estimate!r}")
     print(f"k={report.k} runs={report.runs} seed={report.seed} objective={objective.value}")
     print("run values: " + ", ".join(repr(v) for v in report.run_values))
@@ -288,7 +286,6 @@ def cmd_coverage(args) -> int:
         master_seed=args.seed,
         reference=reference,
         instance_id=str(args.infile),
-        workers=args.workers,
         oracle_cap=cap,
     )
     print(f"method: {report.method}  k={report.k}  runs={report.runs}")
@@ -338,7 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    # --workers (here and under coverage) is parsed and never read: sampling
+    # runs in one thread, but the benchmark's workloads still pass
+    # `--workers 1`.  Drop both declarations (so the flag exits 2) once they
+    # no longer do.
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_estimate)
 
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=int, default=None)
     p.add_argument("--reference", default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
     p.add_argument("--oracle-cap", type=_cap_flag, default=None)
     p.set_defaults(fn=cmd_coverage)

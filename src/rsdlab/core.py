@@ -76,8 +76,24 @@ def exact_str(x: int | Fraction) -> str:
         return num if x.denominator == 1 else f"{num}/{exact_str(x.denominator)}"
     if -_PIECE < x < _PIECE:
         return str(x)
-    high, low = divmod(abs(x), _PIECE)
-    return ("-" if x < 0 else "") + exact_str(high) + str(low).zfill(_PIECE_DIGITS)
+    high, pieces = abs(x), []
+    while high >= _PIECE:
+        high, low = divmod(high, _PIECE)
+        pieces.append(str(low).zfill(_PIECE_DIGITS))
+    pieces.append(str(high) if x > 0 else f"-{high}")
+    return "".join(reversed(pieces))
+
+
+QUOTED_LENGTH = 40
+"""Longest text that a message shows whole; a longer one is cut."""
+
+
+def clipped(text: str, show=str) -> str:
+    """``show(text)``, or for text longer than :data:`QUOTED_LENGTH`,
+    ``show`` of its first characters followed by its length."""
+    if len(text) <= QUOTED_LENGTH:
+        return show(text)
+    return f"{show(text[:QUOTED_LENGTH])}… ({len(text)} characters)"
 
 
 def exact_int(digits: str) -> int:
@@ -289,7 +305,7 @@ def _matrix_violations(name: str, rows: Sequence[Sequence[Fraction]], n: int) ->
     for i, row in enumerate(rows, start=1):
         for g, x in enumerate(row, start=1):
             if x.numerator < 0:
-                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {exact_str(x)} at agent {i}, item {g}"))
+                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {clipped(exact_str(x))} at agent {i}, item {g}"))
     return out
 
 
@@ -320,7 +336,7 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
                         out.append(Violation(
                             "triangle",
                             (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                            f"c[{i1 + 1}][{g1 + 1}]={exact_str(costs[i1][g1])} exceeds "
+                            f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(costs[i1][g1]))} exceeds "
                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
                         ))
     return out

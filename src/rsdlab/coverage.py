@@ -83,7 +83,6 @@ def run_coverage(
     reference=None,
     reference_provenance: str | None = None,
     instance_id: str = "instance",
-    workers: int = 1,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CoverageReport:
     """Run ``trials`` estimator invocations and count strict-accuracy failures."""
@@ -95,7 +94,7 @@ def run_coverage(
     failures = 0
     for t in range(trials):
         seed = derive_seed(master_seed, t)
-        report = estimate_median_of_means(instance, objective, plan.k, runs, seed, workers=workers)
+        report = estimate_median_of_means(instance, objective, plan.k, runs, seed)
         verdict = check_approx(report.estimate, ref, plan.eps)
         if not verdict.holds:
             failures += 1

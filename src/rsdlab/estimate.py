@@ -25,9 +25,7 @@ Fisher-Yates code (:func:`rsdlab.rng.code_permutations`), and a sample is
 then one lookup of the code :func:`rsdlab.rng.run_codes` draws for it: the
 same integer score, so the same run totals, with no more serial-dictatorship
 calls than sampling would make.  Otherwise every sample is drawn and scored
-afresh.  Either way the work runs in one loop and one thread: the
-``workers`` argument is accepted and has no effect on the result or on the
-number of threads.
+afresh.  Either way the work runs in one loop and one thread.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -133,15 +131,10 @@ def estimate_mean(
     objective: Objective,
     k: int,
     seed: int,
-    workers: int = 1,
 ) -> EstimateReport:
     """Mean objective value over ``k`` uniformly random orderings: the
-    one-run case of :func:`estimate_median_of_means`, whose report it returns.
-
-    Identical ``(instance, objective, k, seed)`` give an identical report
-    for every worker count; ``workers`` has no effect.
-    """
-    return estimate_median_of_means(instance, objective, k, 1, seed, workers)
+    one-run case of :func:`estimate_median_of_means`, whose report it returns."""
+    return estimate_median_of_means(instance, objective, k, 1, seed)
 
 
 def median(values) -> float:
@@ -161,13 +154,11 @@ def estimate_median_of_means(
     k: int,
     runs: int,
     seed: int,
-    workers: int = 1,
 ) -> EstimateReport:
     """Median of ``runs`` independent k-sample mean estimates.
 
-    Run ``j`` (0-indexed internally) uses substreams ``(seed, j, i)``.
-    Identical arguments give an identical report for every worker count;
-    ``workers`` has no effect.
+    Run ``j`` (0-indexed internally) uses substreams ``(seed, j, i)``, so
+    identical arguments give an identical report.
     """
     if k < 1 or runs < 1:
         raise ValueError("k and runs must be at least 1")

@@ -12,10 +12,10 @@ Deterministic families:
   one slot to the right for a social cost of exactly 2^n.
 
 Random families draw from the package generator, so they are reproducible
-across platforms: values are integers in [0, 10^6] scaled by 10^-6, metric
-coordinates are integers on a fixed line grid (which keeps every entry an
-exact rational and the metric property automatic), and abstract rankings
-are uniform permutations.
+across platforms: values are integers in [0, VALUE_SCALE] divided by
+VALUE_SCALE, metric coordinates are integers in [0, LINE_GRID] (which keeps
+every entry an exact rational and the metric property automatic), and
+abstract rankings are uniform permutations.
 """
 
 from __future__ import annotations
@@ -43,8 +43,10 @@ class FamilySpec:
     family: Family
     n: int
     seed: int = 0
-    value_scale: int = 10**6
-    coordinate_grid: int = 1000
+
+
+VALUE_SCALE = 10**6  # random values are multiples of 1/VALUE_SCALE in [0, 1]
+LINE_GRID = 1000  # random line coordinates are integers in [0, LINE_GRID]
 
 
 def bernoulli_welfare(n: int) -> AssignmentInstance:
@@ -59,19 +61,19 @@ def worst_case_metric_line(n: int) -> AssignmentInstance:
     return AssignmentInstance.from_line_points(agents, items)
 
 
-def random_value(n: int, seed: int, scale: int = 10**6) -> AssignmentInstance:
+def random_value(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
     rows = [
-        [Fraction(rng.below(scale + 1), scale) for _ in range(n)]
+        [Fraction(rng.below(VALUE_SCALE + 1), VALUE_SCALE) for _ in range(n)]
         for _ in range(n)
     ]
     return AssignmentInstance.from_values(rows)
 
 
-def random_metric_line(n: int, seed: int, grid: int = 1000) -> AssignmentInstance:
+def random_metric_line(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
-    agents = [Fraction(rng.below(grid + 1)) for _ in range(n)]
-    items = [Fraction(rng.below(grid + 1)) for _ in range(n)]
+    agents = [Fraction(rng.below(LINE_GRID + 1)) for _ in range(n)]
+    items = [Fraction(rng.below(LINE_GRID + 1)) for _ in range(n)]
     return AssignmentInstance.from_line_points(agents, items)
 
 
@@ -96,9 +98,9 @@ def generate(spec: FamilySpec) -> AssignmentInstance:
     if spec.family is Family.WORST_CASE_METRIC_LINE:
         return worst_case_metric_line(spec.n)
     if spec.family is Family.RANDOM_VALUE:
-        return random_value(spec.n, spec.seed, spec.value_scale)
+        return random_value(spec.n, spec.seed)
     if spec.family is Family.RANDOM_METRIC_LINE:
-        return random_metric_line(spec.n, spec.seed, spec.coordinate_grid)
+        return random_metric_line(spec.n, spec.seed)
     if spec.family is Family.RANDOM_ABSTRACT:
         return random_abstract(spec.n, spec.seed)
     raise ValueError(f"unknown family {spec.family!r}")

@@ -28,7 +28,8 @@ written in pieces past Python's int-to-str digit limit
 :data:`MAX_LITERAL_LENGTH` characters, one whose decimal exponent exceeds
 :data:`MAX_EXPONENT` in magnitude, or one whose denominator is zero is
 rejected with :class:`InstanceFormatError`; a message quotes at most the
-first :data:`QUOTED_LENGTH` characters of a literal, and its length.
+first :data:`rsdlab.core.QUOTED_LENGTH` characters of a literal, and its
+length.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
     SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
+    clipped,
     exact_int,
     exact_str,
 )
@@ -62,9 +64,6 @@ conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
 # [sign]digits/digits, with optional whitespace around the whole.
 _DIGITS = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/([0-9]+))?\s*")
 
-QUOTED_LENGTH = 40
-"""Longest literal quoted whole in an error message; a longer one is cut."""
-
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
@@ -78,13 +77,6 @@ def _exponent_too_large(text: str) -> bool:
     return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
 
 
-def _quoted(text: str) -> str:
-    """``repr(text)``, or for a long literal its first characters and length."""
-    if len(text) <= QUOTED_LENGTH:
-        return repr(text)
-    return f"{text[:QUOTED_LENGTH]!r}… ({len(text)} characters)"
-
-
 def parse_literal(x, where: str) -> Fraction:
     """Exact value of an integer or a numeric string; ``where`` names it in
     the :class:`InstanceFormatError` raised for anything else."""
@@ -96,7 +88,7 @@ def parse_literal(x, where: str) -> Fraction:
             sign, whole, frac, den = digits.groups("")
             denominator = exact_int(den) if den else 10 ** len(frac)
             if denominator == 0:
-                raise InstanceFormatError(f"{where}: {_quoted(x)} has a zero denominator")
+                raise InstanceFormatError(f"{where}: {clipped(x, repr)} has a zero denominator")
             numerator = exact_int(whole + frac)
             return Fraction(-numerator if sign == "-" else numerator, denominator)
         # Fraction builds 10**e for an exponent e, so bound e on the text first
@@ -105,9 +97,9 @@ def parse_literal(x, where: str) -> Fraction:
         try:
             return Fraction(x)
         except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {_quoted(x)} is not a numeric literal") from exc
+            raise InstanceFormatError(f"{where}: {clipped(x, repr)} is not a numeric literal") from exc
         except ZeroDivisionError as exc:
-            raise InstanceFormatError(f"{where}: {_quoted(x)} has a zero denominator") from exc
+            raise InstanceFormatError(f"{where}: {clipped(x, repr)} has a zero denominator") from exc
     if isinstance(x, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(x, int):

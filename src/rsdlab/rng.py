@@ -2,7 +2,7 @@
 
 All randomness in this package comes from one documented 64-bit generator so
 that results reproduce bit-for-bit across platforms, repeated runs, and any
-partitioning of the work among workers:
+partitioning of the samples:
 
 * ``mix64`` is the SplitMix64 output function (Stafford "variant 13"
   finalizer), a bijection on 64-bit words.
@@ -15,7 +15,7 @@ partitioning of the work among workers:
   package targets.
 * ``substream(seed, run, index)`` derives an independent generator for one
   (run, sample) cell, so sample ``index`` of run ``run`` is the same no
-  matter which worker computes it or in which order.
+  matter in which chunk or order it is computed.
 
 Permutations are drawn with the decreasing-index Fisher-Yates shuffle, one
 bounded draw per position from ``n - 1`` down to ``1``.

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
-from rsdlab.core import SETTING_VALUE, Objective, Violation, integer_payoff_table, preference_rows
+from rsdlab.core import SETTING_VALUE, Objective, Violation, clipped, integer_payoff_table, preference_rows
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
 from rsdlab.rng import substream
 from rsdlab.sd import sd_assign
@@ -115,7 +115,7 @@ def matrix_violations_by_fractions(name: str, rows, n: int) -> list[Violation]:
     for i, row in enumerate(rows, start=1):
         for g, x in enumerate(row, start=1):
             if x < 0:
-                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {x} at agent {i}, item {g}"))
+                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {clipped(str(x))} at agent {i}, item {g}"))
     return out
 
 
@@ -134,7 +134,7 @@ def four_point_scan(costs) -> list[Violation]:
                         out.append(Violation(
                             "triangle",
                             (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                            f"c[{i1 + 1}][{g1 + 1}]={lhs} exceeds "
+                            f"c[{i1 + 1}][{g1 + 1}]={clipped(str(lhs))} exceeds "
                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
                         ))
     return out

@@ -11,6 +11,7 @@ from rsdlab import (
     sample_size,
     welfare_lower_bound_window,
 )
+from rsdlab.bounds import MAX_N
 
 
 def test_welfare_bernstein_worked_example():
@@ -53,6 +54,16 @@ def test_sample_size_domain_checks():
         sample_size(Method.WELFARE_BERNSTEIN, 5, "1.5", "0.1")
     with pytest.raises(ValueError):
         sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", 0)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_sample_size_plans_up_to_max_n_and_refuses_past_it(method):
+    plan = sample_size(method, MAX_N, "0.5", "0.1")
+    assert plan.n == MAX_N
+    assert plan.k >= sample_size(method, MAX_N - 1, "0.5", "0.1").k
+    for n in (MAX_N + 1, 10**12):
+        with pytest.raises(ValueError, match=f"^n must be between 1 and {MAX_N}$"):
+            sample_size(method, n, "0.5", "0.1")
 
 
 @pytest.mark.parametrize("method", list(Method))

@@ -8,15 +8,24 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rsdlab
-from rsdlab import loads_instance
+from rsdlab import (
+    Method,
+    bounds,
+    loads_instance,
+    random_abstract,
+    random_value,
+    save_instance,
+    worst_case_metric_line,
+)
 from rsdlab.cli import main
-from rsdlab.families import MAX_N
+from rsdlab.families import MAX_N, Family
 from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH
 
 
@@ -443,6 +452,29 @@ def test_validation_report_names_the_first_violations_and_counts_the_rest(tmp_pa
 
 
 
+def test_validation_report_cuts_a_long_value(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    value = "-" + "1" * 5000
+    path.write_text(json.dumps({"n": 1, "setting": "value", "values": [[value]]}))
+    code, out, err = run_cli(capsys, "opt", "--in", str(path), "--objective", "welfare")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: instance file {path} failed validation:",
+        f"  - negative value {value[:40]}… (5001 characters) at agent 1, item 1",
+    ]
+
+
+def test_bounds_plans_up_to_its_max_n_and_refuses_past_it(capsys):
+    argv = ("bounds", "--method", "cost-bernstein", "--eps", "0.5", "--delta", "0.1", "--n")
+    code, out, err = run_cli(capsys, *argv, str(bounds.MAX_N))
+    assert (code, err) == (0, "")
+    # k grows as 2^n: about 0.3 digits per agent
+    assert len(out.split("k: ")[1].split("\n")[0]) > 30_000
+    for n in (bounds.MAX_N + 1, 3_000_000, 10**12):
+        code, out, err = run_cli(capsys, *argv, str(n))
+        assert (code, out, err) == (1, "", f"error: n must be between 1 and {bounds.MAX_N}\n")
+
+
 @pytest.mark.parametrize("setting", ["value", "metric"])
 def test_reduce_at_n_twelve_decodes_every_row_to_n_factorial(tmp_path, capsys, setting):
     path = tmp_path / "abstract12.json"
@@ -609,6 +641,87 @@ def test_malformed_instance_files_exit_with_a_message_never_a_traceback(content,
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main([argv[0], "--in", path, *argv[1:]])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code != 0:
+        assert err.getvalue().strip()
+
+
+# Flag values at and past their bounds, and plain valid ones, so that about
+# half the sampling invocations get as far as sampling.  None of them is
+# large work: sampling always gets an explicit small k, lambda and trial count.
+_NUMBER_FLAG = st.one_of(st.sampled_from(["0.5", "0.2", "1/3"]), st.sampled_from([
+    "0", "1", "-0.5", "1.5", "1/0", "x", "", "4e-324", "1e-400",
+    f"1e{MAX_EXPONENT}", f"1e{MAX_EXPONENT + 1}", f"1e-{MAX_EXPONENT}", f"1e-{MAX_EXPONENT + 1}",
+    "1" * MAX_LITERAL_LENGTH, "1" * (MAX_LITERAL_LENGTH + 1),
+]))
+_SEED = st.integers(-1000, 1000).map(str)
+_ORACLE_CAP = st.one_of(
+    st.sampled_from(["", "0", "-3", "2", "4", "12", " 5 ", "1e3", "٣", "9" * 30]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8),
+)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _flag_invocation(draw):
+    """argv for one subcommand with drawn flag values; ``{dir}`` stands for a
+    directory holding ``line4.json``, ``value3.json`` and ``abstract4.json``."""
+    command = draw(st.sampled_from(["gen", "bounds", "estimate", "coverage", "exact", "reduce"]))
+    # mostly an objective that the instance supports
+    name, objective = draw(st.sampled_from([
+        ("line4", "cost"), ("value3", "welfare"), ("line4", "cost"), ("value3", "welfare"),
+        ("line4", "welfare"), ("abstract4", "cost"),
+    ]))
+    inst, objective = f"{{dir}}/{name}.json", ["--objective", objective]
+    sampling = ["--k", str(draw(st.integers(-3, 40))), "--lambda", str(draw(st.integers(-2, 4))),
+                "--seed", draw(_SEED), *draw(_optional("--workers", st.integers().map(str)))]
+    out = draw(_optional("--out", st.just("{dir}/out")))
+    if command == "gen":
+        n = draw(st.sampled_from([-1, 0, 1, 2, 3, MAX_N + 1, MAX_N + 2]))
+        argv = ["--family", draw(st.sampled_from([f.value for f in Family])), "--n", str(n),
+                "--seed", draw(_SEED), "--out", "{dir}/out"]
+    elif command == "bounds":
+        n = draw(st.sampled_from([-1, 0, 1, 2, 7, bounds.MAX_N, bounds.MAX_N + 1]))
+        method = draw(st.sampled_from([m.value for m in Method] + ["welfare-lower-window"]))
+        argv = ["--method", method, "--n", str(n), "--eps", draw(_NUMBER_FLAG),
+                "--delta", draw(_NUMBER_FLAG), *out]
+    elif command == "estimate":
+        argv = ["--in", inst, *objective, *sampling, *out]
+    elif command == "coverage":
+        method = draw(st.sampled_from([m.value for m in Method]))
+        argv = ["--in", inst, *objective, "--method", method, "--eps", draw(_NUMBER_FLAG),
+                "--delta", draw(_NUMBER_FLAG), "--trials", str(draw(st.integers(-2, 3))), *sampling,
+                *draw(_optional("--reference", _NUMBER_FLAG)), *out]
+    elif command == "exact":
+        argv = ["--in", inst, *draw(st.sampled_from([[], objective])), *out]
+    else:
+        inst = draw(st.sampled_from(["{dir}/abstract4.json", "{dir}/abstract4.json", inst]))
+        argv = ["--in", inst, "--setting", draw(st.sampled_from(["value", "metric"])), *out]
+    return [command, *argv], draw(st.none() | _ORACLE_CAP)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(invocation=_flag_invocation())
+# gen at its bound: about 0.7 s, the cheapest family there
+@example(invocation=(["gen", "--family", "random-abstract", "--n", str(MAX_N), "--out", "{dir}/out"], None))
+def test_flag_values_exit_with_a_message_never_a_traceback(invocation):
+    argv, oracle_cap = invocation
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        save_instance(worst_case_metric_line(4), os.path.join(tmp, "line4.json"))
+        save_instance(random_value(3, 1), os.path.join(tmp, "value3.json"))
+        save_instance(random_abstract(4, 1), os.path.join(tmp, "abstract4.json"))
+        os.environ.pop("RSDLAB_ORACLE_CAP", None)
+        if oracle_cap is not None:
+            os.environ["RSDLAB_ORACLE_CAP"] = oracle_cap
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main([arg.format(dir=tmp) for arg in argv])
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2)

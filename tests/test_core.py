@@ -23,7 +23,8 @@ from rsdlab import (
     validate,
     worst_case_metric_line,
 )
-from rsdlab.core import preference_rows
+from rsdlab import core
+from rsdlab.core import QUOTED_LENGTH, exact_int, exact_str, preference_rows
 
 
 def test_bernoulli_preferences_follow_min_index():
@@ -244,4 +245,28 @@ def test_validate_lists_the_fraction_sign_check_on_bad_matrices(data):
 def test_validate_reports_a_negative_entry_past_the_int_string_limit():
     huge = -(10**5000)
     (violation,) = validate(AssignmentInstance.from_values([[huge]]))
-    assert violation.message == f"negative value -1{'0' * 5000} at agent 1, item 1"
+    assert violation.message == f"negative value -1{'0' * 38}… (5002 characters) at agent 1, item 1"
+
+
+def test_violation_messages_cut_values_longer_than_the_quoted_length():
+    whole, cut = -(10**(QUOTED_LENGTH - 2)), -(10**(QUOTED_LENGTH - 1))
+    messages = [v.message for v in validate(AssignmentInstance.from_values([[whole, cut], [0, 0]]))]
+    assert messages == [
+        f"negative value {whole} at agent 1, item 1",
+        f"negative value {str(cut)[:QUOTED_LENGTH]}… ({QUOTED_LENGTH + 1} characters) at agent 1, item 2",
+    ]
+    (violation,) = validate(AssignmentInstance.from_costs([[10**45, 0], [0, 0]]))
+    assert violation.message == f"c[1][1]=1{'0' * 39}… (46 characters) exceeds c[1][2]+c[2][2]+c[2][1]"
+
+
+def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):
+    # with one digit per piece, a 1,500-digit int takes more pieces than the
+    # default recursion limit allows frames
+    monkeypatch.setattr(core, "_PIECE_DIGITS", 1)
+    monkeypatch.setattr(core, "_PIECE", 10)
+    for x in (int("1234567890" * 150), 10**1499 + 7, 10**1499):
+        assert exact_str(x) == str(x)
+        assert exact_str(-x) == str(-x)
+        ratio = Fraction(-x, 10**1499 + 1)
+        assert exact_str(ratio) == f"{ratio.numerator}/{ratio.denominator}"
+        assert exact_int(exact_str(x)) == x

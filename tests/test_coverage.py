@@ -86,9 +86,8 @@ def test_coverage_reports_are_reproducible():
     kwargs = dict(trials=40, master_seed=314, reference=Fraction(1, 5))
     a = run_coverage(inst, Objective.WELFARE, plan, **kwargs)
     b = run_coverage(inst, Objective.WELFARE, plan, **kwargs)
-    c = run_coverage(inst, Objective.WELFARE, plan, workers=4, **kwargs)
-    assert coverage_csv(a) == coverage_csv(b) == coverage_csv(c)
-    assert a.rows == b.rows == c.rows
+    assert coverage_csv(a) == coverage_csv(b)
+    assert a.rows == b.rows
 
 
 def test_csv_shape_and_verdicts():

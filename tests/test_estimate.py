@@ -78,26 +78,26 @@ def test_median_of_constant_runs_is_constant():
     assert report.estimate == 3.0
 
 
-def test_reports_are_deterministic_and_worker_independent():
+def test_reports_are_deterministic_across_repeated_calls():
     inst = worst_case_metric_line(5)
     reference = estimate_median_of_means(inst, Objective.COST, k=503, runs=4, seed=2718)
-    for workers in (1, 2, 4):
-        again = estimate_median_of_means(inst, Objective.COST, k=503, runs=4, seed=2718, workers=workers)
+    for _ in range(3):
+        again = estimate_median_of_means(inst, Objective.COST, k=503, runs=4, seed=2718)
         assert again.run_values == reference.run_values
         assert again.estimate == reference.estimate
     single = estimate_mean(inst, Objective.COST, k=997, seed=555)
-    for workers in (2, 3, 4):
-        assert estimate_mean(inst, Objective.COST, k=997, seed=555, workers=workers) == single
+    for _ in range(3):
+        assert estimate_mean(inst, Objective.COST, k=997, seed=555) == single
 
 
-def test_sampling_starts_no_thread_whatever_the_worker_count(monkeypatch):
+def test_sampling_starts_no_thread(monkeypatch):
     def refuse(self):
         raise AssertionError("the estimator started a thread")
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     inst = worst_case_metric_line(4)
-    estimate_median_of_means(inst, Objective.COST, k=50, runs=3, seed=1, workers=8)
-    estimate_mean(inst, Objective.COST, k=50, seed=1, workers=8)
+    estimate_median_of_means(inst, Objective.COST, k=50, runs=3, seed=1)
+    estimate_mean(inst, Objective.COST, k=50, seed=1)
 
 
 def test_estimator_distribution_is_binomial_on_bernoulli():

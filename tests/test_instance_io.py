@@ -16,8 +16,8 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.core import exact_int
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, QUOTED_LENGTH, format_number, parse_literal
+from rsdlab.core import QUOTED_LENGTH, exact_int
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
 
 
 def test_deep_nesting_is_a_format_error():
