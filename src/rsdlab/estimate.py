@@ -24,8 +24,12 @@ each of the ``n!`` orderings once, into a table indexed by the ordering's
 Fisher-Yates code (:func:`rsdlab.rng.code_permutations`), and a sample is
 then one lookup of the code :func:`rsdlab.rng.run_codes` draws for it: the
 same integer score, so the same run totals, with no more serial-dictatorship
-calls than sampling would make.  Otherwise every sample is drawn and scored
-afresh.  Either way the work runs in one loop and one thread.
+calls than sampling would make.  Otherwise a run's orderings go to
+:func:`rsdlab.sd.sd_total`, which runs serial dictatorship on up to
+:data:`rsdlab.sd.LANES` (4,096) of them at once, one bit per ordering, and
+returns the exact integer total of their scores, the sum that scoring each
+with :func:`rsdlab.sd.sd_assign` gives.  Either way the work runs in one
+thread.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -41,7 +45,7 @@ from math import factorial
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
 from .rng import code_permutations, run_codes, run_permutations
-from .sd import sd_assign
+from .sd import sd_assign, sd_total
 
 TABLE_MAX_N = 8
 """Largest n whose ``factorial(n)`` orderings are scored once into a table
@@ -120,10 +124,7 @@ def _run_totals(prefs, scaled, k, runs, seed):
             yield sum(sum(map(table.__getitem__, codes)) for codes in run_codes(seed, run, k, n))
         return
     for run in range(runs):
-        total = 0
-        for perm in run_permutations(seed, run, k, n):
-            total += sum(map(list.__getitem__, scaled, sd_assign(prefs, perm)))
-        yield total
+        yield sd_total(prefs, scaled, run_permutations(seed, run, k, n))
 
 
 def estimate_mean(

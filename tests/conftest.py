@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
 from rsdlab.core import SETTING_VALUE, Objective, Violation, clipped, integer_payoff_table, preference_rows
@@ -25,6 +26,21 @@ def value_battery(count: int, base_seed: int, ns=(2, 3, 4, 5, 6, 7)) -> list[Ass
 
 def abstract_battery(count: int, base_seed: int, ns=(2, 3, 4)) -> list[AssignmentInstance]:
     return [random_abstract(ns[i % len(ns)], base_seed + i) for i in range(count)]
+
+
+def tie_battery(count: int, seed: int, ns=(2, 4, 6)) -> list[AssignmentInstance]:
+    """Value and line instances with entries in {0, 1, 2}, so most
+    preference rows contain ties."""
+    rng = Random(seed)
+    out = []
+    for i in range(count):
+        n = ns[i % len(ns)]
+        if i % 2:
+            out.append(AssignmentInstance.from_values([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
+        else:
+            out.append(AssignmentInstance.from_line_points(
+                [rng.randint(0, 2) for _ in range(n)], [rng.randint(0, 2) for _ in range(n)]))
+    return out
 
 
 def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objective | None = None) -> ExactSummary:

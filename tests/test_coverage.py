@@ -102,3 +102,15 @@ def test_csv_shape_and_verdicts():
         assert len(fields) == 7
         assert fields[5] in ("pass", "fail")
         assert fields[6] in ("within", "over-fail", "under-fail")
+
+
+def test_criterion_9_plan_covers_the_n12_line_against_the_dp_reference():
+    # the criterion-9 plan at n = 12 draws 663,552 samples per trial, all on
+    # the per-sample path above the table bound
+    inst = worst_case_metric_line(12)
+    plan = sample_size(Method.COST_MEDIAN_OF_MEANS, 12, "0.5", "0.2")
+    assert (plan.k, plan.runs) == (27_648, 24)
+    report = run_coverage(inst, Objective.COST, plan, trials=1, master_seed=121_212, oracle_cap=12)
+    assert report.reference_provenance == EXACT_ORACLE
+    assert report.reference == enumerate_rsd(inst, Objective.COST, cap=12).mean
+    assert report.failures == 0

@@ -1,13 +1,11 @@
 import math
 import threading
 from fractions import Fraction
-from random import Random
 
 import pytest
 
-from conftest import abstract_battery, metric_battery, reference_run_means, value_battery
+from conftest import abstract_battery, metric_battery, reference_run_means, tie_battery, value_battery
 from rsdlab import (
-    AssignmentInstance,
     Objective,
     bernoulli_welfare,
     build_reduction,
@@ -23,7 +21,7 @@ from rsdlab import (
 from rsdlab import estimate as estimate_module
 from rsdlab.estimate import ExactFloatSum
 from rsdlab.rng import _CHUNK
-from rsdlab.sd import random_ordering, sd_assign, sd_run
+from rsdlab.sd import LANES, random_ordering, sd_assign, sd_run
 
 
 def test_k_one_equals_single_run_value():
@@ -190,20 +188,6 @@ def objective_of(inst):
     return Objective.WELFARE if inst.setting == "value" else Objective.COST
 
 
-def tie_battery(count: int, seed: int) -> list[AssignmentInstance]:
-    # entries in {0, 1, 2} make most preference rows contain ties
-    rng = Random(seed)
-    out = []
-    for i in range(count):
-        n = (2, 4, 6)[i % 3]
-        if i % 2:
-            out.append(AssignmentInstance.from_values([[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]))
-        else:
-            out.append(AssignmentInstance.from_line_points(
-                [rng.randint(0, 2) for _ in range(n)], [rng.randint(0, 2) for _ in range(n)]))
-    return out
-
-
 @pytest.fixture
 def samplers(monkeypatch):
     """The sampler each run of an estimator call reads, in order: "table"
@@ -243,6 +227,10 @@ def mixed_battery():
     pytest.param(8, 15, lambda: battery_at(5, 8600), id="n5-at"),
     pytest.param(719, 1, lambda: battery_at(6, 8700), id="n6-below"),
     pytest.param(240, 3, lambda: battery_at(6, 8700), id="n6-at"),
+] + [
+    # one ordering short of a full lane batch, a full batch, and one into a second
+    pytest.param(k, 2, lambda: battery_at(9, 8800) + tie_battery(2, 8900, ns=(9,)), id=f"n9-{k}")
+    for k in (LANES - 1, LANES, LANES + 1)
 ])
 def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
     seed = 8500 + k

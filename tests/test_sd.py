@@ -1,11 +1,12 @@
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import metric_battery
+from conftest import metric_battery, tie_battery
 from rsdlab import (
     AssignmentInstance,
     Matching,
@@ -22,6 +23,8 @@ from rsdlab import (
     substream,
     worst_case_metric_line,
 )
+from rsdlab.core import integer_payoff_table, preference_rows
+from rsdlab.sd import LANES, sd_assign, sd_total
 
 
 def test_worst_case_identity_run():
@@ -148,3 +151,19 @@ def test_sd_cost_within_power_of_two_factor_of_opt():
         for order in permutations(range(1, inst.n + 1)):
             matching = serial_dictatorship(inst, Ordering(order))
             assert evaluate(inst, matching, Objective.COST) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20, 257])
+def test_sd_total_is_the_sum_of_sd_assign_scores(n):
+    # arbitrary orderings, not Fisher-Yates draws, across a lane-batch boundary
+    # where sd_assign is cheap; n = 257 is the first n whose agent indices
+    # reach the high byte of their 16 bits
+    rng = Random(n)
+    count = 40 if n > 20 else LANES + 2
+    for inst in tie_battery(2, 9100 + n, ns=(n,)):
+        prefs = preference_rows(inst)
+        scaled, _ = integer_payoff_table(inst)
+        orders = [list(range(n)), list(range(n))[::-1]] + [rng.sample(range(n), n) for _ in range(count - 2)]
+        expected = sum(scaled[a][g] for order in orders for a, g in enumerate(sd_assign(prefs, order)))
+        assert sd_total(prefs, scaled, iter(orders)) == expected
+        assert sd_total(prefs, scaled, []) == 0
