@@ -44,7 +44,9 @@ def sd_assign(prefs: tuple[tuple[int, ...], ...], order: tuple[int, ...] | list[
 
 def _packed(orders: Iterable[list[int]], width: int) -> bytes:
     """The agent indices of ``orders`` in order, ``width`` bytes each, low
-    byte first."""
+    byte first.  One byte is enough up to n = 256, and cheaper: 16-bit words
+    at every n made ``large-instance`` (n = 20) 2% slower and 0.34 MB larger
+    in peak RSS, losing 8 of 10 alternating pairs and all 10 on RSS."""
     if width == 1:
         return bytes(chain.from_iterable(orders))
     packed = array("H")
