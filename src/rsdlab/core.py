@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -44,18 +45,40 @@ SETTING_ABSTRACT = "abstract"
 SETTINGS = (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT)
 
 
+MAX_EXPONENT = 4300
+"""Largest decimal exponent magnitude a numeric string may carry; the same
+as Python's default limit on the digits of an int parsed from a string."""
+# Fraction's grammar reads digits of any script in an exponent, as int does
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
+def exponent_too_large(text: str) -> bool:
+    """True iff ``text`` carries a decimal exponent beyond :data:`MAX_EXPONENT`
+    in magnitude, checked on the text: Fraction builds 10**e for it."""
+    match = _EXPONENT.search(text)
+    if match is None:
+        return False
+    digits = match[1].replace("_", "")
+    if not digits.isascii():
+        digits = "".join(str(int(d)) for d in digits)
+    digits = digits.lstrip("0")
+    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
+
+
 def as_fraction(x) -> Fraction:
     """Exact conversion to Fraction.
 
     Strings are parsed as integer or decimal literals (``"0.25"`` becomes
-    1/4).  Floats convert to their exact binary value; prefer strings or
-    Fractions where the precise decimal matters.
+    1/4); one whose decimal exponent exceeds :data:`MAX_EXPONENT` in
+    magnitude raises :class:`ValueError`.  Floats convert to their exact
+    binary value; prefer strings or Fractions where the precise decimal
+    matters.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str, Rational)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, str) and exponent_too_large(x):
+        raise ValueError(f"{clipped(x, repr)}: decimal exponent beyond ±{MAX_EXPONENT}")
+    if isinstance(x, (int, str, float, Rational)):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
 
@@ -212,6 +235,12 @@ class Objective(enum.Enum):
             )
 
 
+def _is_permutation(xs: Sequence[int], n: int) -> bool:
+    """True iff ``xs`` holds 1..n, each once.  The lengths are compared
+    first, so the memory spent follows ``xs``, never a declared ``n``."""
+    return len(xs) == n and sorted(xs) == list(range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class Ordering:
     """Agent ordering: ``seq[t]`` is the (1-indexed) agent acting at turn t."""
@@ -226,7 +255,7 @@ class Ordering:
         return len(self.seq)
 
     def is_permutation(self) -> bool:
-        return sorted(self.seq) == list(range(1, len(self.seq) + 1))
+        return _is_permutation(self.seq, self.n)
 
 
 @dataclass(frozen=True)
@@ -246,7 +275,7 @@ class Matching:
         return self.assign[agent - 1]
 
     def is_perfect(self) -> bool:
-        return sorted(self.assign) == list(range(1, len(self.assign) + 1))
+        return _is_permutation(self.assign, self.n)
 
 
 @dataclass(frozen=True)
@@ -388,7 +417,7 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
         if len(instance.rankings) != n:
             out.append(Violation("shape", (len(instance.rankings),), f"expected {n} rankings"))
         for i, row in enumerate(instance.rankings, start=1):
-            if sorted(row) != list(range(1, n + 1)):
+            if not _is_permutation(row, n):
                 out.append(Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}"))
         return out
 

@@ -26,10 +26,10 @@ Python version (underscores from 3.11, for one).  Integers and decimals are
 written in pieces past Python's int-to-str digit limit
 (:func:`rsdlab.core.exact_str`).  On reading, a literal longer than
 :data:`MAX_LITERAL_LENGTH` characters, one whose decimal exponent exceeds
-:data:`MAX_EXPONENT` in magnitude, or one whose denominator is zero is
-rejected with :class:`InstanceFormatError`; a message quotes at most the
-first :data:`rsdlab.core.QUOTED_LENGTH` characters of a literal, and its
-length.
+:data:`rsdlab.core.MAX_EXPONENT` in magnitude, or one whose denominator is
+zero is rejected with :class:`InstanceFormatError`; a message quotes at
+most the first :data:`rsdlab.core.QUOTED_LENGTH` characters of a literal,
+and its length.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
+    MAX_EXPONENT,
     SETTING_ABSTRACT,
     SETTING_METRIC,
     SETTING_VALUE,
@@ -47,14 +48,10 @@ from .core import (
     clipped,
     exact_int,
     exact_str,
+    exponent_too_large,
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
-
-MAX_EXPONENT = 4300
-"""Largest decimal exponent magnitude a numeric literal may carry; the same
-as Python's default limit on the digits of an int parsed from a string."""
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 
 MAX_LITERAL_LENGTH = 10_000
 """Longest numeric literal text read, in characters, checked before any
@@ -67,14 +64,6 @@ _DIGITS = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/([0-9]+))?\s
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
-
-
-def _exponent_too_large(text: str) -> bool:
-    match = _EXPONENT.search(text)
-    if match is None:
-        return False
-    digits = match[1].replace("_", "").lstrip("0")
-    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
 
 
 def parse_literal(x, where: str) -> Fraction:
@@ -91,8 +80,7 @@ def parse_literal(x, where: str) -> Fraction:
                 raise InstanceFormatError(f"{where}: {clipped(x, repr)} has a zero denominator")
             numerator = exact_int(whole + frac)
             return Fraction(-numerator if sign == "-" else numerator, denominator)
-        # Fraction builds 10**e for an exponent e, so bound e on the text first
-        if _exponent_too_large(x):
+        if exponent_too_large(x):
             raise InstanceFormatError(f"{where}: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
             return Fraction(x)

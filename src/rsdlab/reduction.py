@@ -10,14 +10,13 @@ computing the expected objective is as hard as computing the lottery.
 it is exact integer arithmetic; the block width is an integer bit length.
 
 Layout, with q = bit length of n! (= ceil(log2(n! + 1))) and L[i][j] the
-number of orderings assigning agent i its rank-j item:
-
-* value setting:  v_i(rank j) = 2^((i*n - j) * q); block (i, j) of the
-  scaled total sits at bit offset (i*n - j) * q.
-* metric setting: c_i(rank j) = 2^(n^2 * q) + 2^(((i-1)*n + j - 1) * q);
-  block (i, j) sits at offset ((i-1)*n + j - 1) * q and the bits from
-  position n^2 * q upward hold the leftover sum of all L entries (n * n!),
-  which the decoder reports but never consumes.
+number of orderings assigning agent i its rank-j item: block (i, j) of the
+scaled total sits at bit offset ((i-1)*n + r) * q, one rule for both
+settings with the rank read from opposite ends, r = n - j in the value
+setting and r = j - 1 in the metric setting.  Agent i's rank-j payoff is
+2^offset, plus 2^(n^2 * q) in the metric setting; there the bits from
+position n^2 * q upward hold the leftover sum of all L entries (n * n!),
+which the decoder reports but never consumes.
 
 Every L entry is at most n!, so q bits per block suffice and no block ever
 carries into its neighbour.  Costs all lie within a factor of 2 of each
@@ -47,6 +46,21 @@ def block_bits(n: int) -> int:
     return math.factorial(n).bit_length()
 
 
+def _offsets(n: int, setting: str) -> tuple[list[list[int]], int | None]:
+    """The bit layout: ``blocks[i - 1][j - 1]`` is the offset of block (agent
+    i, rank j), ((i - 1) * n + r) * q with r = n - j in the value setting and
+    r = j - 1 in the metric setting; ``top`` is n^2 * q, the offset of the
+    metric setting's leftover sum, or None in the value setting."""
+    q = block_bits(n)
+    if setting == SETTING_VALUE:
+        ranks, top = range(n - 1, -1, -1), None
+    elif setting == SETTING_METRIC:
+        ranks, top = range(n), n * n * q
+    else:
+        raise ValueError(f"setting must be 'value' or 'metric', got {setting!r}")
+    return [[(i * n + r) * q for r in ranks] for i in range(n)], top
+
+
 def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInstance:
     """Value or metric instance whose preferences equal ``source``'s rankings."""
     if source.setting != "abstract":
@@ -55,24 +69,15 @@ def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInsta
     if problems:
         raise ValueError(f"source instance is invalid: {problems[0].message}")
     n = source.n
-    q = block_bits(n)
-
-    if setting == SETTING_VALUE:
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(1, n + 1):
-            for j, item in enumerate(source.ranking(i), start=1):
-                rows[i - 1][item - 1] = Fraction(1 << ((i * n - j) * q))
+    blocks, top = _offsets(n, setting)
+    base = 0 if top is None else 1 << top
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for row, ranking, offsets in zip(rows, source.rankings, blocks):
+        for item, offset in zip(ranking, offsets):
+            row[item - 1] = Fraction(base + (1 << offset))
+    if top is None:
         return AssignmentInstance.from_values(rows)
-
-    if setting == SETTING_METRIC:
-        base = 1 << (n * n * q)
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(1, n + 1):
-            for j, item in enumerate(source.ranking(i), start=1):
-                rows[i - 1][item - 1] = Fraction(base + (1 << (((i - 1) * n + j - 1) * q)))
-        return AssignmentInstance.from_costs(rows)
-
-    raise ValueError(f"setting must be 'value' or 'metric', got {setting!r}")
+    return AssignmentInstance.from_costs(rows)
 
 
 def _scaled_total(built: AssignmentInstance, objective: Objective, counts) -> int:
@@ -96,21 +101,10 @@ def decode_counts(scaled_total: int, n: int, setting: str) -> tuple[tuple[tuple[
     """
     if scaled_total < 0:
         raise ValueError("scaled total must be non-negative")
-    q = block_bits(n)
-    mask = (1 << q) - 1
-    if setting == SETTING_VALUE:
-        counts = tuple(
-            tuple((scaled_total >> ((i * n - j) * q)) & mask for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-        return counts, None
-    if setting == SETTING_METRIC:
-        counts = tuple(
-            tuple((scaled_total >> (((i - 1) * n + j - 1) * q)) & mask for j in range(1, n + 1))
-            for i in range(1, n + 1)
-        )
-        return counts, scaled_total >> (n * n * q)
-    raise ValueError(f"setting must be 'value' or 'metric', got {setting!r}")
+    blocks, top = _offsets(n, setting)
+    mask = (1 << block_bits(n)) - 1
+    counts = tuple(tuple(scaled_total >> offset & mask for offset in offsets) for offsets in blocks)
+    return counts, None if top is None else scaled_total >> top
 
 
 def lottery_from_counts(

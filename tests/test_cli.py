@@ -464,6 +464,18 @@ def test_validation_report_cuts_a_long_value(tmp_path, capsys):
     ]
 
 
+def test_a_huge_declared_n_fails_validation_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": 1000000000000000000, "setting": "abstract", "rankings": [[1]]}')
+    code, out, err = run_cli(capsys, "exact", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: instance file {path} failed validation:",
+        "  - expected 1000000000000000000 rankings",
+        "  - ranking of agent 1 is not a permutation of 1..1000000000000000000",
+    ]
+
+
 def test_bounds_plans_up_to_its_max_n_and_refuses_past_it(capsys):
     argv = ("bounds", "--method", "cost-bernstein", "--eps", "0.5", "--delta", "0.1", "--n")
     code, out, err = run_cli(capsys, *argv, str(bounds.MAX_N))

@@ -13,18 +13,20 @@ from conftest import (
 )
 from rsdlab import (
     AssignmentInstance,
+    Method,
     Objective,
     bernoulli_welfare,
     build_reduction,
     derive_preferences,
     random_metric_line,
     remove_agent_best,
+    sample_size,
     solve_opt,
     validate,
     worst_case_metric_line,
 )
 from rsdlab import core
-from rsdlab.core import QUOTED_LENGTH, exact_int, exact_str, preference_rows
+from rsdlab.core import MAX_EXPONENT, QUOTED_LENGTH, as_fraction, exact_int, exact_str, preference_rows
 
 
 def test_bernoulli_preferences_follow_min_index():
@@ -110,6 +112,16 @@ def test_non_permutation_ranking_reported():
     violations = validate(inst)
     assert [v.code for v in violations] == ["ranking"]
     assert violations[0].indices == (1,)
+
+
+def test_validate_checks_rankings_against_a_huge_declared_n_without_allocating_it():
+    # a list of 10**18 ints would be asked for if the sort came before the length check
+    n = 10**18
+    inst = AssignmentInstance(n=n, setting="abstract", rankings=((1,),))
+    assert [(v.code, v.message) for v in validate(inst)] == [
+        ("shape", f"expected {n} rankings"),
+        ("ranking", f"ranking of agent 1 is not a permutation of 1..{n}"),
+    ]
 
 
 def test_remove_agent_best_worst_case():
@@ -270,3 +282,22 @@ def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):
         ratio = Fraction(-x, 10**1499 + 1)
         assert exact_str(ratio) == f"{ratio.numerator}/{ratio.denominator}"
         assert exact_int(exact_str(x)) == x
+
+
+@pytest.mark.parametrize("text", [
+    f"1e-{MAX_EXPONENT + 1}", f"1e{MAX_EXPONENT + 1}", "2.5E+4_301", "1e-\u0664\u0663\u0660\u0661",
+    "1e-" + "9" * 100,
+])
+def test_as_fraction_refuses_a_string_exponent_past_the_bound(text):
+    # refused on the text: Fraction would build 10**e first
+    with pytest.raises(ValueError, match=f"decimal exponent beyond ±{MAX_EXPONENT}"):
+        as_fraction(text)
+
+
+def test_as_fraction_and_sample_size_take_a_string_exponent_at_the_bound():
+    tiny = Fraction(1, 10**MAX_EXPONENT)
+    assert as_fraction(f"1e-{MAX_EXPONENT}") == tiny
+    assert as_fraction("1e-\u0664\u0663\u0660\u0660") == tiny
+    assert as_fraction(f"1e{MAX_EXPONENT}") == 1 / tiny
+    plan = sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", f"1e-{MAX_EXPONENT}")
+    assert plan == sample_size(Method.WELFARE_BERNSTEIN, 5, Fraction(1, 2), tiny)

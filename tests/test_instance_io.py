@@ -110,7 +110,7 @@ def test_exponent_at_the_bound_loads(entry):
 
 @pytest.mark.parametrize("entry", [
     f'"1e{MAX_EXPONENT + 1}"', f"1e{MAX_EXPONENT + 1}", f'"2.5E-{MAX_EXPONENT + 1}"',
-    f"2.5E-{MAX_EXPONENT + 1}", '"1e4_301"', "1e" + "9" * 50,
+    f"2.5E-{MAX_EXPONENT + 1}", '"1e4_301"', "1e" + "9" * 50, '"1e-\u0664\u0663\u0660\u0661"',
 ])
 def test_exponent_past_the_bound_is_rejected_before_conversion(entry):
     # rejected on the text, so no 10**e is ever built

@@ -117,11 +117,19 @@ def test_metric_top_block_is_n_times_factorial():
 
 
 def test_bit_blocks_are_disjoint():
+    # reads the layout the encoder and the decoder share
     for n in range(1, 13):
-        value_offsets = {(i * n - j) for i in range(1, n + 1) for j in range(1, n + 1)}
-        metric_offsets = {((i - 1) * n + j - 1) for i in range(1, n + 1) for j in range(1, n + 1)}
-        assert len(value_offsets) == n * n
-        assert len(metric_offsets) == n * n
+        q = block_bits(n)
+        for setting in ("value", "metric"):
+            blocks, _ = rsdlab.reduction._offsets(n, setting)
+            offsets = [offset for row in blocks for offset in row]
+            assert len(offsets) == n * n
+            bits = [bit for offset in offsets for bit in range(offset, offset + q)]
+            assert len(set(bits)) == n * n * q
+            assert min(bits) >= 0 and max(bits) < n * n * q
+            for row in blocks:
+                ascending = row if setting == "metric" else row[::-1]
+                assert all(a < b for a, b in zip(ascending, ascending[1:]))
 
 
 def test_entry_bit_length_is_polynomial():
