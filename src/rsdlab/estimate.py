@@ -9,13 +9,12 @@ confidence on heavy-tailed cost instances.  :func:`estimate_mean`, the plain
 k-sample mean, is its one-run case.
 
 Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
-substream ``(seed, j, i)``; a run takes its orderings in index order from
-:func:`rsdlab.rng.run_permutations`, which draws up to 1024 of them at once
-on packed 64-bit lanes and is bit-identical to the scalar
-``substream(seed, j, i).permutation(n)``.  Each ordering is scored exactly on
-the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A run
-sums its k integer scores and rounds once, to the float nearest the exact
-mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
+substream ``(seed, j, i)``, and a run's samples are the orderings
+:func:`rsdlab.rng.run_permutations` yields, bit-identical to the scalar
+``substream(seed, j, i).permutation(n)``.  Each ordering is scored exactly
+on the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A
+run sums its k integer scores and rounds once, to the float nearest the
+exact mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
 identical however the samples are partitioned.
 
 When a call draws at least ``n!`` samples in all (``k * runs``) and n is at
@@ -24,12 +23,14 @@ each of the ``n!`` orderings once, into a table indexed by the ordering's
 Fisher-Yates code (:func:`rsdlab.rng.code_permutations`), and a sample is
 then one lookup of the code :func:`rsdlab.rng.run_codes` draws for it: the
 same integer score, so the same run totals, with no more serial-dictatorship
-calls than sampling would make.  Otherwise a run's orderings go to
-:func:`rsdlab.sd.sd_total`, which runs serial dictatorship on up to
-:data:`rsdlab.sd.LANES` (4,096) of them at once, one bit per ordering, and
-returns the exact integer total of their scores, the sum that scoring each
-with :func:`rsdlab.sd.sd_assign` gives.  Either way the work runs in one
-thread.
+calls than sampling would make.  Otherwise :func:`rsdlab.sd.sd_total` takes
+a run in batches of up to :data:`rsdlab.sd.LANES` (4,096) samples.  A batch
+of at least 1.5 n b samples (b the bits of an agent index) at n <=
+:data:`rsdlab.sd.LANES_MAX_N` (192) runs on lanes: its shuffles and serial
+dictatorship run on every sample at once, one bit of a Python int each,
+straight from the packed draws.  Any other batch, small or at larger n,
+scores its orderings one at a time with :func:`rsdlab.sd.sd_assign`.
+Both give the exact integer total, and all of it runs in one thread.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -44,7 +45,7 @@ from fractions import Fraction
 from math import factorial
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
-from .rng import code_permutations, run_codes, run_permutations
+from .rng import code_permutations, run_codes
 from .sd import sd_assign, sd_total
 
 TABLE_MAX_N = 8
@@ -124,7 +125,7 @@ def _run_totals(prefs, scaled, k, runs, seed):
             yield sum(sum(map(table.__getitem__, codes)) for codes in run_codes(seed, run, k, n))
         return
     for run in range(runs):
-        yield sd_total(prefs, scaled, run_permutations(seed, run, k, n))
+        yield sd_total(prefs, scaled, seed, run, k)
 
 
 def estimate_mean(

@@ -15,51 +15,41 @@ float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.
 
-A string in one of the ASCII forms ``[sign]digits[.digits]``,
-``[sign].digits`` or ``[sign]digits/digits`` (sign ``-`` or ``+``, optional
-whitespace around the whole) is read by this module at any length, with one
-int conversion per digit run up to 512 digits and in pieces past that
-(:func:`rsdlab.core.exact_int`).  Every other string goes to
-:class:`fractions.Fraction`, which also reads underscores, exponents and
-other Unicode digits; what it accepts beyond the forms above varies with the
-Python version (underscores from 3.11, for one).  Integers and decimals are
-written in pieces past Python's int-to-str digit limit
-(:func:`rsdlab.core.exact_str`).  On reading, a literal longer than
-:data:`MAX_LITERAL_LENGTH` characters, one whose decimal exponent exceeds
-:data:`rsdlab.core.MAX_EXPONENT` in magnitude, or one whose denominator is
-zero is rejected with :class:`InstanceFormatError`; a message quotes at
-most the first :data:`rsdlab.core.QUOTED_LENGTH` characters of a literal,
-and its length.
+Strings are read by :func:`rsdlab.core.parse_number`, the same reader
+:func:`rsdlab.core.as_fraction` uses: the ASCII forms
+``[sign]digits[.digits]``, ``[sign].digits`` and ``[sign]digits/digits``
+(sign ``-`` or ``+``, optional whitespace around the whole) at any length,
+and every other string through :class:`fractions.Fraction`, which also reads
+underscores, exponents and other Unicode digits; what it accepts beyond the
+forms above varies with the Python version (underscores from 3.11, for
+one).  Integers and decimals are written in pieces past Python's int-to-str
+digit limit (:func:`rsdlab.core.exact_str`).  On reading, a literal longer
+than :data:`rsdlab.core.MAX_LITERAL_LENGTH` characters, one whose decimal
+exponent exceeds :data:`rsdlab.core.MAX_EXPONENT` in magnitude, or one whose
+denominator is zero is rejected with :class:`InstanceFormatError`, its
+message led by the literal's place in the file; a message quotes at most
+the first :data:`rsdlab.core.QUOTED_LENGTH` characters of a literal, and
+its length.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 
 from .core import (
-    MAX_EXPONENT,
+    MAX_EXPONENT,  # both limits are still importable from this module
+    MAX_LITERAL_LENGTH,
     SETTING_ABSTRACT,
     SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
-    clipped,
-    exact_int,
     exact_str,
-    exponent_too_large,
+    parse_number,
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
-
-MAX_LITERAL_LENGTH = 10_000
-"""Longest numeric literal text read, in characters, checked before any
-conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
-# The ASCII forms of Fraction's grammar without underscores or an exponent,
-# read here at any length: [sign]digits[.digits], [sign].digits and
-# [sign]digits/digits, with optional whitespace around the whole.
-_DIGITS = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/([0-9]+))?\s*")
 
 
 class InstanceFormatError(ValueError):
@@ -67,27 +57,14 @@ class InstanceFormatError(ValueError):
 
 
 def parse_literal(x, where: str) -> Fraction:
-    """Exact value of an integer or a numeric string; ``where`` names it in
-    the :class:`InstanceFormatError` raised for anything else."""
+    """Exact value of an integer or a numeric string (read by
+    :func:`rsdlab.core.parse_number`); ``where`` names it in the
+    :class:`InstanceFormatError` raised for anything else."""
     if isinstance(x, str):
-        if len(x) > MAX_LITERAL_LENGTH:
-            raise InstanceFormatError(f"{where}: literal longer than {MAX_LITERAL_LENGTH} characters")
-        digits = _DIGITS.fullmatch(x)
-        if digits is not None:
-            sign, whole, frac, den = digits.groups("")
-            denominator = exact_int(den) if den else 10 ** len(frac)
-            if denominator == 0:
-                raise InstanceFormatError(f"{where}: {clipped(x, repr)} has a zero denominator")
-            numerator = exact_int(whole + frac)
-            return Fraction(-numerator if sign == "-" else numerator, denominator)
-        if exponent_too_large(x):
-            raise InstanceFormatError(f"{where}: decimal exponent beyond ±{MAX_EXPONENT}")
         try:
-            return Fraction(x)
+            return parse_number(x)
         except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {clipped(x, repr)} is not a numeric literal") from exc
-        except ZeroDivisionError as exc:
-            raise InstanceFormatError(f"{where}: {clipped(x, repr)} has a zero denominator") from exc
+            raise InstanceFormatError(f"{where}: {exc}") from None
     if isinstance(x, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(x, int):

@@ -21,15 +21,15 @@ Permutations are drawn with the decreasing-index Fisher-Yates shuffle, one
 bounded draw per position from ``n - 1`` down to ``1``.
 
 ``SplitMix64``, ``substream`` and ``permutation`` are the scalar reference.
-``run_permutations(seed, run, k, n)`` yields exactly
-``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``, but
-runs the generators of up to ``_CHUNK`` samples at once, packed into one
-Python int: sample ``i`` of a chunk owns the 64-bit lane in the low half of
-the 128-bit slot ``i``.  Masking with ``& lane`` (all-ones in every lane)
-after each shift-xor and before each multiply keeps every product of a lane
-and a 64-bit constant inside its slot, so the packed arithmetic is the
-scalar arithmetic on every lane at once.  The draws are read out as native
-64-bit words; the swaps of each shuffle stay per sample.
+``packed_draws(seed, run, start, count, n)`` runs the generators of samples
+``start .. start + count - 1`` at once, packed into one Python int: sample
+``start + s`` owns the 64-bit lane in the low half of the 128-bit slot ``s``.
+Masking with ``& lane`` (all-ones in every lane) after each shift-xor and
+before each multiply keeps every product of a lane and a 64-bit constant
+inside its slot, so the packed arithmetic is the scalar arithmetic on every
+lane at once.  It yields one packed int of draws per position, which
+:func:`rsdlab.sd.sd_total` shuffles on bit planes and ``run_permutations``
+reads out as 64-bit words to swap per sample.
 
 A shuffle's draws ``j_m = below(m + 1)``, ``m`` from ``n - 1`` down to ``1``,
 are the digits of a mixed-radix number, its code ``sum(j_m * factorial(m))``,
@@ -128,21 +128,16 @@ def _words(z: int, count: int) -> memoryview:
     return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
-def _packed_draws(seed: int, run: int, k: int, n: int) -> Iterator[tuple[int, list[int]]]:
-    """Samples ``0 .. k - 1`` of ``(seed, run)``, ``_CHUNK`` at a time: each
-    chunk's size and, for ``i`` from ``n - 1`` down to ``1``, one packed int
-    whose lane ``s`` is the draw ``below(i + 1)`` of the chunk's sample ``s``."""
-    base = _run_state(seed, run)
-    for start in range(0, k, _CHUNK):
-        count = min(_CHUNK, k - start)
-        ones, lane, ramp = _lanes(count)
-        step = _GOLDEN * ones
-        state = _mix_lanes(((base + start) * ones + ramp) & lane, lane)
-        draws = []
-        for i in range(n - 1, 0, -1):
-            state = (state + step) & lane
-            draws.append((_mix_lanes(state, lane) * (i + 1)) >> 64 & lane)
-        yield count, draws
+def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterator[int]:
+    """The draws of samples ``start .. start + count - 1`` of ``(seed, run)``,
+    one position at a time: for ``i`` from ``n - 1`` down to ``1``, one packed
+    int whose lane ``s`` is the draw ``below(i + 1)`` of sample ``start + s``."""
+    ones, lane, ramp = _lanes(count)
+    step = _GOLDEN * ones
+    state = _mix_lanes(((_run_state(seed, run) + start) * ones + ramp) & lane, lane)
+    for i in range(n - 1, 0, -1):
+        state = (state + step) & lane
+        yield (_mix_lanes(state, lane) * (i + 1)) >> 64 & lane
 
 
 def _shuffled(identity: list[int], positions: range, js) -> list[int]:
@@ -153,17 +148,19 @@ def _shuffled(identity: list[int], positions: range, js) -> list[int]:
     return items
 
 
-def run_permutations(seed: int, run: int, k: int, n: int) -> Iterator[list[int]]:
-    """``substream(seed, run, i).permutation(n)`` for ``i`` in ``range(k)``,
-    in that order, drawn ``_CHUNK`` samples at a time on packed lanes."""
+def run_permutations(seed: int, run: int, k: int, n: int, start: int = 0) -> Iterator[list[int]]:
+    """``substream(seed, run, i).permutation(n)`` for ``i`` in
+    ``range(start, start + k)``, in that order, drawn ``_CHUNK`` samples at a
+    time on packed lanes."""
     identity = list(range(n))
     positions = range(n - 1, 0, -1)
     if n < 2:  # no draws
         for _ in range(k):
             yield identity[:]
         return
-    for count, draws in _packed_draws(seed, run, k, n):
-        for js in zip(*[_words(d, count) for d in draws]):
+    for first in range(start, start + k, _CHUNK):
+        count = min(_CHUNK, start + k - first)
+        for js in zip(*[_words(d, count) for d in packed_draws(seed, run, first, count, n)]):
             yield _shuffled(identity, positions, js)
 
 
@@ -174,8 +171,10 @@ def run_codes(seed: int, run: int, k: int, n: int) -> Iterator[memoryview]:
     """
     if n > 20:
         raise ValueError("codes fit 64 bits only for n <= 20")
-    for count, draws in _packed_draws(seed, run, k, n):
-        yield _words(sum(d * factorial(i) for i, d in zip(range(n - 1, 0, -1), draws)), count)
+    for first in range(0, k, _CHUNK):
+        count = min(_CHUNK, k - first)
+        draws = zip(range(n - 1, 0, -1), packed_draws(seed, run, first, count, n))
+        yield _words(sum(d * factorial(i) for i, d in draws), count)
 
 
 def code_permutations(n: int) -> Iterator[list[int]]:

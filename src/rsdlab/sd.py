@@ -8,21 +8,25 @@ random orderings are drawn from the package's documented generator.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
 
 from .core import AssignmentInstance, Matching, Objective, Ordering, preference_rows
-from .rng import SplitMix64
+from .rng import SplitMix64, packed_draws, run_permutations
 
 LANES = 4096
-"""Orderings :func:`sd_total` runs at once, one bit each.  At 4,096 a (step,
-agent) lane set still holds about 40 lanes up to n = 100, enough to pay for
-its big-int operations: 1,024 lanes measured 20-40% slower from n = 20 to
-100, and 16,384 no more than a few percent faster."""
+"""Samples :func:`sd_total` runs at once on lanes, one bit of a Python int
+each: 1,024 measured 20-40% slower from n = 20 to 100, and 16,384 no more
+than a few percent faster.  A batch runs on lanes only at n <=
+:data:`LANES_MAX_N` and with at least 1.5 n b samples, b the bits of an
+agent index: the lane shuffle costs about n² b bit-set operations per batch
+and the scalar :func:`sd_assign` loop about n steps per sample, and the two
+measured even near that floor (54 samples at n = 9, 1,050 at n = 100)."""
+
+LANES_MAX_N = 192
+"""Largest n run on lanes: a full batch took 0.94 of the scalar loop's time
+at n = 192, but 1.16 at n = 256."""
 
 # _BIT_DIGITS[b] maps each byte to b"1" if its bit b is set, else to b"0"
 _BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
@@ -42,63 +46,89 @@ def sd_assign(prefs: tuple[tuple[int, ...], ...], order: tuple[int, ...] | list[
     return match
 
 
-def _packed(orders: Iterable[list[int]], width: int) -> bytes:
-    """The agent indices of ``orders`` in order, ``width`` bytes each, low
-    byte first.  One byte is enough up to n = 256, and cheaper: 16-bit words
-    at every n made ``large-instance`` (n = 20) 2% slower and 0.34 MB larger
-    in peak RSS, losing 8 of 10 alternating pairs and all 10 on RSS."""
-    if width == 1:
-        return bytes(chain.from_iterable(orders))
-    packed = array("H")
-    for order in orders:  # a third of the time array("H", iterator) takes at n = 300
-        packed.fromlist(order)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    return packed.tobytes()
+def _split(planes: list[int], mask: int, limit: int) -> list[int]:
+    """The lanes of ``mask`` split by the number their bits in ``planes``
+    spell (plane b holds bit b): entry v holds the lanes that read v, for
+    every v below ``limit``; lanes that read ``limit`` or more are dropped."""
+    sets = [mask]
+    for b in range(len(planes) - 1, -1, -1):
+        plane = planes[b]
+        clear = mask ^ plane
+        sets = [part for lanes in sets for part in (lanes & clear, lanes & plane)]
+        del sets[(limit + (1 << b) - 1) >> b:]
+    return sets
 
 
-def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], orders: Iterable[list[int]]) -> int:
+def _shuffled_planes(draws: Iterable[int], count: int, n: int) -> list[list[int]]:
+    """The decreasing-index Fisher-Yates shuffle of ``range(n)`` on ``count``
+    lanes at once, from :func:`rsdlab.rng.packed_draws`: entry ``[b][p]``
+    holds bit b of the agent at position p, sample s in bit ``count - 1 - s``.
+    Position i reads its draws as one byte column (so n <= 256), splits its
+    lanes by draw, and swaps with each position v in the lanes that drew v.
+    """
+    mask = (1 << count) - 1
+    planes = [[mask if p >> b & 1 else 0 for p in range(n)] for b in range((n - 1).bit_length())]
+    for i, packed in zip(range(n - 1, 0, -1), draws):
+        column = packed.to_bytes(16 * count, "little")[::16]  # the low byte of each lane
+        drew = _split([int(column.translate(_BIT_DIGITS[b]), 2) for b in range(i.bit_length())], mask, i)
+        for plane in planes:
+            at = plane[i]
+            for v, lanes in enumerate(drew):
+                x = (at ^ plane[v]) & lanes
+                at ^= x
+                plane[v] ^= x
+            plane[i] = at
+    return planes
+
+
+def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], planes: list[list[int]], count: int) -> int:
+    """The total score of the orderings in ``planes``: at step t the lanes
+    split into one set per agent at position t, and each agent walks its
+    preference row and takes its item in every lane where it is still free."""
+    n = len(prefs)
+    mask = (1 << count) - 1
+    free = [mask] * n
+    total = 0
+    for t in range(n):
+        for a, lanes in enumerate(_split([plane[t] for plane in planes], mask, n)):
+            if not lanes:
+                continue
+            row = scaled[a]
+            for g in prefs[a]:
+                got = lanes & free[g]
+                if got:
+                    total += row[g] * got.bit_count()
+                    free[g] ^= got
+                    lanes ^= got
+                    if not lanes:
+                        break
+    return total
+
+
+def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], orders: Iterable[list[int]]) -> int:
+    """The total score of ``orders``, one :func:`sd_assign` call each."""
+    return sum(sum(map(list.__getitem__, scaled, sd_assign(prefs, order))) for order in orders)
+
+
+def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, k: int) -> int:
     """The exact integer total of ``scaled[a][sd_assign(prefs, order)[a]]``
-    over every agent ``a`` of every ordering in ``orders``.
+    over every agent ``a`` of every ordering that
+    ``run_permutations(seed, run, k, n)`` yields.
 
-    Runs serial dictatorship on up to :data:`LANES` orderings at once, one
-    bit of a Python int per ordering.  At step t the lanes split into one
-    set per acting agent, by the bit planes of the agents' indices; each
-    agent then walks its preference row and takes its item in every lane
-    where that item is still free.
+    A batch of up to :data:`LANES` samples large enough for lanes is
+    shuffled and run on lanes, with no ordering built; any other batch is
+    scored one ordering at a time.  Either way the total is exact.
     """
     n = len(prefs)
-    bits = (n - 1).bit_length()
-    width = 1 if n <= 256 else 2  # bytes per agent index
-    stride = width * n
+    floor = 3 * n * (n - 1).bit_length()  # twice the fewest samples that pay for lanes
     total = 0
-    orders = iter(orders)
-    # each batch streams into its bytes, so no batch of orderings is held
-    while flat := _packed(islice(orders, LANES), width):
-        mask = (1 << len(flat) // stride) - 1
-        free = [mask] * n
-        for t in range(0, stride, width):
-            columns = [flat[t + i::stride] for i in range(width)]  # byte i of each lane's agent
-            # sets[p] holds the lanes whose acting agent's leading bits read p;
-            # a prefix whose agents all lie at or past n is dropped
-            sets = [mask]
-            for b in range(bits - 1, -1, -1):
-                plane = int(columns[b >> 3].translate(_BIT_DIGITS[b & 7]), 2)
-                clear = mask ^ plane
-                sets = [part for lanes in sets for part in (lanes & clear, lanes & plane)]
-                del sets[(n + (1 << b) - 1) >> b:]
-            for a, lanes in enumerate(sets):
-                if not lanes:
-                    continue
-                row = scaled[a]
-                for g in prefs[a]:
-                    got = lanes & free[g]
-                    if got:
-                        total += row[g] * got.bit_count()
-                        free[g] ^= got
-                        lanes ^= got
-                        if not lanes:
-                            break
+    for start in range(0, k, LANES):
+        count = min(LANES, k - start)
+        if n > LANES_MAX_N or 2 * count < floor:
+            total += _scalar_total(prefs, scaled, run_permutations(seed, run, count, n, start))
+        else:
+            planes = _shuffled_planes(packed_draws(seed, run, start, count, n), count, n)
+            total += _lane_total(prefs, scaled, planes, count)
     return total
 
 

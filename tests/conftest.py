@@ -13,7 +13,7 @@ from rsdlab import AssignmentInstance, random_abstract, random_metric_line, rand
 from rsdlab.core import SETTING_VALUE, Objective, Violation, clipped, integer_payoff_table, preference_rows
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
 from rsdlab.rng import substream
-from rsdlab.sd import sd_assign
+from rsdlab.sd import LANES, LANES_MAX_N, sd_assign
 
 
 def metric_battery(count: int, base_seed: int, ns=(2, 3, 4, 5, 6, 7)) -> list[AssignmentInstance]:
@@ -172,3 +172,9 @@ def reference_run_means(instance: AssignmentInstance, objective: Objective, k: i
             total += sum(scaled[a][match[a]] for a in range(n))
         means.append(float(Fraction(total, k * denom)))
     return tuple(means)
+
+
+def lane_floor(n: int) -> int:
+    """The fewest samples a batch of ``sd.sd_total`` runs on lanes with:
+    1.5 n b, b the bits of an agent index; no batch does above LANES_MAX_N."""
+    return (3 * n * (n - 1).bit_length() + 1) // 2 if n <= LANES_MAX_N else LANES + 1

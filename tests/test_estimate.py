@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import abstract_battery, metric_battery, reference_run_means, tie_battery, value_battery
+from conftest import abstract_battery, lane_floor, metric_battery, reference_run_means, tie_battery, value_battery
 from rsdlab import (
     Objective,
     bernoulli_welfare,
@@ -19,6 +19,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab import estimate as estimate_module
+from rsdlab import sd as sd_module
 from rsdlab.estimate import ExactFloatSum
 from rsdlab.rng import _CHUNK
 from rsdlab.sd import LANES, random_ordering, sd_assign, sd_run
@@ -190,16 +191,29 @@ def objective_of(inst):
 
 @pytest.fixture
 def samplers(monkeypatch):
-    """The sampler each run of an estimator call reads, in order: "table"
-    (``run_codes``) or "per-sample" (``run_permutations``)."""
+    """The path each sampled batch of an estimator call takes, in order:
+    "table" once per run (``run_codes``), else "lanes" or "scalar" once per
+    batch of up to ``LANES`` samples."""
     seen = []
-    for name, path in (("run_codes", "table"), ("run_permutations", "per-sample")):
-        def spy(*args, fn=getattr(estimate_module, name), path=path):
+    for module, name, path in ((estimate_module, "run_codes", "table"),
+                               (sd_module, "_lane_total", "lanes"),
+                               (sd_module, "_scalar_total", "scalar")):
+        def spy(*args, fn=getattr(module, name), path=path):
             seen.append(path)
             return fn(*args)
 
-        monkeypatch.setattr(estimate_module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return seen
+
+
+def expected_paths(n, k, runs):
+    """The table once per run when k * runs reaches n! at n <= 8; otherwise
+    each batch of up to LANES on lanes if it reaches the lane floor, else on
+    the scalar loop."""
+    if n <= 8 and math.factorial(n) <= k * runs:
+        return ["table"] * runs
+    batches = [min(LANES, k - start) for start in range(0, k, LANES)]
+    return ["lanes" if count >= lane_floor(n) else "scalar" for count in batches] * runs
 
 
 def battery_at(n, base_seed):
@@ -228,9 +242,10 @@ def mixed_battery():
     pytest.param(719, 1, lambda: battery_at(6, 8700), id="n6-below"),
     pytest.param(240, 3, lambda: battery_at(6, 8700), id="n6-at"),
 ] + [
+    # one sample short of the lane floor at n = 9 (1.5 * 9 * 4 = 54) and at it;
     # one ordering short of a full lane batch, a full batch, and one into a second
     pytest.param(k, 2, lambda: battery_at(9, 8800) + tie_battery(2, 8900, ns=(9,)), id=f"n9-{k}")
-    for k in (LANES - 1, LANES, LANES + 1)
+    for k in (53, 54, LANES - 1, LANES, LANES + 1)
 ])
 def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
     seed = 8500 + k
@@ -238,8 +253,7 @@ def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
         samplers.clear()
         report = estimate_median_of_means(inst, objective_of(inst), k=k, runs=runs, seed=seed)
         assert report.run_values == reference_run_means(inst, objective_of(inst), k, runs, seed), inst
-        table = inst.n <= 8 and math.factorial(inst.n) <= k * runs
-        assert samplers == ["table" if table else "per-sample"] * runs, inst
+        assert samplers == expected_paths(inst.n, k, runs), inst
 
 
 @pytest.mark.parametrize("n,table_size", [(5, 120), (8, 40320), (9, 0)])
@@ -252,7 +266,7 @@ def test_the_table_scores_each_of_up_to_8_factorial_orderings_once(monkeypatch, 
         return sd_assign(prefs, order)
 
     monkeypatch.setattr(estimate_module, "sd_assign", counted)
-    monkeypatch.setattr(estimate_module, "run_permutations", lambda *args: iter(()))  # no per-sample work
+    monkeypatch.setattr(estimate_module, "sd_total", lambda *args: 0)  # no per-sample work
     estimate_median_of_means(bernoulli_welfare(n), Objective.WELFARE, k=math.factorial(n) // 2, runs=2, seed=3)
     assert len(sd_calls) == table_size
     assert len(set(map(tuple, sd_calls))) == table_size

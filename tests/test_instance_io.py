@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rsdlab import (
@@ -16,7 +16,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.core import QUOTED_LENGTH, exact_int
+from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int
 from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
 
 
@@ -244,3 +244,36 @@ def test_long_literals_are_quoted_by_a_prefix_and_their_length(entry, message):
     with pytest.raises(InstanceFormatError) as info:
         loads_instance(f'{{"n": 2, "setting": "value", "values": [[1, 2], [3, "{entry}"]]}}')
     assert str(info.value) == f"values[2][2]: {quoted} {message}"
+
+
+_LITERAL_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-./ eE_١x", max_size=12),
+    # digit runs past Python's 4,300-digit int-to-str limit and past the length bound
+    st.builds(lambda sign, digits, times, tail: sign + digits * times + tail,
+              st.sampled_from(["", "-", "+", " "]), st.text(alphabet="0123456789", min_size=1, max_size=9),
+              st.integers(0, 1300), st.sampled_from(["", ".", ".5", "/3", "/0", "e2", " "])),
+)
+
+
+@settings(deadline=None)
+@given(_LITERAL_TEXT)
+@example("1" * 5000)
+@example("0." + "1" * 5000)
+def test_as_fraction_and_parse_literal_read_the_same_strings(text):
+    try:
+        value = parse_literal(text, "x")
+    except InstanceFormatError as refused:
+        with pytest.raises(ValueError) as info:
+            as_fraction(text)
+        assert str(refused) == f"x: {info.value}"
+    else:
+        assert as_fraction(text) == value
+
+
+def test_as_fraction_reads_a_literal_up_to_the_length_bound():
+    assert as_fraction("1" * MAX_LITERAL_LENGTH) == exact_int("1" * MAX_LITERAL_LENGTH)
+    assert as_fraction("0." + "5" * (MAX_LITERAL_LENGTH - 2)) == Fraction(exact_int("5" * (MAX_LITERAL_LENGTH - 2)),
+                                                                         10 ** (MAX_LITERAL_LENGTH - 2))
+    for text in ("1" * (MAX_LITERAL_LENGTH + 1), "0." + "5" * (MAX_LITERAL_LENGTH - 1)):
+        with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL_LENGTH} characters$"):
+            as_fraction(text)

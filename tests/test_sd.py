@@ -1,12 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
-from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import metric_battery, tie_battery
+from conftest import lane_floor, metric_battery, tie_battery
 from rsdlab import (
     AssignmentInstance,
     Matching,
@@ -24,7 +23,8 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.core import integer_payoff_table, preference_rows
-from rsdlab.sd import LANES, sd_assign, sd_total
+from rsdlab.rng import packed_draws, run_permutations
+from rsdlab.sd import LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
 
 
 def test_worst_case_identity_run():
@@ -153,17 +153,45 @@ def test_sd_cost_within_power_of_two_factor_of_opt():
             assert evaluate(inst, matching, Objective.COST) <= bound
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 20, 257])
+@pytest.mark.parametrize("n", [1, 2, 9, 20, LANES_MAX_N, LANES_MAX_N + 1, 257])
 def test_sd_total_is_the_sum_of_sd_assign_scores(n):
-    # arbitrary orderings, not Fisher-Yates draws, across a lane-batch boundary
-    # where sd_assign is cheap; n = 257 is the first n whose agent indices
-    # reach the high byte of their 16 bits
-    rng = Random(n)
-    count = 40 if n > 20 else LANES + 2
-    for inst in tie_battery(2, 9100 + n, ns=(n,)):
+    # the reference scores run_permutations' orderings one at a time; up to
+    # n = 20 the runs end in batches on both sides of the lane floor and of
+    # LANES; LANES_MAX_N runs the widest lane batch, and above it every
+    # batch runs the scalar loop, past one-byte agent indices at n = 257
+    floor = lane_floor(n)
+    ks = {1, 40} if n > LANES_MAX_N else {floor} if n > 20 else {max(floor - 1, 0), floor, LANES, LANES + 1, LANES + floor}
+    seed, run = 9100 + n, 3
+    for inst in tie_battery(2 if n <= 20 else 1, seed, ns=(n,)):
         prefs = preference_rows(inst)
         scaled, _ = integer_payoff_table(inst)
-        orders = [list(range(n)), list(range(n))[::-1]] + [rng.sample(range(n), n) for _ in range(count - 2)]
-        expected = sum(scaled[a][g] for order in orders for a, g in enumerate(sd_assign(prefs, order)))
-        assert sd_total(prefs, scaled, iter(orders)) == expected
-        assert sd_total(prefs, scaled, []) == 0
+        scores = [sum(map(list.__getitem__, scaled, sd_assign(prefs, order)))
+                  for order in run_permutations(seed, run, max(ks), n)]
+        for k in sorted(ks):
+            assert sd_total(prefs, scaled, seed, run, k) == sum(scores[:k]), k
+        assert sd_total(prefs, scaled, seed, run, 0) == 0
+
+
+ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def decoded(planes, count, n):
+    """The orderings that a batch's bit planes hold, sample 0 first."""
+    columns = []
+    for p in range(n):
+        # bit b of the agent at position p, one byte per lane, moved to bit b
+        column = sum(int.from_bytes(f"{plane[p]:0{count}b}".encode().translate(ZERO_ONE), "big") << b
+                     for b, plane in enumerate(planes))
+        columns.append(column.to_bytes(count, "big"))
+    return [list(order) for order in zip(*columns)]
+
+
+@pytest.mark.parametrize("n", [2, 9, 20, 256])
+@pytest.mark.parametrize("k", [LANES - 1, LANES, LANES + 1])
+def test_the_lane_shuffle_holds_the_orderings_of_run_permutations(k, n):
+    seed, run = 41, 2
+    orders = []
+    for start in range(0, k, LANES):
+        count = min(LANES, k - start)
+        orders += decoded(_shuffled_planes(packed_draws(seed, run, start, count, n), count, n), count, n)
+    assert orders == list(run_permutations(seed, run, k, n))
