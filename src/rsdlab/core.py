@@ -48,60 +48,48 @@ SETTINGS = (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT)
 MAX_EXPONENT = 4300
 """Largest decimal exponent magnitude a numeric string may carry; the same
 as Python's default limit on the digits of an int parsed from a string."""
-# Fraction's grammar reads digits of any script in an exponent, as int does
-_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
-
-
-def exponent_too_large(text: str) -> bool:
-    """True iff ``text`` carries a decimal exponent beyond :data:`MAX_EXPONENT`
-    in magnitude, checked on the text: Fraction builds 10**e for it."""
-    match = _EXPONENT.search(text)
-    if match is None:
-        return False
-    digits = match[1].replace("_", "")
-    if not digits.isascii():
-        digits = "".join(str(int(d)) for d in digits)
-    digits = digits.lstrip("0")
-    return len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT
-
 
 MAX_LITERAL_LENGTH = 10_000
 """Longest numeric string read, in characters, checked before any
 conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
-# The ASCII forms of Fraction's grammar without underscores or an exponent,
-# read here at any length: [sign]digits[.digits], [sign].digits and
-# [sign]digits/digits, with optional whitespace around the whole.
-_DIGITS = re.compile(r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*)|/([0-9]+))?\s*")
+# The whole grammar of parse_number; re.ASCII keeps \s to ASCII whitespace.
+_LITERAL = re.compile(
+    r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?)([0-9]+))?)\s*", re.ASCII)
 
 
 def parse_number(text: str) -> Fraction:
     """Exact value of a numeric string, or :class:`ValueError`.
 
-    The forms ``[sign]digits[.digits]``, ``[sign].digits`` and
-    ``[sign]digits/digits`` are read at any length, in pieces past Python's
-    int-to-str digit limit (:func:`exact_int`).  Every other string goes to
-    :class:`fractions.Fraction`, after a check that its decimal exponent is
-    within :data:`MAX_EXPONENT`.  A string longer than
-    :data:`MAX_LITERAL_LENGTH` is refused before any conversion.
+    The grammar is ASCII only: ``[sign]digits[.digits][exponent]``,
+    ``[sign].digits[exponent]`` and ``[sign]digits/digits``, with sign
+    ``-`` or ``+``, exponent ``e`` or ``E`` then ``[sign]digits``, and
+    optional whitespace (space, tab, newline, carriage return, form feed,
+    vertical tab) around the whole.  Every other string, among them those
+    with underscores or non-ASCII digits, is not a numeric literal.  Digit
+    runs of any length are read exactly, in pieces past Python's int-to-str
+    digit limit (:func:`exact_int`).  A string longer than
+    :data:`MAX_LITERAL_LENGTH` is refused before any conversion, and an
+    exponent beyond :data:`MAX_EXPONENT` in magnitude before 10**e is built.
     """
     if len(text) > MAX_LITERAL_LENGTH:
         raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
-    digits = _DIGITS.fullmatch(text)
-    if digits is not None:
-        sign, whole, frac, den = digits.groups("")
-        denominator = exact_int(den) if den else 10 ** len(frac)
-        if denominator == 0:
-            raise ValueError(f"{clipped(text, repr)} has a zero denominator")
-        numerator = exact_int(whole + frac)
-        return Fraction(-numerator if sign == "-" else numerator, denominator)
-    if exponent_too_large(text):
-        raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT}")
-    try:
-        return Fraction(text)
-    except ValueError:
-        raise ValueError(f"{clipped(text, repr)} is not a numeric literal") from None
-    except ZeroDivisionError:
-        raise ValueError(f"{clipped(text, repr)} has a zero denominator") from None
+    literal = _LITERAL.fullmatch(text)
+    if literal is None:
+        raise ValueError(f"{clipped(text, repr)} is not a numeric literal")
+    sign, whole, den, frac, exp_sign, exp = literal.groups("")
+    denominator = exact_int(den) if den else 10 ** len(frac)
+    if denominator == 0:
+        raise ValueError(f"{clipped(text, repr)} has a zero denominator")
+    numerator = exact_int(whole + frac)
+    if exp:
+        exp = exp.lstrip("0") or "0"
+        if len(exp) > len(str(MAX_EXPONENT)) or int(exp) > MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT}")
+        if exp_sign == "-":
+            denominator *= 10 ** int(exp)
+        else:
+            numerator *= 10 ** int(exp)
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
 
 
 def as_fraction(x) -> Fraction:
@@ -109,13 +97,16 @@ def as_fraction(x) -> Fraction:
 
     Strings are read by :func:`parse_number` (``"0.25"`` becomes 1/4), which
     raises :class:`ValueError` for anything that is not a numeric literal.
-    Floats convert to their exact binary value; prefer strings or Fractions
-    where the precise decimal matters.
+    Finite floats convert to their exact binary value; prefer strings or
+    Fractions where the precise decimal matters.  ``inf``, ``-inf`` and
+    ``nan`` raise :class:`ValueError`.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return parse_number(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
     if isinstance(x, (int, float, Rational)):
         return Fraction(x)
     raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")

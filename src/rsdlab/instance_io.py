@@ -16,15 +16,15 @@ parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.
 
 Strings are read by :func:`rsdlab.core.parse_number`, the same reader
-:func:`rsdlab.core.as_fraction` uses: the ASCII forms
-``[sign]digits[.digits]``, ``[sign].digits`` and ``[sign]digits/digits``
-(sign ``-`` or ``+``, optional whitespace around the whole) at any length,
-and every other string through :class:`fractions.Fraction`, which also reads
-underscores, exponents and other Unicode digits; what it accepts beyond the
-forms above varies with the Python version (underscores from 3.11, for
-one).  Integers and decimals are written in pieces past Python's int-to-str
-digit limit (:func:`rsdlab.core.exact_str`).  On reading, a literal longer
-than :data:`rsdlab.core.MAX_LITERAL_LENGTH` characters, one whose decimal
+:func:`rsdlab.core.as_fraction` uses, whose one ASCII grammar is the same on
+every Python version: ``[sign]digits[.digits][exponent]``,
+``[sign].digits[exponent]`` and ``[sign]digits/digits`` (sign ``-`` or
+``+``, exponent ``e`` or ``E`` then ``[sign]digits``, optional ASCII
+whitespace around the whole), read exactly at any length; underscores,
+non-ASCII digits and every other form are refused.  Integers and decimals
+are written in pieces past Python's int-to-str digit limit
+(:func:`rsdlab.core.exact_str`).  On reading, a literal longer than
+:data:`rsdlab.core.MAX_LITERAL_LENGTH` characters, one whose decimal
 exponent exceeds :data:`rsdlab.core.MAX_EXPONENT` in magnitude, or one whose
 denominator is zero is rejected with :class:`InstanceFormatError`, its
 message led by the literal's place in the file; a message quotes at most

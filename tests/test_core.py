@@ -17,6 +17,7 @@ from rsdlab import (
     Objective,
     bernoulli_welfare,
     build_reduction,
+    check_approx,
     derive_preferences,
     random_metric_line,
     remove_agent_best,
@@ -284,20 +285,41 @@ def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):
         assert exact_int(exact_str(x)) == x
 
 
-@pytest.mark.parametrize("text", [
-    f"1e-{MAX_EXPONENT + 1}", f"1e{MAX_EXPONENT + 1}", "2.5E+4_301", "1e-\u0664\u0663\u0660\u0661",
-    "1e-" + "9" * 100,
-])
-def test_as_fraction_refuses_a_string_exponent_past_the_bound(text):
-    # refused on the text: Fraction would build 10**e first
-    with pytest.raises(ValueError, match=f"decimal exponent beyond ±{MAX_EXPONENT}"):
+_BEYOND = f"decimal exponent beyond ±{MAX_EXPONENT}"
+_NOT_A_LITERAL = "is not a numeric literal"
+_PAST_THE_BOUND = [
+    (f"1e-{MAX_EXPONENT + 1}", _BEYOND), (f"1e{MAX_EXPONENT + 1}", _BEYOND),
+    # an underscore or a non-ASCII digit makes no literal, whatever the exponent
+    ("2.5E+4_301", _NOT_A_LITERAL), ("1e-\u0664\u0663\u0660\u0661", _NOT_A_LITERAL),
+    ("1e-" + "9" * 100, _BEYOND),
+]
+
+
+@pytest.mark.parametrize("text, message", _PAST_THE_BOUND, ids=[text for text, _ in _PAST_THE_BOUND])
+def test_as_fraction_refuses_a_string_exponent_past_the_bound(text, message):
+    # refused on the text, so no 10**e is ever built
+    with pytest.raises(ValueError, match=message):
         as_fraction(text)
 
 
 def test_as_fraction_and_sample_size_take_a_string_exponent_at_the_bound():
     tiny = Fraction(1, 10**MAX_EXPONENT)
     assert as_fraction(f"1e-{MAX_EXPONENT}") == tiny
-    assert as_fraction("1e-\u0664\u0663\u0660\u0660") == tiny
+    with pytest.raises(ValueError, match=_NOT_A_LITERAL):
+        as_fraction("1e-\u0664\u0663\u0660\u0660")
     assert as_fraction(f"1e{MAX_EXPONENT}") == 1 / tiny
     plan = sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", f"1e-{MAX_EXPONENT}")
     assert plan == sample_size(Method.WELFARE_BERNSTEIN, 5, Fraction(1, 2), tiny)
+
+
+@pytest.mark.parametrize("x", [float("inf"), float("-inf"), float("nan")])
+def test_as_fraction_refuses_infinities_and_nan(x):
+    # Fraction(inf) raises OverflowError and Fraction(nan) ValueError; both
+    # are one ValueError here, also through sample_size and check_approx
+    message = f"^{x} is not a finite number$"
+    with pytest.raises(ValueError, match=message):
+        as_fraction(x)
+    with pytest.raises(ValueError, match=message):
+        sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", x)
+    with pytest.raises(ValueError, match=message):
+        check_approx(x, 1, "0.5")

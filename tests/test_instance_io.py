@@ -1,7 +1,8 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rsdlab import (
@@ -16,7 +17,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int
+from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, parse_number
 from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
 
 
@@ -108,13 +109,20 @@ def test_exponent_at_the_bound_loads(entry):
     assert inst.value(1, 1) == Fraction(entry.strip('"'))
 
 
-@pytest.mark.parametrize("entry", [
-    f'"1e{MAX_EXPONENT + 1}"', f"1e{MAX_EXPONENT + 1}", f'"2.5E-{MAX_EXPONENT + 1}"',
-    f"2.5E-{MAX_EXPONENT + 1}", '"1e4_301"', "1e" + "9" * 50, '"1e-\u0664\u0663\u0660\u0661"',
-])
-def test_exponent_past_the_bound_is_rejected_before_conversion(entry):
+_BEYOND = "decimal exponent beyond"
+_PAST_THE_BOUND = [
+    (f'"1e{MAX_EXPONENT + 1}"', _BEYOND), (f"1e{MAX_EXPONENT + 1}", _BEYOND),
+    (f'"2.5E-{MAX_EXPONENT + 1}"', _BEYOND), (f"2.5E-{MAX_EXPONENT + 1}", _BEYOND),
+    # an underscore or a non-ASCII digit makes no literal, whatever the exponent
+    ('"1e4_301"', "'1e4_301' is not a numeric literal"), ("1e" + "9" * 50, _BEYOND),
+    ('"1e-\u0664\u0663\u0660\u0661"', "'1e-\u0664\u0663\u0660\u0661' is not a numeric literal"),
+]
+
+
+@pytest.mark.parametrize("entry, message", _PAST_THE_BOUND, ids=[entry for entry, _ in _PAST_THE_BOUND])
+def test_exponent_past_the_bound_is_rejected_before_conversion(entry, message):
     # rejected on the text, so no 10**e is ever built
-    with pytest.raises(InstanceFormatError, match=r"values\[1\]\[1\]: decimal exponent beyond"):
+    with pytest.raises(InstanceFormatError, match=rf"values\[1\]\[1\]: {message}"):
         loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
 
 
@@ -170,36 +178,28 @@ def test_plain_decimals_read_as_fraction_reads_them(sign, whole, frac):
     assert value == Fraction(text)
 
 
-def _fraction_reading(text):
-    """What Fraction's grammar, which varies with the Python version, makes
-    of ``text``: its value, or the message parse_literal gives a refusal."""
-    try:
-        return Fraction(text)
-    except ValueError:
-        return f"x: {text!r} is not a numeric literal"
-
-
 # Forms other than a plain decimal, with the value or the message they have
-# always had; the last two are read by Fraction, whose grammar varies.
-_FALLBACK_FORMS = [
+# on every Python version; Fraction reads "١٢.٥" on every version, "1_000"
+# from 3.11 on and "1 / 3" from 3.12 on.
+_OTHER_FORMS = [
     (" 1.5 ", Fraction(3, 2)),
     ("+2", Fraction(2)),
     (".5", Fraction(1, 2)),
     ("5.", Fraction(5)),
     ("1e3", Fraction(1000)),
     ("3/4", Fraction(3, 4)),
-    ("\u0661\u0662.\u0665", Fraction(25, 2)),
+    ("\u0661\u0662.\u0665", "x: '\u0661\u0662.\u0665' is not a numeric literal"),
     ("1" * 301, Fraction(int("1" * 301))),
     ("0." + "1" * 301, Fraction(int("1" * 301), 10**301)),
     ("-1-1", "x: '-1-1' is not a numeric literal"),
     ("", "x: '' is not a numeric literal"),
     ("1/0", "x: '1/0' has a zero denominator"),
-    ("1_000", _fraction_reading("1_000")),
-    ("1 / 3", _fraction_reading("1 / 3")),
+    ("1_000", "x: '1_000' is not a numeric literal"),
+    ("1 / 3", "x: '1 / 3' is not a numeric literal"),
 ]
 
 
-@pytest.mark.parametrize("text, expected", _FALLBACK_FORMS)
+@pytest.mark.parametrize("text, expected", _OTHER_FORMS)
 def test_other_forms_read_as_before(text, expected):
     if isinstance(expected, Fraction):
         assert parse_literal(text, "x") == expected
@@ -207,6 +207,14 @@ def test_other_forms_read_as_before(text, expected):
         with pytest.raises(InstanceFormatError) as info:
             parse_literal(text, "x")
         assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("entry", ['"' + "1" * 5000 + 'e2"', "1" * 5000 + "e2"], ids=["string", "json-number"])
+def test_a_mantissa_of_any_length_takes_an_exponent(entry):
+    # Fraction refused this mantissa: it reads past Python's int-to-str limit
+    assert as_fraction(entry.strip('"')) == exact_int("1" * 5000) * 100
+    inst = loads_instance(f'{{"n": 1, "setting": "value", "values": [[{entry}]]}}')
+    assert inst.value(1, 1) == exact_int("1" * 5000) * 100
 
 
 @pytest.mark.parametrize("value", [
@@ -277,3 +285,47 @@ def test_as_fraction_reads_a_literal_up_to_the_length_bound():
     for text in ("1" * (MAX_LITERAL_LENGTH + 1), "0." + "5" * (MAX_LITERAL_LENGTH - 1)):
         with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL_LENGTH} characters$"):
             as_fraction(text)
+
+
+# ASCII text without underscores: literal characters, with ASCII whitespace
+# only around the whole (Fraction reads whitespace around "/" from 3.12 on)
+_ASCII_WHITESPACE = st.text(alphabet=" \t\n\r\f\v", max_size=2)
+_ASCII_TEXT = st.builds(
+    lambda lead, body, trail: lead + body + trail,
+    _ASCII_WHITESPACE,
+    st.one_of(
+        st.text(alphabet="0123456789+-./eE", max_size=16),
+        st.lists(st.sampled_from(["-", "+", ".", "/", "e", "E", "0", "7", "042", "1" * 300, "9" * 4300]),
+                 max_size=6).map("".join),
+    ),
+    _ASCII_WHITESPACE,
+)
+
+
+@settings(deadline=None)
+@given(_ASCII_TEXT)
+@example("5.e3")
+@example("-.5E-0004300")
+@example("1/0")
+@example("1/3e2")
+def test_parse_number_reads_ascii_literals_as_fraction_does(text):
+    # inside the bounds of both readers: Fraction builds 10**e and reads
+    # each digit run with int(), whose default limit is MAX_EXPONENT digits
+    assume(all(len(run) <= MAX_EXPONENT for run in re.findall("[0-9]+", text)))
+    assume(all(int(e) <= MAX_EXPONENT for e in re.findall("[eE][-+]?([0-9]+)", text)))
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_number(text)
+    else:
+        assert parse_number(text) == expected
+
+
+@given(st.text(max_size=8), st.one_of(st.just("_"), st.characters(min_codepoint=128)), st.text(max_size=8))
+@example("1", "_", "000")
+@example("", "\U00011F51", "")  # a Kawi digit, which Fraction reads from Python 3.12 on
+@example("", "\u2003", " 1.5")  # an em space, which Fraction reads
+def test_underscores_and_non_ascii_characters_are_refused(head, odd, tail):
+    with pytest.raises(ValueError, match=" is not a numeric literal$"):
+        parse_number(head + odd + tail)
