@@ -52,14 +52,14 @@ def fmt_rational(x: Fraction) -> str:
         return exact_str(x)
 
 
+_JSON_INT_DIGITS = 4300
+"""Most digits written as a JSON number: Python's default int-to-str limit,
+so ``json`` reads the number back under it."""
+
+
 def _json_int(v: int) -> int | str:
-    """``v``, or its decimal string when it has more digits than Python's
-    int-to-str limit lets ``json`` write."""
-    try:
-        str(v)
-    except ValueError:
-        return exact_str(v)
-    return v
+    """``v``, or its decimal string past :data:`_JSON_INT_DIGITS` digits."""
+    return v if abs(v) < 10**_JSON_INT_DIGITS else exact_str(v)
 
 
 def _positive_int(text: str) -> int | None:
@@ -120,8 +120,22 @@ def _writing(path):
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's int-to-str digit limit, where it has one, inside the
+    block: ``json`` writes ints with it, and the bytes must not depend on it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _write_json(path, payload) -> None:
-    with _writing(path), open(path, "w", encoding="utf-8") as fh:
+    with _writing(path), _any_int_digits(), open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

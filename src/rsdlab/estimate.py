@@ -17,15 +17,9 @@ run sums its k integer scores and rounds once, to the float nearest the
 exact mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
 identical however the samples are partitioned.
 
-When a call draws at least ``n!`` samples in all (``k * runs``) and n is at
-most :data:`TABLE_MAX_N` (8, so at most 40,320 entries), it first scores
-each of the ``n!`` orderings once, into a table indexed by the ordering's
-Fisher-Yates code (:func:`rsdlab.rng.code_permutations`), and a sample is
-then one lookup of the code :func:`rsdlab.rng.run_codes` draws for it: the
-same integer score, so the same run totals, with no more serial-dictatorship
-calls than sampling would make.  Otherwise :func:`rsdlab.sd.sd_total` takes
-a run in batches of up to :data:`rsdlab.sd.LANES` (4,096) samples.  A batch
-of at least 1.5 n b samples (b the bits of an agent index) at n <=
+Each run is one call of :func:`rsdlab.sd.sd_total`, which takes it in
+batches of up to :data:`rsdlab.sd.LANES` (4,096) samples.  A batch of at
+least 1.5 n b samples (b the bits of an agent index) at n <=
 :data:`rsdlab.sd.LANES_MAX_N` (192) runs on lanes: its shuffles and serial
 dictatorship run on every sample at once, one bit of a Python int each,
 straight from the packed draws.  Any other batch, small or at larger n,
@@ -42,15 +36,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
-from .rng import code_permutations, run_codes
-from .sd import sd_assign, sd_total
-
-TABLE_MAX_N = 8
-"""Largest n whose ``factorial(n)`` orderings are scored once into a table
-(at most 40,320 ints) when a call draws at least that many samples."""
+from .sd import sd_assign, sd_total  # sd_assign unused: bench/tracing.py patches it here
 
 
 class ExactFloatSum:
@@ -114,20 +102,6 @@ def _sampling_tables(instance: AssignmentInstance, objective: Objective):
     return preference_rows(instance), scaled, denom
 
 
-def _run_totals(prefs, scaled, k, runs, seed):
-    """Each run's integer total of its k sample scores."""
-    n = len(prefs)
-    if n <= TABLE_MAX_N and factorial(n) <= k * runs:
-        # entry c scores the ordering of code c; built through the module's
-        # sd_assign, so a patched sd_assign sees every table entry
-        table = [sum(map(list.__getitem__, scaled, sd_assign(prefs, perm))) for perm in code_permutations(n)]
-        for run in range(runs):
-            yield sum(sum(map(table.__getitem__, codes)) for codes in run_codes(seed, run, k, n))
-        return
-    for run in range(runs):
-        yield sd_total(prefs, scaled, seed, run, k)
-
-
 def estimate_mean(
     instance: AssignmentInstance,
     objective: Objective,
@@ -166,7 +140,7 @@ def estimate_median_of_means(
         raise ValueError("k and runs must be at least 1")
     started = time.perf_counter()
     prefs, scaled, denom = _sampling_tables(instance, objective)
-    values = tuple(float(Fraction(total, k * denom)) for total in _run_totals(prefs, scaled, k, runs, seed))
+    values = tuple(float(Fraction(sd_total(prefs, scaled, seed, run, k), k * denom)) for run in range(runs))
     return EstimateReport(
         estimate=median(values),
         k=k,

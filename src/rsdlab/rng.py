@@ -27,17 +27,11 @@ bounded draw per position from ``n - 1`` down to ``1``.
 Masking with ``& lane`` (all-ones in every lane) after each shift-xor and
 before each multiply keeps every product of a lane and a 64-bit constant
 inside its slot, so the packed arithmetic is the scalar arithmetic on every
-lane at once.  It yields one packed int of draws per position, which
-:func:`rsdlab.sd.sd_total` shuffles on bit planes and ``run_permutations``
-reads out as 64-bit words to swap per sample.
-
-A shuffle's draws ``j_m = below(m + 1)``, ``m`` from ``n - 1`` down to ``1``,
-are the digits of a mixed-radix number, its code ``sum(j_m * factorial(m))``,
-which maps ``range(factorial(n))`` one-to-one onto the orderings.
-``run_codes(seed, run, k, n)`` yields the codes of the same k samples without
-building any ordering (the packed draws times ``m!``, summed on the lanes),
-and ``code_permutations(n)`` lists every ordering in code order, so a table
-indexed by code turns each sample into one lookup.
+lane at once.  It yields one packed int of draws per position.  Every
+sampled run reads them through :func:`rsdlab.sd.sd_total`, which takes each
+batch on one of two paths: on lanes it shuffles the draws on bit planes,
+and on the scalar loop ``run_permutations`` reads them out as 64-bit words
+and swaps each sample's ordering.
 """
 
 from __future__ import annotations
@@ -45,8 +39,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import product
-from math import factorial
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,7 +96,7 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
     return SplitMix64(mix64(_run_state(seed, run) + index))
 
 
-@lru_cache(maxsize=8)  # rebuilding them for every chunk costs about 2.5% of an n=6 estimate
+@lru_cache(maxsize=8)  # rebuilding them for every lane batch or scalar chunk costs about 30% of an n=6 estimate
 def _lanes(count: int) -> tuple[int, int, int]:
     """``(ones, lane, ramp)`` for ``count`` lanes: a 1, the 64-bit mask and
     the slot's index at the bottom of every 128-bit slot."""
@@ -140,14 +132,6 @@ def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterato
         yield (_mix_lanes(state, lane) * (i + 1)) >> 64 & lane
 
 
-def _shuffled(identity: list[int], positions: range, js) -> list[int]:
-    """A copy of ``identity`` shuffled by the draws ``js`` at ``positions``."""
-    items = identity[:]
-    for i, j in zip(positions, js):
-        items[i], items[j] = items[j], items[i]
-    return items
-
-
 def run_permutations(seed: int, run: int, k: int, n: int, start: int = 0) -> Iterator[list[int]]:
     """``substream(seed, run, i).permutation(n)`` for ``i`` in
     ``range(start, start + k)``, in that order, drawn ``_CHUNK`` samples at a
@@ -161,29 +145,10 @@ def run_permutations(seed: int, run: int, k: int, n: int, start: int = 0) -> Ite
     for first in range(start, start + k, _CHUNK):
         count = min(_CHUNK, start + k - first)
         for js in zip(*[_words(d, count) for d in packed_draws(seed, run, first, count, n)]):
-            yield _shuffled(identity, positions, js)
-
-
-def run_codes(seed: int, run: int, k: int, n: int) -> Iterator[memoryview]:
-    """The codes of the orderings ``run_permutations(seed, run, k, n)``
-    yields, in that order, as one sequence of ints per chunk of up to
-    ``_CHUNK`` samples.  A code must fit its 64-bit lane, so n is at most 20.
-    """
-    if n > 20:
-        raise ValueError("codes fit 64 bits only for n <= 20")
-    for first in range(0, k, _CHUNK):
-        count = min(_CHUNK, k - first)
-        draws = zip(range(n - 1, 0, -1), packed_draws(seed, run, first, count, n))
-        yield _words(sum(d * factorial(i) for i, d in draws), count)
-
-
-def code_permutations(n: int) -> Iterator[list[int]]:
-    """The ordering of every code ``0 .. factorial(n) - 1``, in code order."""
-    identity = list(range(n))
-    positions = range(n - 1, 0, -1)
-    # the most significant digit first, so product counts the codes up
-    for js in product(*[range(i + 1) for i in positions]):
-        yield _shuffled(identity, positions, js)
+            items = identity[:]
+            for i, j in zip(positions, js):
+                items[i], items[j] = items[j], items[i]
+            yield items
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

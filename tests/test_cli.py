@@ -349,21 +349,40 @@ def test_literals_at_the_exponent_bound_print(tmp_path, capsys):
         assert [row.split(",")[3] for row in csv.read_text().splitlines()[1:]] == [text, text]
 
 
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's int-to-str digit limit set to ``digits`` inside the block."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 @pytest.mark.parametrize("eps,digits,kind", [("1e-2148", 4300, int), ("3e-2149", 4301, str)])
 def test_bounds_json_writes_k_as_a_number_up_to_the_digit_limit(tmp_path, capsys, eps, digits, kind):
-    # json reads and writes ints of up to 4300 digits; a longer k is written
-    # as its decimal string, like the other exact fields
-    plan = tmp_path / "plan.json"
-    code, out, err = run_cli(
-        capsys, "bounds", "--method", "cost-single-run", "--n", "10",
-        "--eps", eps, "--delta", "0.5", "--out", str(plan),
-    )
-    assert (code, err) == (0, "")
-    printed = out.split("k: ")[1].split("\n")[0]
-    assert len(printed) == digits
-    k = json.loads(plan.read_text())["k"]
-    assert type(k) is kind
-    assert str(k) == printed
+    # json reads and writes ints of up to 4300 digits, Python's default
+    # int-to-str limit; a longer k is written as its decimal string, like the
+    # other exact fields, and a lower limit (640 is the least) writes the same
+    # bytes and prints the same k
+    written = []
+    for limit in (4300, 640):
+        plan = tmp_path / f"plan{limit}.json"
+        with int_digit_limit(limit):
+            code, out, err = run_cli(
+                capsys, "bounds", "--method", "cost-single-run", "--n", "10",
+                "--eps", eps, "--delta", "0.5", "--out", str(plan),
+            )
+        assert (code, err) == (0, "")
+        printed = out.split("k: ")[1].split("\n")[0]
+        assert len(printed) == digits
+        written.append(plan.read_bytes())
+    assert written[0] == written[1]
+    with int_digit_limit(4300):
+        k = json.loads(written[0])["k"]
+        assert type(k) is kind
+        assert str(k) == printed
 
 
 @pytest.mark.parametrize("eps,delta,code,message", [

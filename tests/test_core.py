@@ -277,11 +277,15 @@ def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):
     # default recursion limit allows frames
     monkeypatch.setattr(core, "_PIECE_DIGITS", 1)
     monkeypatch.setattr(core, "_PIECE", 10)
-    for x in (int("1234567890" * 150), 10**1499 + 7, 10**1499):
-        assert exact_str(x) == str(x)
-        assert exact_str(-x) == str(-x)
-        ratio = Fraction(-x, 10**1499 + 1)
-        assert exact_str(ratio) == f"{ratio.numerator}/{ratio.denominator}"
+    # the expected digits are literal, not str(x), so the test holds under
+    # any int-to-str digit limit; each x is coprime to 10**1499 + 1
+    cases = [(1234567890 * (10**1500 - 1) // (10**10 - 1), "1234567890" * 150),
+             (10**1499 + 7, "1" + "0" * 1498 + "7"),
+             (10**1499, "1" + "0" * 1499)]
+    for x, digits in cases:
+        assert exact_str(x) == digits
+        assert exact_str(-x) == "-" + digits
+        assert exact_str(Fraction(-x, 10**1499 + 1)) == f"-{digits}/1{'0' * 1498}1"
         assert exact_int(exact_str(x)) == x
 
 

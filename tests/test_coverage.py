@@ -105,8 +105,8 @@ def test_csv_shape_and_verdicts():
 
 
 def test_criterion_9_plan_covers_the_n12_line_against_the_dp_reference():
-    # the criterion-9 plan at n = 12 draws 663,552 samples per trial, above
-    # the table bound, all on lanes: each run of 27,648 in batches of 4,096
+    # the criterion-9 plan at n = 12 draws 663,552 samples per trial, all on
+    # lanes: each run of 27,648 in batches of 4,096
     inst = worst_case_metric_line(12)
     plan = sample_size(Method.COST_MEDIAN_OF_MEANS, 12, "0.5", "0.2")
     assert (plan.k, plan.runs) == (27_648, 24)

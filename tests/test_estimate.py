@@ -18,11 +18,10 @@ from rsdlab import (
     substream,
     worst_case_metric_line,
 )
-from rsdlab import estimate as estimate_module
 from rsdlab import sd as sd_module
 from rsdlab.estimate import ExactFloatSum
 from rsdlab.rng import _CHUNK
-from rsdlab.sd import LANES, random_ordering, sd_assign, sd_run
+from rsdlab.sd import LANES, random_ordering, sd_run
 
 
 def test_k_one_equals_single_run_value():
@@ -192,26 +191,20 @@ def objective_of(inst):
 @pytest.fixture
 def samplers(monkeypatch):
     """The path each sampled batch of an estimator call takes, in order:
-    "table" once per run (``run_codes``), else "lanes" or "scalar" once per
-    batch of up to ``LANES`` samples."""
+    "lanes" or "scalar" once per batch of up to ``LANES`` samples."""
     seen = []
-    for module, name, path in ((estimate_module, "run_codes", "table"),
-                               (sd_module, "_lane_total", "lanes"),
-                               (sd_module, "_scalar_total", "scalar")):
-        def spy(*args, fn=getattr(module, name), path=path):
+    for name, path in (("_lane_total", "lanes"), ("_scalar_total", "scalar")):
+        def spy(*args, fn=getattr(sd_module, name), path=path):
             seen.append(path)
             return fn(*args)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(sd_module, name, spy)
     return seen
 
 
 def expected_paths(n, k, runs):
-    """The table once per run when k * runs reaches n! at n <= 8; otherwise
-    each batch of up to LANES on lanes if it reaches the lane floor, else on
-    the scalar loop."""
-    if n <= 8 and math.factorial(n) <= k * runs:
-        return ["table"] * runs
+    """Each batch of up to LANES on lanes if it reaches the lane floor, else
+    on the scalar loop."""
     batches = [min(LANES, k - start) for start in range(0, k, LANES)]
     return ["lanes" if count >= lane_floor(n) else "scalar" for count in batches] * runs
 
@@ -236,11 +229,15 @@ def mixed_battery():
 @pytest.mark.parametrize("k,runs,instances", [
     pytest.param(k, 2, mixed_battery, id=str(k)) for k in (1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1)
 ] + [
-    # k * runs one short of n!, and n!: on either side of the table's bound
+    # k * runs one short of n!, and n!: at n = 5 every batch is below the
+    # lane floor (23) and runs on the scalar loop, at n = 6 above it (27)
     pytest.param(7, 17, lambda: battery_at(5, 8600), id="n5-below"),
     pytest.param(8, 15, lambda: battery_at(5, 8600), id="n5-at"),
     pytest.param(719, 1, lambda: battery_at(6, 8700), id="n6-below"),
     pytest.param(240, 3, lambda: battery_at(6, 8700), id="n6-at"),
+    # 8! samples in all, on lanes: two runs of five batches, the last of 3,776
+    pytest.param(20160, 2, lambda: (value_battery(1, 8750, ns=(8,)) + metric_battery(1, 8760, ns=(8,))
+                                    + tie_battery(2, 8770, ns=(8,))), id="n8-at"),
 ] + [
     # one sample short of the lane floor at n = 9 (1.5 * 9 * 4 = 54) and at it;
     # one ordering short of a full lane batch, a full batch, and one into a second
@@ -254,19 +251,3 @@ def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
         report = estimate_median_of_means(inst, objective_of(inst), k=k, runs=runs, seed=seed)
         assert report.run_values == reference_run_means(inst, objective_of(inst), k, runs, seed), inst
         assert samplers == expected_paths(inst.n, k, runs), inst
-
-
-@pytest.mark.parametrize("n,table_size", [(5, 120), (8, 40320), (9, 0)])
-def test_the_table_scores_each_of_up_to_8_factorial_orderings_once(monkeypatch, n, table_size):
-    # k * runs = n! samples, enough to pay for a table of every ordering
-    sd_calls = []
-
-    def counted(prefs, order):
-        sd_calls.append(order)
-        return sd_assign(prefs, order)
-
-    monkeypatch.setattr(estimate_module, "sd_assign", counted)
-    monkeypatch.setattr(estimate_module, "sd_total", lambda *args: 0)  # no per-sample work
-    estimate_median_of_means(bernoulli_welfare(n), Objective.WELFARE, k=math.factorial(n) // 2, runs=2, seed=3)
-    assert len(sd_calls) == table_size
-    assert len(set(map(tuple, sd_calls))) == table_size
