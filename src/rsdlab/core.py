@@ -11,7 +11,10 @@ convention used throughout the package) under one of three payoff settings:
   materialized; lower is better and the objective is social cost.
   :func:`validate` checks the inequality exactly in O(n^3), as two min-plus
   products on the integer payoff table, and runs the full four-point scan
-  only to list the violations of an instance that fails.
+  only to list the violations of an instance that fails.  For a
+  point-defined instance it first checks in O(n^2), on the points scaled to
+  integers, that every cost is the points' distance, and skips the O(n^3)
+  check when they all are.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 Entries are stored as exact :class:`fractions.Fraction` values.  Every
@@ -70,9 +73,21 @@ def parse_number(text: str) -> Fraction:
     digit limit (:func:`exact_int`).  A string longer than
     :data:`MAX_LITERAL_LENGTH` is refused before any conversion, and an
     exponent beyond :data:`MAX_EXPONENT` in magnitude before 10**e is built.
+    A plain ``digits[.digits]``, the only form written for a non-negative
+    decimal, is read without the regular expression, to the same value.
     """
     if len(text) > MAX_LITERAL_LENGTH:
         raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
+    whole, dot, frac = text.partition(".")
+    digits = whole + frac
+    if whole and (frac or not dot) and digits.isdigit() and digits.isascii():
+        return Fraction(exact_int(digits), 10 ** len(frac))
+    return _parse_by_grammar(text)
+
+
+def _parse_by_grammar(text: str) -> Fraction:
+    """:func:`parse_number` past its length check, for a string of any
+    form: read by :data:`_LITERAL`."""
     literal = _LITERAL.fullmatch(text)
     if literal is None:
         raise ValueError(f"{clipped(text, repr)} is not a numeric literal")
@@ -161,6 +176,14 @@ def exact_int(digits: str) -> int:
     return value
 
 
+def _scaled_points(agents: Sequence[Fraction], items: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+    """``(scale, agents * scale, items * scale)``: the points as integers
+    over their least common denominator ``scale``."""
+    scale = math.lcm(*(p.denominator for p in agents), *(p.denominator for p in items))
+    return (scale, [p.numerator * (scale // p.denominator) for p in agents],
+            [p.numerator * (scale // p.denominator) for p in items])
+
+
 def _matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(as_fraction(x) for x in row) for row in rows)
 
@@ -197,11 +220,16 @@ class AssignmentInstance:
         """Metric instance from coordinates on the real line.
 
         The cost matrix is materialized eagerly; by construction it
-        satisfies the four-point triangle inequality.
+        satisfies the four-point triangle inequality.  Each cost is built
+        from the difference of two integers: the points times their least
+        common denominator (:func:`_scaled_points`).
         """
         agents = tuple(as_fraction(x) for x in agent_points)
         items = tuple(as_fraction(x) for x in item_points)
-        costs = tuple(tuple(abs(a - b) for b in items) for a in agents)
+        scale, scaled_agents, scaled_items = _scaled_points(agents, items)
+        # Fraction(d) skips the gcd that Fraction(d, 1) computes
+        cost = Fraction if scale == 1 else lambda d: Fraction(d, scale)
+        costs = tuple(tuple(cost(abs(a - b)) for b in scaled_items) for a in scaled_agents)
         return cls(
             n=len(agents),
             setting=SETTING_METRIC,
@@ -400,6 +428,19 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     return out
 
 
+def _costs_are_distances(instance: AssignmentInstance) -> bool:
+    """True iff every cost of a square point-defined instance equals
+    |agent point - item point|, checked in O(n^2) on integers: such costs
+    are a line metric, which meets the four-point condition."""
+    assert instance.agent_points is not None and instance.item_points is not None
+    assert instance.costs is not None
+    if not all(isinstance(p, Rational) for p in (*instance.agent_points, *instance.item_points)):
+        return False  # the full check reads the costs alone
+    scale, agents, items = _scaled_points(instance.agent_points, instance.item_points)
+    return all(x.numerator * scale == abs(a - b) * x.denominator
+               for a, row in zip(agents, instance.costs) for b, x in zip(items, row))
+
+
 def validate(instance: AssignmentInstance) -> list[Violation]:
     """Check every type invariant; an empty list means the instance is valid.
 
@@ -407,7 +448,9 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     each naming the offending indices.  The metric check is an exact O(n^3)
     min-plus test of the four-point condition on the integer payoff table;
     the full four-point scan runs only over failing cells, to list every
-    violation.
+    violation.  A point-defined instance whose every cost is its points'
+    distance is a line metric, which an O(n^2) integer check establishes;
+    if any cost differs, the full check runs.
     """
     n = instance.n
     out: list[Violation] = []
@@ -435,7 +478,7 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
                     "point lists must both have length n",
                 ))
         out.extend(_matrix_violations("costs", instance.costs, n))
-        if out:
+        if out or instance.point_based and _costs_are_distances(instance):
             return out
         return _triangle_violations(instance)
 

@@ -1,8 +1,10 @@
 """Optimal one-to-one assignment: max welfare or min cost, exactly.
 
-The O(n^3) potential-based assignment algorithm runs on the integer payoff
-table of :func:`rsdlab.core.integer_payoff_table` (the payoffs times their
-common denominator).  A positive scale preserves every comparison, so the
+The O(n^3) potential-based assignment algorithm (shortest augmenting paths,
+with the potential updates of each augmentation deferred to its end, as in
+Jonker & Volgenant) runs on the integer payoff table of
+:func:`rsdlab.core.integer_payoff_table` (the payoffs times their common
+denominator).  A positive scale preserves every comparison, so the
 matching is the one the rational payoffs give, and its value is then summed
 exactly from the instance; the reported optimum can be compared with exact
 enumeration results without tolerances.  Welfare maximization negates the
@@ -32,51 +34,63 @@ class OptResult:
 def _min_assignment(cost: list[list[int]]) -> list[int]:
     """Minimum-cost perfect matching (0-indexed agent -> item).
 
-    Potential-based shortest-augmenting-path method; arithmetic stays in
-    integers apart from the +inf sentinel for unreached columns.
+    Potential-based shortest-augmenting-path method (the e-maxx Hungarian
+    algorithm), one augmentation per row; arithmetic stays in integers
+    apart from the +inf sentinel for unreached columns.  Within one
+    augmentation the potential updates are deferred: ``minv`` holds each
+    free column's slack plus ``acc``, the sum of the steps' deltas so far,
+    so a step scans only the free columns and moves no other entry, and
+    the visited columns' potentials are settled once at the end.  Every
+    comparison is the textbook one shifted by ``acc`` on both sides, so
+    each step picks the same column (the first of minimal slack) and the
+    matching is the textbook one.
     """
     n = len(cost)
     inf = math.inf
-    u = [0] * (n + 1)
+    root = n  # the extra column each augmentation starts from
+    u = [0] * n
     v = [0] * (n + 1)
-    match_col = [0] * (n + 1)  # match_col[j] = row currently assigned column j
+    row_of = [-1] * (n + 1)  # row_of[j] = row assigned to column j, -1 if none
     way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    for i in range(n):
+        row_of[root] = i
+        j0 = root
+        minv = [inf] * n
+        free = list(range(n))
+        visited = []  # (column, acc when it was reached)
+        acc = 0
         while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            delta = inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            visited.append((j0, acc))
+            i0 = row_of[j0]
+            row = cost[i0]
+            shift = u[i0] - acc
+            best = inf
+            j1 = -1
+            for j in free:
+                cur = row[j] - v[j] - shift
+                slack = minv[j]
+                if cur < slack:
+                    minv[j] = slack = cur
+                    way[j] = j0
+                if slack < best:
+                    best = slack
+                    j1 = j
+            acc = best
             j0 = j1
-            if match_col[j0] == 0:
+            if row_of[j0] < 0:
                 break
-        while j0:
+            free.remove(j0)
+        for j, reached in visited:
+            delta = acc - reached
+            u[row_of[j]] += delta
+            v[j] -= delta
+        while j0 != root:
             j1 = way[j0]
-            match_col[j0] = match_col[j1]
+            row_of[j0] = row_of[j1]
             j0 = j1
     assign = [0] * n
-    for j in range(1, n + 1):
-        if match_col[j]:
-            assign[match_col[j] - 1] = j - 1
+    for j in range(n):
+        assign[row_of[j]] = j
     return assign
 
 

@@ -1,10 +1,12 @@
 """Shared battery builders for the seeded random-instance tests, and the
-slow references that the exact oracle, the metric check and the sampler are
-held to."""
+slow references that the exact oracle, the metric check, the solver and the
+sampler are held to."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -178,3 +180,68 @@ def lane_floor(n: int) -> int:
     """The fewest samples a batch of ``sd.sd_total`` runs on lanes with:
     1.5 n b, b the bits of an agent index; no batch does above LANES_MAX_N."""
     return (3 * n * (n - 1).bit_length() + 1) // 2 if n <= LANES_MAX_N else LANES + 1
+
+
+def min_assignment_textbook(cost: list[list[int]]) -> list[int]:
+    """Reference solver: the e-maxx shortest-augmenting-path algorithm as
+    written, updating every column's potential or slack at every step;
+    0-indexed agent -> item, ties to the first column of minimal slack."""
+    n = len(cost)
+    inf = math.inf
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    match_col = [0] * (n + 1)  # match_col[j] = row currently assigned column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        match_col[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = match_col[j0]
+            delta = inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match_col[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_col[j0] = match_col[j1]
+            j0 = j1
+    assign = [0] * n
+    for j in range(1, n + 1):
+        if match_col[j]:
+            assign[match_col[j] - 1] = j - 1
+    return assign
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Python's int-to-str digit limit set to ``digits`` (0: no limit)
+    inside the block; a Python without the limit (before 3.10.7) runs the
+    block as it is."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rsdlab
+from conftest import int_digit_limit
 from rsdlab import (
     Method,
     bounds,
@@ -347,17 +348,6 @@ def test_literals_at_the_exponent_bound_print(tmp_path, capsys):
         assert (code, err) == (0, "")
         assert out.splitlines()[1].startswith(f"reference: {text} ")
         assert [row.split(",")[3] for row in csv.read_text().splitlines()[1:]] == [text, text]
-
-
-@contextlib.contextmanager
-def int_digit_limit(digits):
-    """Python's int-to-str digit limit set to ``digits`` inside the block."""
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(digits)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 @pytest.mark.parametrize("eps,digits,kind", [("1e-2148", 4300, int), ("3e-2149", 4301, str)])

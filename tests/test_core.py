@@ -194,6 +194,58 @@ def test_line_points_always_metric(agents, items):
     assert validate(inst) == []
 
 
+_POINT = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_point_defined_validate_lists_the_full_check(data):
+    # the points' costs, or with one cost changed through the constructor,
+    # so that the points no longer define it
+    n = data.draw(st.integers(1, 6))
+    agents = data.draw(st.lists(_POINT, min_size=n, max_size=n))
+    items = data.draw(st.lists(_POINT, min_size=n, max_size=n))
+    costs = [list(row) for row in AssignmentInstance.from_line_points(agents, items).costs]
+    if data.draw(st.booleans()):
+        i, g = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        costs[i][g] = data.draw(st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(100)]) | _POINT)
+    costs = tuple(tuple(row) for row in costs)
+    inst = AssignmentInstance(n=n, setting="metric", costs=costs, agent_points=tuple(agents), item_points=tuple(items))
+    expected = matrix_violations_by_fractions("costs", costs, n) or four_point_scan(costs)
+    assert validate(inst) == expected == validate(AssignmentInstance.from_costs(costs))
+
+
+@pytest.mark.parametrize("inst", [
+    random_metric_line(20, 7),
+    AssignmentInstance.from_line_points(["0.5", "1/3", "-7/6"], ["2", "-0.25", "5/3"]),
+    worst_case_metric_line(12),
+], ids=["random-line-20", "fractions", "worst-case-12"])
+def test_point_defined_costs_skip_the_four_point_check(inst, monkeypatch):
+    def refused(_):
+        raise AssertionError("the four-point check ran")
+
+    monkeypatch.setattr(core, "_triangle_violations", refused)
+    assert validate(inst) == []
+
+
+def test_points_given_as_floats_leave_the_check_to_the_costs():
+    costs = ((Fraction(1), Fraction(10)), (Fraction(1), Fraction(1)))
+    inst = AssignmentInstance(n=2, setting="metric", costs=costs, agent_points=(0.5, 1.5), item_points=(1.5, 2.5))
+    assert validate(inst) == validate(AssignmentInstance.from_costs(costs)) != []
+
+
+def test_one_changed_cost_of_a_large_point_instance_lists_the_matrix_violations():
+    line = random_metric_line(20, 7)
+    costs = [list(row) for row in line.costs]
+    costs[3][5] = sum(map(sum, costs))
+    costs = tuple(tuple(row) for row in costs)
+    inst = AssignmentInstance(n=20, setting="metric", costs=costs,
+                              agent_points=line.agent_points, item_points=line.item_points)
+    violations = validate(inst)
+    assert violations
+    assert violations == validate(AssignmentInstance.from_costs(costs))
+
+
 def _square(entry, n):
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 

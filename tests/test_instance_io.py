@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import int_digit_limit
 from rsdlab import (
     AssignmentInstance,
     InstanceFormatError,
@@ -17,6 +18,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
+from rsdlab import core
 from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, parse_number
 from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
 
@@ -308,13 +310,18 @@ _ASCII_TEXT = st.builds(
 @example("-.5E-0004300")
 @example("1/0")
 @example("1/3e2")
+@example("e" + "9" * 4300)
 def test_parse_number_reads_ascii_literals_as_fraction_does(text):
     # inside the bounds of both readers: Fraction builds 10**e and reads
     # each digit run with int(), whose default limit is MAX_EXPONENT digits
     assume(all(len(run) <= MAX_EXPONENT for run in re.findall("[0-9]+", text)))
-    assume(all(int(e) <= MAX_EXPONENT for e in re.findall("[eE][-+]?([0-9]+)", text)))
+    # int() and Fraction are bound by the int-to-str digit limit in force;
+    # the exponents and the reference are read with the limit lifted
+    with int_digit_limit(0):
+        assume(all(int(e) <= MAX_EXPONENT for e in re.findall("[eE][-+]?([0-9]+)", text)))
     try:
-        expected = Fraction(text)
+        with int_digit_limit(0):
+            expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError):
             parse_number(text)
@@ -329,3 +336,34 @@ def test_parse_number_reads_ascii_literals_as_fraction_does(text):
 def test_underscores_and_non_ascii_characters_are_refused(head, odd, tail):
     with pytest.raises(ValueError, match=" is not a numeric literal$"):
         parse_number(head + odd + tail)
+
+
+# Plain decimals, which parse_number reads without its regular expression,
+# and near misses of them, up to the length bound
+_PLAIN_TEXT = st.one_of(
+    st.builds(lambda whole, frac: whole + frac, _DIGIT_TEXT, st.just("") | _DIGIT_TEXT.map(".".__add__)),
+    st.builds(lambda digits, times: digits * times, st.text(alphabet="0123456789.", min_size=1, max_size=9),
+              st.integers(1, MAX_LITERAL_LENGTH // 9)),
+    st.lists(st.sampled_from(["0", "7", "042", ".", "-", "+", " ", "e", "/", "_", "\u0661", "\u00b2", "\uff11"]),
+             max_size=6).map("".join),
+)
+
+
+@settings(deadline=None)
+@given(_PLAIN_TEXT)
+@example("1" * 512 + "." + "2" * 513)
+@example("1" * (MAX_LITERAL_LENGTH - 2) + ".5")
+@example("5.")
+@example(".5")
+@example("\u00b2")
+def test_plain_decimals_read_as_the_grammar_reads_them(text):
+    try:
+        expected = core._parse_by_grammar(text)
+    except ValueError as refused:
+        with pytest.raises(ValueError) as info:
+            parse_number(text)
+        assert str(info.value) == str(refused)
+    else:
+        value = parse_number(text)
+        assert type(value) is Fraction
+        assert value == expected

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import abstract_battery, metric_battery, value_battery
+from conftest import abstract_battery, metric_battery, min_assignment_textbook, value_battery
 from rsdlab import (
     AssignmentInstance,
     Matching,
@@ -11,10 +13,16 @@ from rsdlab import (
     bernoulli_welfare,
     brute_force_opt,
     build_reduction,
+    dumps_instance,
     evaluate,
+    loads_instance,
+    random_metric_line,
+    random_value,
     solve_opt,
     worst_case_metric_line,
 )
+from rsdlab.core import integer_payoff_table
+from rsdlab.optimal import _min_assignment
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -84,3 +92,27 @@ def test_exact_rational_entries_survive():
     rows = [["0.1", "0.3"], ["0.3", "0.1"]]
     result = solve_opt(AssignmentInstance.from_values(rows), Objective.WELFARE)
     assert result.objective_value == Fraction(3, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 25).flatmap(
+    lambda n: st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_solver_picks_the_textbook_matching_on_tie_heavy_matrices(cost):
+    # entries in {0, 1, 2}: most steps have several columns of minimal slack
+    assert _min_assignment(cost) == min_assignment_textbook(cost)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("build, n, objective", [
+    (random_value, 80, Objective.WELFARE),
+    (random_metric_line, 20, Objective.COST),
+], ids=["value80", "line20"])
+def test_solver_picks_the_textbook_matching_on_large_files(build, n, objective, seed):
+    # the benchmark's opt inputs, read back from their files; on a line
+    # many matchings share the optimal cost, so the matching pins the ties
+    instance = loads_instance(dumps_instance(build(n, seed)))
+    rows, _ = integer_payoff_table(instance)
+    if objective is Objective.WELFARE:
+        rows = [[-p for p in row] for row in rows]
+    expected = tuple(g + 1 for g in min_assignment_textbook(rows))
+    assert solve_opt(instance, objective).matching.assign == expected
