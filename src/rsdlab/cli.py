@@ -7,8 +7,10 @@ estimators), ``bounds`` (sample-size plans and windows), ``reduce``
 
 Exit codes: 0 on success, 1 when input data fails validation, a file
 cannot be read or written, or a requested computation is refused, 2 on
-usage errors.  The environment variable ``RSDLAB_ORACLE_CAP`` overrides the
-default enumeration cap.
+usage errors.  ``exact``, ``reduce`` and ``coverage`` take ``--oracle-cap``,
+the only setting of the enumeration cap (default
+:data:`rsdlab.exact.DEFAULT_ORACLE_CAP`); a cap above the default warns on
+stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -62,36 +63,24 @@ def _json_int(v: int) -> int | str:
     return v if abs(v) < 10**_JSON_INT_DIGITS else exact_str(v)
 
 
-def _positive_int(text: str) -> int | None:
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
 def _cap_flag(text: str) -> int:
     """``--oracle-cap``: a positive integer, or a usage error (exit 2)."""
-    cap = _positive_int(text)
-    if cap is None:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return cap
 
 
 def _oracle_cap(args) -> int:
-    if args.oracle_cap is not None:
-        cap = args.oracle_cap
-    else:
-        raw = os.environ.get("RSDLAB_ORACLE_CAP", str(DEFAULT_ORACLE_CAP))
-        cap = _positive_int(raw)
-        if cap is None:
-            raise InputError(f"RSDLAB_ORACLE_CAP must be a positive integer, got {raw!r}")
-    if cap > DEFAULT_ORACLE_CAP:
+    if args.oracle_cap > DEFAULT_ORACLE_CAP:
         print(
-            f"warning: enumeration cap raised to {cap}; the cost grows exponentially in n",
+            f"warning: enumeration cap raised to {args.oracle_cap}; the cost grows exponentially in n",
             file=sys.stderr,
         )
-    return cap
+    return args.oracle_cap
 
 
 def _load_validated(path):
@@ -334,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--objective", choices=[o.value for o in Objective])
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(fn=cmd_exact)
 
     p = sub.add_parser("opt", help="optimal matching value")
@@ -372,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--setting", required=True, choices=["value", "metric"])
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("coverage", help="empirical failure-rate experiment")
@@ -388,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None)
     p.add_argument("--workers", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out")
-    p.add_argument("--oracle-cap", type=_cap_flag, default=None)
+    p.add_argument("--oracle-cap", type=_cap_flag, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(fn=cmd_coverage)
 
     return parser

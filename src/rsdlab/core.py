@@ -40,12 +40,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from operator import index
 from typing import Iterable, Sequence
 
 SETTING_VALUE = "value"
 SETTING_METRIC = "metric"
 SETTING_ABSTRACT = "abstract"
-SETTINGS = (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT)
 
 
 MAX_EXPONENT = 4300
@@ -281,21 +281,16 @@ class Objective(enum.Enum):
     def setting(self) -> str:
         return SETTING_VALUE if self is Objective.WELFARE else SETTING_METRIC
 
-    def compatible_with(self, instance: AssignmentInstance) -> bool:
-        return instance.setting == self.setting
-
     def require_compatible(self, instance: AssignmentInstance) -> None:
-        if not self.compatible_with(instance):
-            raise ValueError(
-                f"objective {self.value!r} requires a {self.setting!r} instance, "
-                f"got {instance.setting!r}"
-            )
+        if instance.setting != self.setting:
+            raise ValueError(f"objective {self.value!r} requires a {self.setting!r} instance, "
+                             f"got {instance.setting!r}")
 
 
 def _is_permutation(xs: Sequence[int], n: int) -> bool:
-    """True iff ``xs`` holds 1..n, each once.  The lengths are compared
-    first, so the memory spent follows ``xs``, never a declared ``n``."""
-    return len(xs) == n and sorted(xs) == list(range(1, n + 1))
+    """True iff ``xs`` holds the ints 1..n, each once (another type raises);
+    the lengths go first, so memory follows ``xs``, never a declared ``n``."""
+    return len(xs) == n and sorted(map(index, xs)) == list(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -450,51 +445,55 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     the full four-point scan runs only over failing cells, to list every
     violation.  A point-defined instance whose every cost is its points'
     distance is a line metric, which an O(n^2) integer check establishes;
-    if any cost differs, the full check runs.
+    if any cost differs, the full check runs.  A value of the wrong type,
+    which only the raw constructor stores, is listed as well.
     """
     n = instance.n
-    out: list[Violation] = []
-    if n < 1:
-        out.append(Violation("size", (n,), f"n must be positive, got {n}"))
-        return out
+    try:
+        if index(n) < 1:
+            return [Violation("size", (n,), f"n must be positive, got {n}")]
+        if instance.setting == SETTING_VALUE:
+            if instance.values is None:
+                return [Violation("missing", (), "value instance without a value matrix")]
+            return _matrix_violations("values", instance.values, n)
 
-    if instance.setting == SETTING_VALUE:
-        if instance.values is None:
-            out.append(Violation("missing", (), "value instance without a value matrix"))
-            return out
-        out.extend(_matrix_violations("values", instance.values, n))
-        return out
+        if instance.setting == SETTING_METRIC:
+            if instance.costs is None:
+                return [Violation("missing", (), "metric instance without a cost matrix")]
+            out = []
+            if instance.point_based:
+                agents, items = len(instance.agent_points), len(instance.item_points)
+                if agents != n or items != n:
+                    out.append(Violation("shape", (agents, items), "point lists must both have length n"))
+            out.extend(_matrix_violations("costs", instance.costs, n))
+            if out or instance.point_based and _costs_are_distances(instance):
+                return out
+            return _triangle_violations(instance)
 
-    if instance.setting == SETTING_METRIC:
-        if instance.costs is None:
-            out.append(Violation("missing", (), "metric instance without a cost matrix"))
+        if instance.setting == SETTING_ABSTRACT:
+            if instance.rankings is None:
+                return [Violation("missing", (), "abstract instance without rankings")]
+            out = []
+            if len(instance.rankings) != n:
+                out.append(Violation("shape", (len(instance.rankings),), f"expected {n} rankings"))
+            for i, row in enumerate(instance.rankings, start=1):
+                if not _is_permutation(row, n):
+                    out.append(Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}"))
             return out
-        if instance.point_based:
-            assert instance.agent_points is not None and instance.item_points is not None
-            if len(instance.agent_points) != n or len(instance.item_points) != n:
-                out.append(Violation(
-                    "shape",
-                    (len(instance.agent_points), len(instance.item_points)),
-                    "point lists must both have length n",
-                ))
-        out.extend(_matrix_violations("costs", instance.costs, n))
-        if out or instance.point_based and _costs_are_distances(instance):
-            return out
-        return _triangle_violations(instance)
-
-    if instance.setting == SETTING_ABSTRACT:
-        if instance.rankings is None:
-            out.append(Violation("missing", (), "abstract instance without rankings"))
-            return out
-        if len(instance.rankings) != n:
-            out.append(Violation("shape", (len(instance.rankings),), f"expected {n} rankings"))
-        for i, row in enumerate(instance.rankings, start=1):
-            if not _is_permutation(row, n):
-                out.append(Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}"))
-        return out
-
-    out.append(Violation("setting", (), f"unknown setting {instance.setting!r}"))
-    return out
+    except (TypeError, AttributeError):
+        if not isinstance(n, int):
+            return [Violation("type", (), f"n has type {type(n).__name__}, not int")]
+        abstract = instance.setting == SETTING_ABSTRACT
+        rows, kinds = (instance.rankings, int) if abstract else (instance.payoff_matrix(), (int, Fraction))
+        out = []
+        for i, row in enumerate(rows if isinstance(rows, Sequence) else (), start=1):
+            if not isinstance(row, Sequence):
+                out.append(Violation("type", (i,), f"row {i} has type {type(row).__name__}, not a sequence"))
+                continue
+            out.extend(Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
+                       for g, x in enumerate(row, start=1) if not isinstance(x, kinds))
+        return out or [Violation("type", (), "the instance holds a value of the wrong type")]
+    return [Violation("setting", (), f"unknown setting {instance.setting!r}")]
 
 
 @dataclass(frozen=True)

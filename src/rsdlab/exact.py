@@ -7,11 +7,12 @@ the n! agent orderings.  After any prefix of an ordering, what serial
 dictatorship does next depends only on which agents have acted and which
 items are taken, so every prefix that reaches the same pair of sets is
 merged into one state.  The DP walks the reachable states layer by layer
-(one layer per number of agents who have acted), keeping per state the
-number of prefixes that reach it and the sums the second moment needs, as
-exact integers.  The mean needs no per-state sums: it is read off the count
-matrix by linearity (:func:`expected_objective`).  Each state costs O(n^2)
-steps, and there are at most C(2n, n) < 4^n of them, usually far fewer.
+(one layer per number of agents who have acted), keeping per state two
+exact integers: the number of prefixes that reach it and the sum of their
+partial objective values.  The last state's sum is n! times the mean, and
+the second moment is summed layer by layer from the same two numbers.  Each
+state costs O(n^2) steps, and there are at most C(2n, n) < 4^n of them,
+usually far fewer.
 
 The result is the reference oracle that every estimator and every encoded
 instance in this package is checked against, which is why it still refuses
@@ -71,18 +72,18 @@ def enumerate_rsd(
     After a prefix of an ordering, serial dictatorship's future depends only
     on which agents have acted and which items are taken.  A state is that
     pair, packed into one int as ``taken | acted << n``, and carries ``w``,
-    the number of prefixes that reach it, and ``s`` and ``sq``, the sum and
-    the sum of squares of their partial objective values on the integer
-    payoffs of :func:`rsdlab.core.integer_payoff_table`.  At depth d, an
-    agent ``a`` who has not acted takes ``g``, its first untaken item in
-    ``preference_rows`` (so ties still go to the minimum item index); each
-    of the (n-d-1)! completions of those ``w`` prefixes gives ``a`` item
-    ``g``, and with payoff p the successor state receives
-    (w, s + w p, sq + 2 p s + w p^2).  Each layer is dropped once the next
-    is built.  The last layer holds a single state whose ``w`` is n! and
-    whose ``sq`` is the exact total of squares over all orderings; ``s`` only
-    feeds that recurrence, as :func:`expected_objective` reads the mean off
-    the counts.  The cost is exponential in n (reachable states), not n!.
+    the number of prefixes that reach it, and ``s``, the sum of their
+    partial objective values on the integer payoffs of
+    :func:`rsdlab.core.integer_payoff_table`.  At depth d, an agent ``a`` who
+    has not acted takes ``g``, its first untaken item in ``preference_rows``
+    (so ties still go to the minimum item index); each of the (n-d-1)!
+    completions of those ``w`` prefixes gives ``a`` item ``g``, and with
+    payoff p the successor state receives (w, s + w p).  Since X^2 is the
+    sum over steps t of 2 p_t S_{t-1} + p_t^2 (S_{t-1} the partial sum
+    before step t), the step adds 2 p s + w p^2 to the total of squares,
+    times the (n-d-1)! completions, which multiply each layer's sum once.
+    The last layer holds one state, whose ``w`` is n! and whose ``s`` is n!
+    times the mean.  The cost is exponential in n (reachable states), not n!.
 
     With ``objective=None`` the payoffs are taken as zero and only the count
     matrix and lottery are reported, which also covers abstract instances.
@@ -97,11 +98,13 @@ def enumerate_rsd(
 
     prefs = preference_rows(instance)
     counts = [[0] * n for _ in range(n)]
-    layer = {0: (1, 0, 0)}
+    layer = {0: (1, 0)}
+    total_sq = 0
     for depth in range(n):
         completions = math.factorial(n - depth - 1)
-        nxt: dict[int, tuple[int, int, int]] = {}
-        for state, (w, s, sq) in layer.items():
+        nxt: dict[int, tuple[int, int]] = {}
+        layer_sq = 0
+        for state, (w, s) in layer.items():
             for a in range(n):
                 acted_bit = 1 << (n + a)
                 if state & acted_bit:
@@ -112,16 +115,19 @@ def enumerate_rsd(
                 counts[a][g] += w * completions
                 key = state | acted_bit | 1 << g
                 p = scaled[a][g]
-                w0, s0, sq0 = nxt.get(key, (0, 0, 0))
-                nxt[key] = (w0 + w, s0 + s + w * p, sq0 + sq + (2 * s + w * p) * p)
+                wp = w * p
+                layer_sq += (2 * s + wp) * p
+                w0, s0 = nxt.get(key, (0, 0))
+                nxt[key] = (w0 + w, s0 + s + wp)
+        total_sq += layer_sq * completions
         layer = nxt
-    (fact, _, total_sq), = layer.values()
+    (fact, total), = layer.values()
 
     lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in counts)
     if objective is None:
         mean = second = variance = None
     else:
-        mean = expected_objective(instance, objective, counts)
+        mean = Fraction(total, fact * denom)
         second = Fraction(total_sq, fact * denom * denom)
         variance = second - mean * mean
     return ExactSummary(

@@ -1,3 +1,4 @@
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from rsdlab import (
     AssignmentInstance,
     Method,
     Objective,
+    Violation,
     bernoulli_welfare,
     build_reduction,
     check_approx,
@@ -322,6 +324,34 @@ def test_violation_messages_cut_values_longer_than_the_quoted_length():
     ]
     (violation,) = validate(AssignmentInstance.from_costs([[10**45, 0], [0, 0]]))
     assert violation.message == f"c[1][1]=1{'0' * 39}… (46 characters) exceeds c[1][2]+c[2][2]+c[2][1]"
+
+
+_JUNK = st.one_of(st.floats(), st.text(max_size=3), st.none(), st.complex_numbers(), st.decimals(),
+                  st.lists(st.integers(0, 3), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_lists_values_of_the_wrong_type_and_never_raises(data):
+    # only the raw constructor stores such values; from_values and the loader convert or refuse
+    n = data.draw(st.integers(1, 4))
+    setting, field = data.draw(st.sampled_from([("value", "values"), ("metric", "costs"), ("abstract", "rankings")]))
+    payoff = st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=3))
+    good = st.integers(1, n) if setting == "abstract" else payoff
+    entry = st.one_of(good, good, _JUNK)
+    rows = data.draw(st.lists(st.one_of(st.lists(entry, min_size=n, max_size=n), entry), min_size=n, max_size=n))
+    fields = {field: tuple(tuple(r) if isinstance(r, list) else r for r in rows)}
+    if setting == "metric" and data.draw(st.booleans()):
+        points = st.lists(st.one_of(good, _JUNK), min_size=n, max_size=n).map(tuple)
+        fields.update(agent_points=data.draw(points), item_points=data.draw(points))
+    declared = data.draw(st.one_of(st.just(n), _JUNK))
+    violations = validate(AssignmentInstance(n=declared, setting=setting, **fields))
+    assert isinstance(violations, list) and all(isinstance(v, Violation) for v in violations)
+    rows = fields[field]
+    wrong_rows = [r for r in rows if not isinstance(r, Sequence)]
+    wrong_entries = [x for r in rows if isinstance(r, Sequence) for x in r if not isinstance(x, (int, Fraction))]
+    if not isinstance(declared, int) or wrong_rows or wrong_entries:
+        assert violations
 
 
 def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_rsd_by_orderings, metric_battery, value_battery
+from conftest import abstract_battery, enumerate_rsd_by_orderings, metric_battery, tie_battery, value_battery
 from rsdlab import (
     AssignmentInstance,
     Family,
@@ -22,6 +22,7 @@ from rsdlab import (
     solve_opt,
     verify_reverse_chernoff_grid,
 )
+from rsdlab.exact import expected_objective
 
 OBJECTIVE_OF = {"value": Objective.WELFARE, "metric": Objective.COST}
 
@@ -60,6 +61,16 @@ def test_dp_matches_ordering_enumeration_on_reduction_instances(setting):
     for n in range(1, 6):
         for seed in (0, 1):
             assert_matches_reference(build_reduction(random_abstract(n, seed), setting))
+
+
+def test_the_dp_mean_equals_the_mean_read_off_the_counts():
+    # the DP reads the mean off its last state; expected_objective reads it off the counts
+    reductions = [build_reduction(source, setting)
+                  for source in abstract_battery(8, 60, ns=(2, 3, 4, 5)) for setting in ("value", "metric")]
+    for inst in [*value_battery(12, 300), *metric_battery(12, 400), *tie_battery(12, 500), *reductions]:
+        objective = OBJECTIVE_OF[inst.setting]
+        summary = enumerate_rsd(inst, objective)
+        assert summary.mean == expected_objective(inst, objective, summary.counts)
 
 
 @pytest.mark.parametrize("family", [Family.RANDOM_VALUE, Family.RANDOM_METRIC_LINE, Family.RANDOM_ABSTRACT])
