@@ -240,7 +240,7 @@ class AssignmentInstance:
 
     @classmethod
     def from_rankings(cls, rankings: Iterable[Iterable[int]]) -> "AssignmentInstance":
-        ranks = tuple(tuple(int(r) for r in row) for row in rankings)
+        ranks = tuple(map(tuple, rankings))
         return cls(n=len(ranks), setting=SETTING_ABSTRACT, rankings=ranks)
 
     @property
@@ -300,7 +300,7 @@ class Ordering:
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(int(a) for a in self.seq))
+        object.__setattr__(self, "seq", tuple(map(index, self.seq)))
 
     @property
     def n(self) -> int:
@@ -317,7 +317,7 @@ class Matching:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "assign", tuple(int(g) for g in self.assign))
+        object.__setattr__(self, "assign", tuple(map(index, self.assign)))
 
     @property
     def n(self) -> int:
@@ -390,6 +390,16 @@ def _matrix_violations(name: str, rows: Sequence[Sequence[Fraction]], n: int) ->
     return out
 
 
+def _unordered(instance: AssignmentInstance, rows: str, *points: str) -> list[Violation]:
+    """A ``type`` violation for each field that is not a sequence, else for
+    each row of ``rows`` that is not: a set or a dict has no order to read."""
+    fields = [(name, getattr(instance, name)) for name in (rows, *points)]
+    out = [Violation("type", (), f"{name} has type {type(f).__name__}, not a sequence")
+           for name, f in fields if not isinstance(f, (Sequence, type(None)))]
+    return out or [Violation("type", (i,), f"row {i} of {rows} has type {type(row).__name__}, not a sequence")
+                   for i, row in enumerate(getattr(instance, rows), start=1) if not isinstance(row, Sequence)]
+
+
 def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     """Every four-point failure ``c[i1][g1] > c[i1][g2] + c[i2][g2] + c[i2][g1]``
     of a square, non-negative cost matrix, in (i1, g1, i2, g2) order.
@@ -446,7 +456,8 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     violation.  A point-defined instance whose every cost is its points'
     distance is a line metric, which an O(n^2) integer check establishes;
     if any cost differs, the full check runs.  A value of the wrong type,
-    which only the raw constructor stores, is listed as well.
+    such as a float rank, and a field or row that is not a sequence, such
+    as a set or a dict, are listed as well.
     """
     n = instance.n
     try:
@@ -455,12 +466,14 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
         if instance.setting == SETTING_VALUE:
             if instance.values is None:
                 return [Violation("missing", (), "value instance without a value matrix")]
-            return _matrix_violations("values", instance.values, n)
+            return _unordered(instance, "values") or _matrix_violations("values", instance.values, n)
 
         if instance.setting == SETTING_METRIC:
             if instance.costs is None:
                 return [Violation("missing", (), "metric instance without a cost matrix")]
-            out = []
+            out = _unordered(instance, "costs", "agent_points", "item_points")
+            if out:
+                return out
             if instance.point_based:
                 agents, items = len(instance.agent_points), len(instance.item_points)
                 if agents != n or items != n:
@@ -473,7 +486,9 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
         if instance.setting == SETTING_ABSTRACT:
             if instance.rankings is None:
                 return [Violation("missing", (), "abstract instance without rankings")]
-            out = []
+            out = _unordered(instance, "rankings")
+            if out:
+                return out
             if len(instance.rankings) != n:
                 out.append(Violation("shape", (len(instance.rankings),), f"expected {n} rankings"))
             for i, row in enumerate(instance.rankings, start=1):
@@ -485,13 +500,9 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
             return [Violation("type", (), f"n has type {type(n).__name__}, not int")]
         abstract = instance.setting == SETTING_ABSTRACT
         rows, kinds = (instance.rankings, int) if abstract else (instance.payoff_matrix(), (int, Fraction))
-        out = []
-        for i, row in enumerate(rows if isinstance(rows, Sequence) else (), start=1):
-            if not isinstance(row, Sequence):
-                out.append(Violation("type", (i,), f"row {i} has type {type(row).__name__}, not a sequence"))
-                continue
-            out.extend(Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
-                       for g, x in enumerate(row, start=1) if not isinstance(x, kinds))
+        # every row is a sequence here: validate lists any other first
+        out = [Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
+               for i, row in enumerate(rows, start=1) for g, x in enumerate(row, start=1) if not isinstance(x, kinds)]
         return out or [Violation("type", (), "the instance holds a value of the wrong type")]
     return [Violation("setting", (), f"unknown setting {instance.setting!r}")]
 

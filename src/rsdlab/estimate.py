@@ -9,9 +9,9 @@ confidence on heavy-tailed cost instances.  :func:`estimate_mean`, the plain
 k-sample mean, is its one-run case.
 
 Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
-substream ``(seed, j, i)``, and a run's samples are the orderings
-:func:`rsdlab.rng.run_permutations` yields, bit-identical to the scalar
-``substream(seed, j, i).permutation(n)``.  Each ordering is scored exactly
+substream ``(seed, j, i)``, and its ordering is the scalar
+``substream(seed, j, i).permutation(n)``, bit for bit, though its draws
+come packed with those of other samples (:func:`rsdlab.rng.packed_draws`).  Each ordering is scored exactly
 on the integer payoff table of :func:`rsdlab.core.integer_payoff_table`.  A
 run sums its k integer scores and rounds once, to the float nearest the
 exact mean ``total / (k * denom)``.  Both choices make the report bit-for-bit
@@ -23,7 +23,8 @@ least 1.5 n b samples (b the bits of an agent index) at n <=
 :data:`rsdlab.sd.LANES_MAX_N` (192) runs on lanes: its shuffles and serial
 dictatorship run on every sample at once, one bit of a Python int each,
 straight from the packed draws.  Any other batch, small or at larger n,
-scores its orderings one at a time with :func:`rsdlab.sd.sd_assign`.
+reads the packed draws as 64-bit words, swaps each ordering and scores it
+alone with :func:`rsdlab.sd.sd_assign`.
 Both give the exact integer total, and all of it runs in one thread.
 
 The reported means are doubles, so an instance on which a matching could

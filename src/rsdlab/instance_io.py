@@ -145,13 +145,22 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     return AssignmentInstance(n=n, setting=setting, rankings=tuple(rows))
 
 
+def _readable(text: str) -> str:
+    """``text``, or the :class:`ValueError` that :func:`rsdlab.core.parse_number`
+    raises for a literal longer than :data:`MAX_LITERAL_LENGTH`."""
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
+    return text
+
+
 def format_number(x: Fraction) -> int | str:
     """Exact JSON encoding: small integers stay integers, everything else
-    becomes a decimal string.  Raises if ``x`` has no finite decimal form."""
+    becomes a decimal string.  Raises if ``x`` has no finite decimal form,
+    or if its string is longer than the reader takes."""
     x = Fraction(x)
     if x.denominator == 1:
         v = x.numerator
-        return v if abs(v) < _JSON_INT_LIMIT else exact_str(v)
+        return v if abs(v) < _JSON_INT_LIMIT else _readable(exact_str(v))
     den = x.denominator
     twos = 0
     while den % 2 == 0:
@@ -168,7 +177,7 @@ def format_number(x: Fraction) -> int | str:
     sign = "-" if digits < 0 else ""
     text = exact_str(abs(digits)).rjust(scale + 1, "0")
     whole, frac = text[:-scale] if scale else text, text[-scale:] if scale else ""
-    return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    return _readable(f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}")
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:

@@ -34,6 +34,7 @@ from .core import (
     SETTING_VALUE,
     AssignmentInstance,
     Objective,
+    preference_rows,
     validate,
 )
 from .exact import DEFAULT_ORACLE_CAP, counts_by_rank, enumerate_rsd, expected_objective
@@ -163,5 +164,9 @@ def build_artifact(source: AssignmentInstance, setting: str, cap: int = DEFAULT_
 
 
 def round_trip_matches(artifact: ReductionArtifact) -> bool:
-    """True iff the decoded counts equal the DP counts they were summed from."""
-    return artifact.oracle_counts == artifact.counts
+    """True iff the built instance ranks every agent's items as the source
+    does, so that serial dictatorship matches alike on both under every
+    ordering, and the decoded counts equal the DP counts they were summed
+    from."""
+    return (preference_rows(artifact.built) == preference_rows(artifact.source)
+            and artifact.oracle_counts == artifact.counts)

@@ -27,16 +27,15 @@ bounded draw per position from ``n - 1`` down to ``1``.
 Masking with ``& lane`` (all-ones in every lane) after each shift-xor and
 before each multiply keeps every product of a lane and a 64-bit constant
 inside its slot, so the packed arithmetic is the scalar arithmetic on every
-lane at once.  It yields one packed int of draws per position.  Every
-sampled run reads them through :func:`rsdlab.sd.sd_total`, which takes each
-batch on one of two paths: on lanes it shuffles the draws on bit planes,
-and on the scalar loop ``run_permutations`` reads them out as 64-bit words
-and swaps each sample's ordering.
+lane at once.  It yields one packed int of draws per position.  This module
+writes the packed lanes; :mod:`rsdlab.sd` is the one reader, and every
+sampled run reads them through :func:`rsdlab.sd.sd_total`: on lanes it
+shuffles the draws on bit planes, and on the scalar loop it reads them out
+as 64-bit words and swaps each sample's ordering.
 """
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -44,7 +43,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
-_CHUNK = 1024  # lanes per packed chunk; the speed is flat from 512 to 8192
 
 
 def mix64(z: int) -> int:
@@ -112,14 +110,6 @@ def _mix_lanes(z: int, lane: int) -> int:
     return (z ^ (z >> 31)) & lane
 
 
-def _words(z: int, count: int) -> memoryview:
-    """The ``count`` lanes of ``z`` as native 64-bit words, in lane order."""
-    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
-    # little-endian: slot i is words 2i (its lane) and 2i + 1; big-endian
-    # puts the last slot first and each slot's lane second
-    return words[::2] if sys.byteorder == "little" else words[::-2]
-
-
 def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterator[int]:
     """The draws of samples ``start .. start + count - 1`` of ``(seed, run)``,
     one position at a time: for ``i`` from ``n - 1`` down to ``1``, one packed
@@ -130,25 +120,6 @@ def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterato
     for i in range(n - 1, 0, -1):
         state = (state + step) & lane
         yield (_mix_lanes(state, lane) * (i + 1)) >> 64 & lane
-
-
-def run_permutations(seed: int, run: int, k: int, n: int, start: int = 0) -> Iterator[list[int]]:
-    """``substream(seed, run, i).permutation(n)`` for ``i`` in
-    ``range(start, start + k)``, in that order, drawn ``_CHUNK`` samples at a
-    time on packed lanes."""
-    identity = list(range(n))
-    positions = range(n - 1, 0, -1)
-    if n < 2:  # no draws
-        for _ in range(k):
-            yield identity[:]
-        return
-    for first in range(start, start + k, _CHUNK):
-        count = min(_CHUNK, start + k - first)
-        for js in zip(*[_words(d, count) for d in packed_draws(seed, run, first, count, n)]):
-            items = identity[:]
-            for i, j in zip(positions, js):
-                items[i], items[j] = items[j], items[i]
-            yield items
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

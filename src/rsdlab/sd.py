@@ -4,16 +4,21 @@ Agents act in the given order; each takes its most preferred item still
 available, with ties resolved in favour of the minimum item index.  The
 mechanism is deterministic given the instance and the ordering; uniformly
 random orderings are drawn from the package's documented generator.
+:func:`sd_total` scores the orderings ``substream(seed, run, i).permutation(n)``
+of a run, and reads their draws packed (:func:`rsdlab.rng.packed_draws`) on
+one of two paths: on lanes, as bit planes, or on the scalar loop, as 64-bit
+words :data:`_CHUNK` samples at a time.  No other module reads them.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AssignmentInstance, Matching, Objective, Ordering, preference_rows
-from .rng import SplitMix64, packed_draws, run_permutations
+from .rng import SplitMix64, packed_draws
 
 LANES = 4096
 """Samples :func:`sd_total` runs at once on lanes, one bit of a Python int
@@ -27,6 +32,8 @@ measured even near that floor (54 samples at n = 9, 1,050 at n = 100)."""
 LANES_MAX_N = 192
 """Largest n run on lanes: a full batch took 0.94 of the scalar loop's time
 at n = 192, but 1.16 at n = 256."""
+
+_CHUNK = 1024  # samples per packed chunk of the scalar loop; the speed is flat from 512 to 8192
 
 # _BIT_DIGITS[b] maps each byte to b"1" if its bit b is set, else to b"0"
 _BIT_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
@@ -105,15 +112,35 @@ def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], pla
     return total
 
 
-def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], orders: Iterable[list[int]]) -> int:
-    """The total score of ``orders``, one :func:`sd_assign` call each."""
-    return sum(sum(map(list.__getitem__, scaled, sd_assign(prefs, order))) for order in orders)
+def _words(z: int, count: int) -> memoryview:
+    """The ``count`` lanes of ``z`` as native 64-bit words, in lane order."""
+    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    # little-endian: slot i is words 2i (its lane) and 2i + 1; big-endian
+    # puts the last slot first and each slot's lane second
+    return words[::2] if sys.byteorder == "little" else words[::-2]
+
+
+def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, start: int, count: int) -> int:
+    """The total score of samples ``start .. start + count - 1`` at n >= 2,
+    :data:`_CHUNK` at a time: each sample's packed draws, read out as 64-bit
+    words, swap its ordering in place, and :func:`sd_assign` scores it."""
+    n = len(prefs)
+    identity, positions = list(range(n)), range(n - 1, 0, -1)
+    total = 0
+    for first in range(start, start + count, _CHUNK):
+        size = min(_CHUNK, start + count - first)
+        for js in zip(*[_words(d, size) for d in packed_draws(seed, run, first, size, n)]):
+            order = identity[:]
+            for i, j in zip(positions, js):
+                order[i], order[j] = order[j], order[i]
+            total += sum(map(list.__getitem__, scaled, sd_assign(prefs, order)))
+    return total
 
 
 def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, k: int) -> int:
     """The exact integer total of ``scaled[a][sd_assign(prefs, order)[a]]``
-    over every agent ``a`` of every ordering that
-    ``run_permutations(seed, run, k, n)`` yields.
+    over every agent ``a`` of the orderings
+    ``substream(seed, run, i).permutation(n)``, ``i`` in ``range(k)``.
 
     A batch of up to :data:`LANES` samples large enough for lanes is
     shuffled and run on lanes, with no ordering built; any other batch is
@@ -125,7 +152,7 @@ def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: 
     for start in range(0, k, LANES):
         count = min(LANES, k - start)
         if n > LANES_MAX_N or 2 * count < floor:
-            total += _scalar_total(prefs, scaled, run_permutations(seed, run, count, n, start))
+            total += _scalar_total(prefs, scaled, seed, run, start, count)
         else:
             planes = _shuffled_planes(packed_draws(seed, run, start, count, n), count, n)
             total += _lane_total(prefs, scaled, planes, count)

@@ -109,6 +109,20 @@ def count_dp_calls(monkeypatch, module) -> list:
     return calls
 
 
+def record_orderings(monkeypatch) -> list:
+    """Replace ``rsdlab.sd.sd_assign`` by a wrapper that appends a copy of
+    every ordering it scores to the list it returns: on the scalar loop of
+    ``sd.sd_total``, one ordering per sample, in sample order."""
+    orders = []
+
+    def recorded(prefs, order):
+        orders.append(list(order))
+        return sd_assign(prefs, order)
+
+    monkeypatch.setattr("rsdlab.sd.sd_assign", recorded)
+    return orders
+
+
 def preference_rows_by_fractions(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]:
     """Reference ranking of a value or metric instance: each payoff row
     sorted on (payoff, item) keys in Fractions, values negated so the best

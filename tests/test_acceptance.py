@@ -34,7 +34,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.coverage import ANALYTIC_FAMILY, EXACT_ORACLE
-from rsdlab.rng import _CHUNK
+from rsdlab.sd import _CHUNK
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):

@@ -14,8 +14,10 @@ from conftest import (
 )
 from rsdlab import (
     AssignmentInstance,
+    Matching,
     Method,
     Objective,
+    Ordering,
     Violation,
     bernoulli_welfare,
     build_reduction,
@@ -333,25 +335,57 @@ _JUNK = st.one_of(st.floats(), st.text(max_size=3), st.none(), st.complex_number
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_validate_lists_values_of_the_wrong_type_and_never_raises(data):
-    # only the raw constructor stores such values; from_values and the loader convert or refuse
+    # the raw constructor stores such values; from_values and the loader convert or refuse
     n = data.draw(st.integers(1, 4))
     setting, field = data.draw(st.sampled_from([("value", "values"), ("metric", "costs"), ("abstract", "rankings")]))
     payoff = st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=3))
     good = st.integers(1, n) if setting == "abstract" else payoff
     entry = st.one_of(good, good, _JUNK)
-    rows = data.draw(st.lists(st.one_of(st.lists(entry, min_size=n, max_size=n), entry), min_size=n, max_size=n))
-    fields = {field: tuple(tuple(r) if isinstance(r, list) else r for r in rows)}
+    # a set or a dict, as a row or holding the rows or the points, has no order to read
+    row = st.one_of(st.lists(entry, min_size=n, max_size=n).map(tuple), entry,
+                    st.sets(good, max_size=n), st.dictionaries(st.integers(0, n - 1), good))
+    rows = st.lists(row, min_size=n, max_size=n)
+    fields = {field: data.draw(st.one_of(rows.map(tuple), rows.map(tuple), rows.map(lambda rs: dict(enumerate(rs))),
+                                         st.sets(st.lists(good, min_size=n, max_size=n).map(tuple), min_size=1)))}
     if setting == "metric" and data.draw(st.booleans()):
-        points = st.lists(st.one_of(good, _JUNK), min_size=n, max_size=n).map(tuple)
+        points = st.one_of(st.lists(st.one_of(good, _JUNK), min_size=n, max_size=n).map(tuple), st.sets(good, max_size=n))
         fields.update(agent_points=data.draw(points), item_points=data.draw(points))
     declared = data.draw(st.one_of(st.just(n), _JUNK))
     violations = validate(AssignmentInstance(n=declared, setting=setting, **fields))
     assert isinstance(violations, list) and all(isinstance(v, Violation) for v in violations)
     rows = fields[field]
-    wrong_rows = [r for r in rows if not isinstance(r, Sequence)]
-    wrong_entries = [x for r in rows if isinstance(r, Sequence) for x in r if not isinstance(x, (int, Fraction))]
-    if not isinstance(declared, int) or wrong_rows or wrong_entries:
+    unordered = [f for f in fields.values() if not isinstance(f, Sequence)] or [r for r in rows if not isinstance(r, Sequence)]
+    if not isinstance(declared, int):
         assert violations
+    elif unordered:
+        assert violations and all(v.code == "type" and v.message.endswith("not a sequence") for v in violations)
+    elif any(not isinstance(x, (int, Fraction)) for r in rows for x in r):
+        assert violations
+
+
+def test_validate_names_each_field_or_row_that_is_not_a_sequence():
+    fields = {
+        "value": dict(values=({5, 1}, {3, 4})),
+        "metric": dict(costs=((0, 1), {0: 1, 1: 0})),
+        "abstract": dict(rankings={(1, 2), (2, 1)}),
+    }
+    assert [v.message for setting, f in fields.items() for v in validate(AssignmentInstance(n=2, setting=setting, **f))] == [
+        "row 1 of values has type set, not a sequence", "row 2 of values has type set, not a sequence",
+        "row 2 of costs has type dict, not a sequence", "rankings has type set, not a sequence",
+    ]
+    points = AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points={0, 1}, item_points=(0, 1))
+    assert validate(points) == [Violation("type", (), "agent_points has type set, not a sequence")]
+    assert [v.message for v in validate(AssignmentInstance(n=2, setting="abstract", rankings=([1, 2], {2, 1})))] == [
+        "row 2 of rankings has type set, not a sequence"]
+
+
+def test_float_ranks_and_orderings_are_refused_never_truncated():
+    inst = AssignmentInstance.from_rankings([[1.7, 2.2], [2.9, 1.0]])
+    assert inst.rankings == ((1.7, 2.2), (2.9, 1.0))
+    assert {v.code for v in validate(inst)} == {"type"}
+    for kind in (Ordering, Matching):
+        with pytest.raises(TypeError):
+            kind((1.5, 2.9))
 
 
 def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):

@@ -20,8 +20,7 @@ from rsdlab import (
 )
 from rsdlab import sd as sd_module
 from rsdlab.estimate import ExactFloatSum
-from rsdlab.rng import _CHUNK
-from rsdlab.sd import LANES, random_ordering, sd_run
+from rsdlab.sd import _CHUNK, LANES, random_ordering, sd_run
 
 
 def test_k_one_equals_single_run_value():

@@ -19,7 +19,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab import core
-from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, parse_number
+from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, parse_number
 from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
 
 
@@ -134,6 +134,33 @@ def test_reductions_past_the_int_string_limit_round_trip(setting):
     built = build_reduction(random_abstract(18, 1), setting)
     assert max(x.numerator.bit_length() for row in built.payoff_matrix() for x in row) > 17_000
     assert loads_instance(dumps_instance(built)) == built
+
+
+def test_the_longest_reduction_that_loads_round_trips():
+    # at n = 21 the longest payoff literal has about 8,800 characters
+    built = build_reduction(random_abstract(21, 1), "metric")
+    assert loads_instance(dumps_instance(built)) == built
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_the_writer_refuses_a_literal_the_reader_refuses(setting):
+    built = build_reduction(random_abstract(22, 1), setting)
+    longest = max(len(exact_str(x.numerator)) for row in built.payoff_matrix() for x in row)
+    assert longest > MAX_LITERAL_LENGTH  # about 10,200 characters
+    with pytest.raises(ValueError) as written:
+        dumps_instance(built)
+    with pytest.raises(InstanceFormatError) as read:
+        loads_instance(f'{{"n": 1, "setting": "value", "values": [["{"1" * longest}"]]}}')
+    assert str(read.value) == f"values[1][1]: {written.value}"
+
+
+def test_format_number_writes_no_literal_longer_than_the_reader_takes():
+    # a decimal 1/2**k has k digits after "0."; the sign counts, as on reading
+    fits = (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 2)), Fraction(10 ** (MAX_LITERAL_LENGTH - 1)))
+    assert [len(format_number(x)) for x in fits] == [MAX_LITERAL_LENGTH] * 2
+    for x in (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 1)), Fraction(-(10 ** (MAX_LITERAL_LENGTH - 1)))):
+        with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL_LENGTH} characters$"):
+            format_number(x)
 
 
 @pytest.mark.parametrize("sign", ["", "-", "+"])

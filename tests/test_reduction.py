@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -108,6 +109,18 @@ def test_round_trip_against_enumeration():
             summary = enumerate_rsd(artifact.built)
             assert counts_by_rank(summary, artifact.built) == artifact.counts
             assert artifact.lottery == summary.lottery
+
+
+@pytest.mark.parametrize("setting", ["value", "metric"])
+def test_a_built_instance_that_ranks_otherwise_fails_the_round_trip(setting):
+    # agent 1's counts are (6, 0, 0) whatever it ranks below its favourite,
+    # so only the preferences tell the swapped instance from the built one
+    artifact = build_artifact(AssignmentInstance.from_rankings([[1, 2, 3], [2, 3, 1], [3, 2, 1]]), setting)
+    assert artifact.counts[0] == (6, 0, 0) and round_trip_matches(artifact)
+    rows = [list(row) for row in artifact.built.payoff_matrix()]
+    rows[0][1], rows[0][2] = rows[0][2], rows[0][1]  # agent 1's rank-2 and rank-3 payoffs
+    swapped = (AssignmentInstance.from_values if setting == "value" else AssignmentInstance.from_costs)(rows)
+    assert not round_trip_matches(dataclasses.replace(artifact, built=swapped))
 
 
 def test_metric_top_block_is_n_times_factorial():

@@ -6,7 +6,9 @@ depends on these words, so a change to any of them is a contract change.
 
 import pytest
 
-from rsdlab import rng
+from conftest import record_orderings
+from rsdlab import rng, sd
+from rsdlab.sd import _CHUNK
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -104,25 +106,40 @@ def test_package_matches_reference_on_many_draws():
         assert [ours.below(b) for b in range(1, 200)] == [ref.below(b) for b in range(1, 200)]
 
 
+def scalar_orders(monkeypatch, seed, run, k, n):
+    """The orderings of samples 0 .. k - 1 of ``(seed, run)`` that the
+    scalar loop of ``sd.sd_total`` reads off the packed draws, up to
+    ``_CHUNK`` samples at a time, and scores, in order."""
+    orders = record_orderings(monkeypatch)
+    sd._scalar_total(tuple(tuple(range(n)) for _ in range(n)), [[0] * n for _ in range(n)], seed, run, 0, k)
+    return orders
+
+
 @pytest.mark.parametrize("seed,run,k,n", [
     (0, 0, 1, 6),
     (7, 3, 50, 20),
     (2**64 - 1, 2**40, 20, 33),
     (-5, 1, 3, 2),
-    (11, 2, rng._CHUNK - 1, 6),
-    (11, 2, rng._CHUNK, 6),
-    (11, 2, rng._CHUNK + 1, 6),
-    (12, 0, 2 * rng._CHUNK + 5, 3),
+    (11, 2, _CHUNK - 1, 6),
+    (11, 2, _CHUNK, 6),
+    (11, 2, _CHUNK + 1, 6),
+    (12, 0, 2 * _CHUNK + 5, 3),
     (13, 4, 9, 300),
     (14, 1, 5, 1),
     (15, 1, 5, 0),
 ])
-def test_run_permutations_match_substreams(seed, run, k, n):
-    perms = list(rng.run_permutations(seed, run, k, n))
-    assert perms == [rng.substream(seed, run, i).permutation(n) for i in range(k)]
+def test_run_permutations_match_substreams(seed, run, k, n, monkeypatch):
+    expected = [rng.substream(seed, run, i).permutation(n) for i in range(k)]
     # and the independent reference agrees
-    assert perms[:5] == [ref_substream(seed, run, i).permutation(n) for i in range(min(k, 5))]
-    assert list(rng.run_permutations(seed, run, 0, n)) == []
+    assert expected[:5] == [ref_substream(seed, run, i).permutation(n) for i in range(min(k, 5))]
+    if n < 2:
+        # no draws, and a lane floor of 0: sd_total runs every batch on
+        # lanes, and each ordering is the identity
+        assert expected == [list(range(n))] * k
+        assert sd.sd_total(tuple((0,) for _ in range(n)), [[1]] * n, seed, run, k) == k * n
+        return
+    assert scalar_orders(monkeypatch, seed, run, k, n) == expected
+    assert scalar_orders(monkeypatch, seed, run, 0, n) == []
 
 
 def test_run_permutations_wrap_the_lane_counter(monkeypatch):
@@ -131,7 +148,8 @@ def test_run_permutations_wrap_the_lane_counter(monkeypatch):
     monkeypatch.setattr(rng, "_run_state", lambda seed, run: base)
     for n in (2, 6, 20):
         expected = [RefGenerator(ref_mix64(base + i)).permutation(n) for i in range(7)]
-        assert list(rng.run_permutations(1, 0, 7, n)) == expected
+        assert [rng.substream(1, 0, i).permutation(n) for i in range(7)] == expected
+        assert scalar_orders(monkeypatch, 1, 0, 7, n) == expected
 
 
 def test_below_refuses_an_empty_range():

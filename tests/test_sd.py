@@ -1,11 +1,12 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lane_floor, metric_battery, tie_battery
+from conftest import lane_floor, metric_battery, record_orderings, tie_battery
 from rsdlab import (
     AssignmentInstance,
     Matching,
@@ -23,8 +24,8 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.core import integer_payoff_table, preference_rows
-from rsdlab.rng import packed_draws, run_permutations
-from rsdlab.sd import LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
+from rsdlab.rng import packed_draws
+from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
 
 
 def test_worst_case_identity_run():
@@ -153,23 +154,54 @@ def test_sd_cost_within_power_of_two_factor_of_opt():
             assert evaluate(inst, matching, Objective.COST) <= bound
 
 
-@pytest.mark.parametrize("n", [1, 2, 9, 20, LANES_MAX_N, LANES_MAX_N + 1, 257])
-def test_sd_total_is_the_sum_of_sd_assign_scores(n):
-    # the reference scores run_permutations' orderings one at a time; up to
-    # n = 20 the runs end in batches on both sides of the lane floor and of
-    # LANES; LANES_MAX_N runs the widest lane batch, and above it every
-    # batch runs the scalar loop, past one-byte agent indices at n = 257
-    floor = lane_floor(n)
-    ks = {1, 40} if n > LANES_MAX_N else {floor} if n > 20 else {max(floor - 1, 0), floor, LANES, LANES + 1, LANES + floor}
-    seed, run = 9100 + n, 3
-    for inst in tie_battery(2 if n <= 20 else 1, seed, ns=(n,)):
+@lru_cache(maxsize=4)
+def substream_orders(seed, run, k, n):
+    """The scalar reference: ``substream(seed, run, i).permutation(n)`` for
+    ``i`` in ``range(k)``."""
+    return tuple(substream(seed, run, i).permutation(n) for i in range(k))
+
+
+def scalar_batches(orders, k, n):
+    """The orderings among the first ``k`` of ``orders`` that ``sd_total``
+    scores on its scalar loop: those of each batch of up to ``LANES`` below
+    the lane floor."""
+    batches = [orders[start:min(k, start + LANES)] for start in range(0, k, LANES)]
+    return [order for batch in batches if len(batch) < lane_floor(n) for order in batch]
+
+
+def check_sd_total(monkeypatch, instances, seed, run, ks, n):
+    """``sd_total`` of each of ``ks`` samples is the sum of the ``sd_assign``
+    scores of the substream orderings, and its scalar loop scores exactly
+    those of its scalar batches, one by one and in order."""
+    orders = substream_orders(seed, run, max(ks), n)
+    for inst in instances:
         prefs = preference_rows(inst)
         scaled, _ = integer_payoff_table(inst)
-        scores = [sum(map(list.__getitem__, scaled, sd_assign(prefs, order)))
-                  for order in run_permutations(seed, run, max(ks), n)]
+        scores = [sum(map(list.__getitem__, scaled, sd_assign(prefs, order))) for order in orders]
         for k in sorted(ks):
+            scored = record_orderings(monkeypatch)
             assert sd_total(prefs, scaled, seed, run, k) == sum(scores[:k]), k
+            assert scored == scalar_batches(orders, k, n), k
         assert sd_total(prefs, scaled, seed, run, 0) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 20, LANES_MAX_N, LANES_MAX_N + 1, 257])
+def test_sd_total_is_the_sum_of_sd_assign_scores(n, monkeypatch):
+    # up to n = 20 the runs end in batches on both sides of the lane floor
+    # and of LANES; LANES_MAX_N runs the widest lane batch, and above it
+    # every batch runs the scalar loop, past one-byte agent indices at n = 257
+    floor = lane_floor(n)
+    ks = {1, 40} if n > LANES_MAX_N else {floor} if n > 20 else {max(floor - 1, 0), floor, LANES, LANES + 1, LANES + floor}
+    seed = 9100 + n
+    check_sd_total(monkeypatch, tie_battery(2 if n <= 20 else 1, seed, ns=(n,)), seed, 3, ks, n)
+
+
+@pytest.mark.parametrize("n,k", [(150, 1500), (LANES_MAX_N + 1, _CHUNK + 1)])
+def test_scalar_batches_across_a_chunk_score_the_substream_orderings(n, k, monkeypatch):
+    # one batch on the scalar loop, below the lane floor at n = 150 (1,800)
+    # and above LANES_MAX_N at n = 193, read in two chunks of packed draws
+    assert _CHUNK < k < lane_floor(n)
+    check_sd_total(monkeypatch, tie_battery(1, 9300 + n, ns=(n,)), 9300 + n, 5, {k}, n)
 
 
 ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
@@ -194,4 +226,4 @@ def test_the_lane_shuffle_holds_the_orderings_of_run_permutations(k, n):
     for start in range(0, k, LANES):
         count = min(LANES, k - start)
         orders += decoded(_shuffled_planes(packed_draws(seed, run, start, count, n), count, n), count, n)
-    assert orders == list(run_permutations(seed, run, k, n))
+    assert orders == list(substream_orders(seed, run, LANES + 1, n)[:k])
