@@ -184,8 +184,8 @@ def _scaled_points(agents: Sequence[Fraction], items: Sequence[Fraction]) -> tup
             [p.numerator * (scale // p.denominator) for p in items])
 
 
-def _matrix(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(as_fraction(x) for x in row) for row in rows)
+def _matrix(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(tuple(map(as_fraction, row)) if isinstance(row, Sequence) else row for row in rows)
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,11 @@ class AssignmentInstance:
 
     Construction is permissive: malformed content (non-square matrices,
     negative entries, broken rankings, triangle failures) is stored as-is
-    and reported by :func:`validate` rather than rejected here.
+    and reported by :func:`validate` rather than rejected here.  The public
+    constructors read each row in order, so a row that is not a sequence,
+    such as a set or a dict, is kept as given for :func:`validate` to list;
+    :meth:`from_line_points` must read its points to build the costs, so it
+    raises :class:`TypeError` for a point list that is not a sequence.
     """
 
     n: int
@@ -206,17 +210,17 @@ class AssignmentInstance:
     rankings: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
-    def from_values(cls, rows: Iterable[Iterable]) -> "AssignmentInstance":
+    def from_values(cls, rows: Iterable[Sequence]) -> "AssignmentInstance":
         values = _matrix(rows)
         return cls(n=len(values), setting=SETTING_VALUE, values=values)
 
     @classmethod
-    def from_costs(cls, rows: Iterable[Iterable]) -> "AssignmentInstance":
+    def from_costs(cls, rows: Iterable[Sequence]) -> "AssignmentInstance":
         costs = _matrix(rows)
         return cls(n=len(costs), setting=SETTING_METRIC, costs=costs)
 
     @classmethod
-    def from_line_points(cls, agent_points: Iterable, item_points: Iterable) -> "AssignmentInstance":
+    def from_line_points(cls, agent_points: Sequence, item_points: Sequence) -> "AssignmentInstance":
         """Metric instance from coordinates on the real line.
 
         The cost matrix is materialized eagerly; by construction it
@@ -224,6 +228,9 @@ class AssignmentInstance:
         from the difference of two integers: the points times their least
         common denominator (:func:`_scaled_points`).
         """
+        for name, points in (("agent_points", agent_points), ("item_points", item_points)):
+            if not isinstance(points, Sequence):
+                raise TypeError(f"{name} has type {type(points).__name__}, not a sequence")
         agents = tuple(as_fraction(x) for x in agent_points)
         items = tuple(as_fraction(x) for x in item_points)
         scale, scaled_agents, scaled_items = _scaled_points(agents, items)
@@ -239,8 +246,8 @@ class AssignmentInstance:
         )
 
     @classmethod
-    def from_rankings(cls, rankings: Iterable[Iterable[int]]) -> "AssignmentInstance":
-        ranks = tuple(map(tuple, rankings))
+    def from_rankings(cls, rankings: Iterable[Sequence[int]]) -> "AssignmentInstance":
+        ranks = tuple(tuple(row) if isinstance(row, Sequence) else row for row in rankings)
         return cls(n=len(ranks), setting=SETTING_ABSTRACT, rankings=ranks)
 
     @property

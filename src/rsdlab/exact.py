@@ -7,12 +7,12 @@ the n! agent orderings.  After any prefix of an ordering, what serial
 dictatorship does next depends only on which agents have acted and which
 items are taken, so every prefix that reaches the same pair of sets is
 merged into one state.  The DP walks the reachable states layer by layer
-(one layer per number of agents who have acted), keeping per state two
-exact integers: the number of prefixes that reach it and the sum of their
-partial objective values.  The last state's sum is n! times the mean, and
-the second moment is summed layer by layer from the same two numbers.  Each
-state costs O(n^2) steps, and there are at most C(2n, n) < 4^n of them,
-usually far fewer.
+(one layer per number of agents who have acted), keeping per state one
+exact int that packs the number of prefixes that reach it, at most n!, in
+its low bits under the sum of their partial objective values.  The last
+state's sum is n! times the mean, and the second moment is summed layer by
+layer from the same two numbers.  Each agent's next item is found once per
+taken set; there are at most C(2n, n) < 4^n states, usually far fewer.
 
 The result is the reference oracle that every estimator and every encoded
 instance in this package is checked against, which is why it still refuses
@@ -71,70 +71,85 @@ def enumerate_rsd(
 
     After a prefix of an ordering, serial dictatorship's future depends only
     on which agents have acted and which items are taken.  A state is that
-    pair, packed into one int as ``taken | acted << n``, and carries ``w``,
-    the number of prefixes that reach it, and ``s``, the sum of their
+    pair, packed into one int as ``taken | acted << n``, and its value is
+    one int ``v = s << K | w``: ``w`` prefixes reach it, ``s`` sums their
     partial objective values on the integer payoffs of
-    :func:`rsdlab.core.integer_payoff_table`.  At depth d, an agent ``a`` who
-    has not acted takes ``g``, its first untaken item in ``preference_rows``
-    (so ties still go to the minimum item index); each of the (n-d-1)!
-    completions of those ``w`` prefixes gives ``a`` item ``g``, and with
-    payoff p the successor state receives (w, s + w p).  Since X^2 is the
-    sum over steps t of 2 p_t S_{t-1} + p_t^2 (S_{t-1} the partial sum
-    before step t), the step adds 2 p s + w p^2 to the total of squares,
-    times the (n-d-1)! completions, which multiply each layer's sum once.
-    The last layer holds one state, whose ``w`` is n! and whose ``s`` is n!
-    times the mean.  The cost is exponential in n (reachable states), not n!.
+    :func:`rsdlab.core.integer_payoff_table`, and ``K = (n!).bit_length()``.
+    The ``w`` of a layer sum to at most n! < 2**K, so sums of ``v`` never
+    carry between the parts, and ``v & mask`` and the floor shift ``v >> K``
+    read them back, also for a negative ``s``.  At depth d, an agent ``a``
+    who has not acted takes ``g``, its first untaken item in
+    ``preference_rows`` (ties go to the minimum item index), found once per
+    taken set; with payoff p the successor receives (w, s + w p).  Since X^2
+    is the sum over steps t of 2 p_t S_{t-1} + p_t^2 (S_{t-1} the partial
+    sum before step t), the step adds 2 p s + w p^2 to the total of squares.
+    Counts and squares are read once per layer off the per-(agent, item)
+    sums of ``v``, times the (n-d-1)! completions of those prefixes.  The
+    last state's ``w`` is n! and its ``s`` is n! times the mean.  The cost
+    is exponential in n (reachable states), not n!.
 
-    With ``objective=None`` the payoffs are taken as zero and only the count
-    matrix and lottery are reported, which also covers abstract instances.
+    With ``objective=None`` the payoffs are zero, so ``v`` is ``w``, and only
+    the count matrix and lottery are reported (abstract instances too).
     """
     n = instance.n
     check_cap(n, cap)
     if objective is None:
-        scaled = [[0] * n] * n
+        payoffs = [0] * (n * n)
     else:
         objective.require_compatible(instance)
         scaled, denom = integer_payoff_table(instance)
+        payoffs = [p for row in scaled for p in row]
 
     prefs = preference_rows(instance)
-    counts = [[0] * n for _ in range(n)]
-    layer = {0: (1, 0)}
+    fact = math.factorial(n)
+    K = fact.bit_length()
+    mask = (1 << K) - 1
+    full = (1 << n) - 1
+    counts = [0] * (n * n)
+    layer = {0: 1}
     total_sq = 0
     for depth in range(n):
         completions = math.factorial(n - depth - 1)
-        nxt: dict[int, tuple[int, int]] = {}
+        sums, moves_of, nxt = [0] * (n * n), {}, {}
+        for state, v in layer.items():
+            moves = moves_of.get(state & full)
+            if moves is None:
+                moves = moves_of[state & full] = []
+                for a, row in enumerate(prefs):
+                    for g in row:
+                        if not state >> g & 1:
+                            break
+                    i, acted_bit = a * n + g, 1 << (n + a)
+                    moves.append((acted_bit, i, payoffs[i] << K, acted_bit | 1 << g))
+            w = v & mask
+            for acted_bit, i, pk, step in moves:
+                if not state & acted_bit:
+                    sums[i] += v
+                    key = state | step
+                    nxt[key] = nxt.get(key, 0) + v + w * pk
         layer_sq = 0
-        for state, (w, s) in layer.items():
-            for a in range(n):
-                acted_bit = 1 << (n + a)
-                if state & acted_bit:
-                    continue
-                for g in prefs[a]:
-                    if not state >> g & 1:
-                        break
-                counts[a][g] += w * completions
-                key = state | acted_bit | 1 << g
-                p = scaled[a][g]
-                wp = w * p
-                layer_sq += (2 * s + wp) * p
-                w0, s0 = nxt.get(key, (0, 0))
-                nxt[key] = (w0 + w, s0 + s + wp)
+        for i, t in enumerate(sums):
+            if t:
+                w, p = t & mask, payoffs[i]
+                counts[i] += w * completions
+                layer_sq += (2 * (t >> K) + w * p) * p
         total_sq += layer_sq * completions
         layer = nxt
-    (fact, total), = layer.values()
+    (v,) = layer.values()
+    rows = tuple(tuple(counts[i:i + n]) for i in range(0, n * n, n))
 
-    lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in counts)
+    lottery = tuple(tuple(Fraction(c, fact) for c in row) for row in rows)
     if objective is None:
         mean = second = variance = None
     else:
-        mean = Fraction(total, fact * denom)
+        mean = Fraction(v >> K, fact * denom)
         second = Fraction(total_sq, fact * denom * denom)
         variance = second - mean * mean
     return ExactSummary(
         n=n,
         objective=objective,
         order_count=fact,
-        counts=tuple(tuple(row) for row in counts),
+        counts=rows,
         lottery=lottery,
         mean=mean,
         second_moment=second,

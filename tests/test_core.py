@@ -379,6 +379,28 @@ def test_validate_names_each_field_or_row_that_is_not_a_sequence():
         "row 2 of rankings has type set, not a sequence"]
 
 
+def test_the_public_constructors_keep_a_row_that_is_not_a_sequence_for_validate():
+    assert [v.message for v in validate(AssignmentInstance.from_values([{5, 1}, {3, 4}]))] == [
+        "row 1 of values has type set, not a sequence", "row 2 of values has type set, not a sequence"]
+    assert [v.message for v in validate(AssignmentInstance.from_costs([(0, 1), {1: 5, 0: 1}]))] == [
+        "row 2 of costs has type dict, not a sequence"]
+    assert [v.message for v in validate(AssignmentInstance.from_rankings([{2, 1}, [1, 2]]))] == [
+        "row 1 of rankings has type set, not a sequence"]
+    # sequences of any kind are still read in order
+    assert AssignmentInstance.from_values(iter([range(2), "12"])).values == ((0, 1), (1, 2))
+    assert AssignmentInstance.from_rankings(([2, 1], range(1, 3))).rankings == ((2, 1), (1, 2))
+
+
+def test_from_line_points_refuses_point_lists_that_are_not_sequences():
+    with pytest.raises(TypeError, match="^agent_points has type set, not a sequence$"):
+        AssignmentInstance.from_line_points({3, 1}, [0, 2])
+    with pytest.raises(TypeError, match="^item_points has type dict_keys, not a sequence$"):
+        AssignmentInstance.from_line_points([3, 1], {0: 1, 2: 3}.keys())
+    with pytest.raises(TypeError, match="^item_points has type generator"):
+        AssignmentInstance.from_line_points([3, 1], (x for x in (0, 2)))
+    assert AssignmentInstance.from_line_points(range(3, 0, -2), (0, 2)).agent_points == (3, 1)
+
+
 def test_float_ranks_and_orderings_are_refused_never_truncated():
     inst = AssignmentInstance.from_rankings([[1.7, 2.2], [2.9, 1.0]])
     assert inst.rankings == ((1.7, 2.2), (2.9, 1.0))

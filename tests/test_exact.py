@@ -63,6 +63,32 @@ def test_dp_matches_ordering_enumeration_on_reduction_instances(setting):
             assert_matches_reference(build_reduction(random_abstract(n, seed), setting))
 
 
+@pytest.mark.parametrize("n", range(8, 12))
+def test_count_only_and_moment_calls_give_the_same_counts(n):
+    # past the reach of the n!-ordering reference: each state's packed int
+    # holds a zero partial sum in one call and a payoff sum in the other
+    for family in Family:
+        inst = generate(FamilySpec(family, n, seed=n))
+        sources = [build_reduction(inst, setting) for setting in ("value", "metric")] if inst.setting == "abstract" else [inst]
+        counts = enumerate_rsd(inst, cap=n).counts
+        for built in sources:
+            assert enumerate_rsd(built, cap=n).counts == counts
+            assert enumerate_rsd(built, OBJECTIVE_OF[built.setting], cap=n).counts == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_dp_matches_ordering_enumeration_with_negative_payoffs(data):
+    # enumerate_rsd does not validate, so a raw instance's negative partial
+    # sums reach the packed state and are read back by a floor shift
+    n = data.draw(st.integers(1, 6))
+    entry = st.fractions(-5, 3, max_denominator=4)
+    rows = tuple(tuple(data.draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(n))
+    field = data.draw(st.sampled_from(["values", "costs"]))
+    inst = AssignmentInstance(n=n, setting="value" if field == "values" else "metric", **{field: rows})
+    assert_matches_reference(inst)
+
+
 def test_the_dp_mean_equals_the_mean_read_off_the_counts():
     # the DP reads the mean off its last state; expected_objective reads it off the counts
     reductions = [build_reduction(source, setting)
