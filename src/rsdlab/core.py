@@ -37,11 +37,11 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import index
-from typing import Iterable, Sequence
 
 SETTING_VALUE = "value"
 SETTING_METRIC = "metric"
@@ -184,8 +184,10 @@ def _scaled_points(agents: Sequence[Fraction], items: Sequence[Fraction]) -> tup
             [p.numerator * (scale // p.denominator) for p in items])
 
 
-def _matrix(rows: Iterable[Sequence]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(map(as_fraction, row)) if isinstance(row, Sequence) else row for row in rows)
+def _matrix(rows: Iterable[Sequence], read=lambda row: tuple(map(as_fraction, row))) -> tuple:
+    if isinstance(rows, (Set, Mapping)):  # a set or mapping of rows has no order to read; validate lists it
+        return rows
+    return tuple(read(row) if isinstance(row, Sequence) else row for row in rows)
 
 
 @dataclass(frozen=True)
@@ -195,8 +197,8 @@ class AssignmentInstance:
     Construction is permissive: malformed content (non-square matrices,
     negative entries, broken rankings, triangle failures) is stored as-is
     and reported by :func:`validate` rather than rejected here.  The public
-    constructors read each row in order, so a row that is not a sequence,
-    such as a set or a dict, is kept as given for :func:`validate` to list;
+    constructors read the rows in order, so a set or a mapping of rows, or a
+    row that is not a sequence, is kept as given for :func:`validate` to list;
     :meth:`from_line_points` must read its points to build the costs, so it
     raises :class:`TypeError` for a point list that is not a sequence.
     """
@@ -247,7 +249,7 @@ class AssignmentInstance:
 
     @classmethod
     def from_rankings(cls, rankings: Iterable[Sequence[int]]) -> "AssignmentInstance":
-        ranks = tuple(tuple(row) if isinstance(row, Sequence) else row for row in rankings)
+        ranks = _matrix(rankings, tuple)
         return cls(n=len(ranks), setting=SETTING_ABSTRACT, rankings=ranks)
 
     @property

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .core import (
@@ -153,31 +154,36 @@ def _readable(text: str) -> str:
     return text
 
 
+@lru_cache(maxsize=128)  # a writer meets few denominators: random values have the 49 divisors of 10**6
+def _decimal_scale(den: int) -> tuple[int, int] | None:
+    """``(scale, 10**scale // den)`` for the least ``scale`` with ``den`` dividing
+    ``10**scale``, or None if ``den`` has a prime factor other than 2 and 5."""
+    twos = (den & -den).bit_length() - 1
+    rest, fives = den >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    scale = max(twos, fives)
+    return (scale, 10**scale // den) if rest == 1 else None
+
+
 def format_number(x: Fraction) -> int | str:
     """Exact JSON encoding: small integers stay integers, everything else
     becomes a decimal string.  Raises if ``x`` has no finite decimal form,
-    or if its string is longer than the reader takes."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        v = x.numerator
-        return v if abs(v) < _JSON_INT_LIMIT else _readable(exact_str(v))
-    den = x.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
+    or if its string is longer than the reader takes.  Each denominator's
+    decimal scale is found once (:func:`_decimal_scale`)."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    if den == 1:
+        return num if abs(num) < _JSON_INT_LIMIT else _readable(exact_str(num))
+    found = _decimal_scale(den)
+    if found is None:
         raise ValueError(f"{exact_str(x)} has no finite decimal representation")
-    scale = max(twos, fives)
-    digits = x.numerator * 10**scale // x.denominator
-    sign = "-" if digits < 0 else ""
+    scale, factor = found
+    digits = num * factor
     text = exact_str(abs(digits)).rjust(scale + 1, "0")
-    whole, frac = text[:-scale] if scale else text, text[-scale:] if scale else ""
-    return _readable(f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}")
+    return _readable(f"{'-' if digits < 0 else ''}{text[:-scale]}.{text[-scale:]}")
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:

@@ -1,10 +1,11 @@
 """Shared battery builders for the seeded random-instance tests, and the
-slow references that the exact oracle, the metric check, the solver and the
-sampler are held to."""
+slow references that the exact oracle, the metric check, the solver, the
+sampler and the instance writer are held to."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import sys
 from fractions import Fraction
@@ -12,8 +13,17 @@ from itertools import permutations
 from random import Random
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
-from rsdlab.core import SETTING_VALUE, Objective, Violation, clipped, integer_payoff_table, preference_rows
+from rsdlab.core import (
+    SETTING_VALUE,
+    Objective,
+    Violation,
+    clipped,
+    exact_str,
+    integer_payoff_table,
+    preference_rows,
+)
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
+from rsdlab.instance_io import _JSON_INT_LIMIT, _readable
 from rsdlab.rng import substream
 from rsdlab.sd import LANES, LANES_MAX_N, sd_assign
 
@@ -259,3 +269,36 @@ def int_digit_limit(digits):
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def format_number_by_division(x: Fraction) -> int | str:
+    """Reference writer for one entry: strip the powers of 2, then of 5,
+    from the denominator by division, on every call."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        v = x.numerator
+        return v if abs(v) < _JSON_INT_LIMIT else _readable(exact_str(v))
+    den = x.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        raise ValueError(f"{exact_str(x)} has no finite decimal representation")
+    scale = max(twos, fives)
+    digits = x.numerator * 10**scale // x.denominator
+    sign = "-" if digits < 0 else ""
+    text = exact_str(abs(digits)).rjust(scale + 1, "0")
+    whole, frac = text[:-scale] if scale else text, text[-scale:] if scale else ""
+    return _readable(f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}")
+
+
+def dumps_value_instance_by_division(instance: AssignmentInstance) -> str:
+    """Reference bytes of a value instance's file, every entry written by
+    :func:`format_number_by_division`."""
+    values = [[format_number_by_division(x) for x in row] for row in instance.values]
+    return json.dumps({"n": instance.n, "setting": instance.setting, "values": values}, indent=2) + "\n"

@@ -391,6 +391,23 @@ def test_the_public_constructors_keep_a_row_that_is_not_a_sequence_for_validate(
     assert AssignmentInstance.from_rankings(([2, 1], range(1, 3))).rankings == ((2, 1), (1, 2))
 
 
+def test_the_public_constructors_keep_a_set_or_mapping_of_rows_for_validate():
+    kept = [
+        (AssignmentInstance.from_values({(5, 1), (3, 4)}), "values has type set, not a sequence"),
+        (AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}), "costs has type dict, not a sequence"),
+        (AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}.keys()), "costs has type dict_keys, not a sequence"),
+        (AssignmentInstance.from_rankings({(1, 2), (2, 1)}), "rankings has type set, not a sequence"),
+        (AssignmentInstance.from_rankings(frozenset({(1, 2), (2, 1)})), "rankings has type frozenset, not a sequence"),
+    ]
+    for inst, message in kept:
+        assert inst.n == 2
+        assert validate(inst) == [Violation("type", (), message)]
+    # generators and other ordered iterables of rows are still read in order
+    assert AssignmentInstance.from_values(row for row in ([5, 1], [3, 4])).values == ((5, 1), (3, 4))
+    assert AssignmentInstance.from_costs(iter([(0, 1), (1, 0)])).costs == ((0, 1), (1, 0))
+    assert AssignmentInstance.from_rankings(row for row in ([2, 1], [1, 2])).rankings == ((2, 1), (1, 2))
+
+
 def test_from_line_points_refuses_point_lists_that_are_not_sequences():
     with pytest.raises(TypeError, match="^agent_points has type set, not a sequence$"):
         AssignmentInstance.from_line_points({3, 1}, [0, 2])

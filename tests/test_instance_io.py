@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import int_digit_limit
+from conftest import dumps_value_instance_by_division, format_number_by_division, int_digit_limit
 from rsdlab import (
     AssignmentInstance,
     InstanceFormatError,
@@ -20,7 +20,7 @@ from rsdlab import (
 )
 from rsdlab import core
 from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, parse_number
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, _decimal_scale, format_number, parse_literal
 
 
 def test_deep_nesting_is_a_format_error():
@@ -73,6 +73,81 @@ def test_format_number_cases():
     assert format_number(Fraction(123456, 10**6)) == "0.123456"
     with pytest.raises(ValueError):
         format_number(Fraction(1, 3))
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def _written(write, x):
+    """``write(x)``, or the text of the ValueError it raises."""
+    try:
+        return write(x)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _assert_written_as_by_division(x):
+    # the second call reads the denominator's scale from the cache
+    expected = _written(format_number_by_division, x)
+    assert _written(format_number, x) == expected
+    assert _written(format_number, x) == expected
+
+
+_TWO_FIVE = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 60), st.integers(0, 60))
+_ENTRIES = st.one_of(
+    st.builds(Fraction, st.integers(-(10**40), 10**40), _TWO_FIVE),
+    # no finite decimal form: both writers raise the same text
+    st.builds(Fraction, st.integers(-(10**40), 10**40).filter(bool),
+              st.builds(lambda d, p: d * p, _TWO_FIVE, st.sampled_from([3, 7, 21, 3**40]))),
+    # integers on both sides of the largest one JSON writes as a number
+    st.builds(lambda sign, k: sign * (2**53 + k), st.sampled_from([1, -1]), st.integers(-3, 3)),
+    st.integers(-(10**30), 10**30),
+    st.builds(_FractionSubclass, st.integers(-1000, 1000), _TWO_FIVE),
+)
+
+
+@settings(deadline=None)
+@given(_ENTRIES)
+@example(0)
+@example(Fraction(0))
+@example(0.375)
+@example(-2.5e-3)
+@example(_FractionSubclass(-3, 8))
+@example(Fraction(-1, 3))
+def test_format_number_matches_the_division_writer(x):
+    _assert_written_as_by_division(x)
+
+
+# denominators thousands of digits long, passed by index: their repr is
+# longer than the least int-to-str digit limit (640) lets Python print
+@pytest.mark.parametrize("x", [
+    Fraction(1, 2**3000),
+    Fraction(-(10**2000) - 7, 5**4000),
+    Fraction(3, 2**1500 * 5**2500),
+    Fraction(1, 3 * 10**2000),
+    Fraction(1, 2**MAX_LITERAL_LENGTH),
+])
+def test_format_number_matches_the_division_writer_on_long_denominators(x):
+    _assert_written_as_by_division(x)
+
+
+def test_dumps_instance_matches_the_division_writer_byte_for_byte():
+    inst = random_value(80, 7)
+    assert dumps_instance(inst) == dumps_value_instance_by_division(inst)
+
+
+@pytest.mark.parametrize("n", [2, 17, 80])
+def test_random_value_instances_round_trip(n):
+    inst = random_value(n, 7)
+    assert loads_instance(dumps_instance(inst)) == inst
+
+
+def test_the_decimal_scale_cache_stays_bounded():
+    maxsize = _decimal_scale.cache_parameters()["maxsize"]
+    for b in range(maxsize + 40):
+        assert format_number(Fraction(1, 2 * 5**b)) == format_number_by_division(Fraction(1, 2 * 5**b))
+    assert _decimal_scale.cache_info().currsize <= maxsize
 
 
 def test_missing_fields_are_named():
