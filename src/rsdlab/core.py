@@ -60,6 +60,14 @@ _LITERAL = re.compile(
     r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?)([0-9]+))?)\s*", re.ASCII)
 
 
+def bounded_literal(text: str) -> str:
+    """``text``, or :class:`ValueError` if it is longer than
+    :data:`MAX_LITERAL_LENGTH`: the bound of instance files' reader and writer."""
+    if len(text) > MAX_LITERAL_LENGTH:
+        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
+    return text
+
+
 def parse_number(text: str) -> Fraction:
     """Exact value of a numeric string, or :class:`ValueError`.
 
@@ -76,9 +84,7 @@ def parse_number(text: str) -> Fraction:
     A plain ``digits[.digits]``, the only form written for a non-negative
     decimal, is read without the regular expression, to the same value.
     """
-    if len(text) > MAX_LITERAL_LENGTH:
-        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
-    whole, dot, frac = text.partition(".")
+    whole, dot, frac = bounded_literal(text).partition(".")
     digits = whole + frac
     if whole and (frac or not dot) and digits.isdigit() and digits.isascii():
         return Fraction(exact_int(digits), 10 ** len(frac))

@@ -85,7 +85,7 @@ def random_abstract(n: int, seed: int) -> AssignmentInstance:
 
 MAX_N = 500
 """Largest n that :func:`generate` builds.  An instance holds n² entries:
-``rsdlab gen`` takes about 2.6 s and 87 MB of memory for a random-value
+``rsdlab gen`` takes about 1 s and 88 MB of memory for a random-value
 instance at n = 500 (2 cores, Python 3.11), the costliest family there,
 and both grow as n²."""
 

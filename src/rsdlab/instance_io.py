@@ -5,7 +5,7 @@ Schema (UTF-8 JSON object)::
     {"n": int, "setting": "value" | "metric" | "abstract",
      "values": [[...]]            # value setting
      "costs": [[...]]             # metric setting, matrix form
-     "agent_points": [...],       # metric setting, point form
+     "agent_points": [...],       # metric setting, point form (never with costs)
      "item_points": [...]
      "rankings": [[...]]}         # abstract setting, 1-indexed items
 
@@ -46,6 +46,7 @@ from .core import (
     SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
+    bounded_literal,
     exact_str,
     parse_number,
 )
@@ -73,21 +74,28 @@ def parse_literal(x, where: str) -> Fraction:
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {type(x).__name__}")
 
 
-def _parse_list(xs: list, where: str) -> list[Fraction]:
-    """The entries of ``xs``; the address ``where[j]`` of an entry is
-    formatted only when it fails, by parsing it again."""
+def _parse_item(x, where: str) -> int:
+    """A ranking's entry: an integer item index, never a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InstanceFormatError(f"{where}: expected an integer item index")
+    return x
+
+
+def _parse_list(xs: list, where: str, parse=parse_literal) -> list:
+    """The entries of ``xs``, each read by ``parse``; the address ``where[j]``
+    of an entry is formatted only when it fails, by parsing it again."""
     try:
-        return [parse_literal(x, where) for x in xs]
+        return [parse(x, where) for x in xs]
     except InstanceFormatError:
         for j, x in enumerate(xs, start=1):
-            parse_literal(x, f"{where}[{j}]")
+            parse(x, f"{where}[{j}]")
         raise
 
 
-def _parse_matrix(rows, where: str) -> list[list[Fraction]]:
+def _parse_matrix(rows, where: str, parse=parse_literal) -> tuple[tuple, ...]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
-    return [_parse_list(row, f"{where}[{i}]") for i, row in enumerate(rows, start=1)]
+    return tuple(tuple(_parse_list(row, f"{where}[{i}]", parse)) for i, row in enumerate(rows, start=1))
 
 
 def _parse_points(xs, where: str) -> list[Fraction]:
@@ -112,11 +120,12 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     if setting == SETTING_VALUE:
         if "values" not in doc:
             raise InstanceFormatError("value instance requires field 'values'")
-        values = _parse_matrix(doc["values"], "values")
-        return AssignmentInstance(n=n, setting=setting, values=tuple(tuple(r) for r in values))
+        return AssignmentInstance(n=n, setting=setting, values=_parse_matrix(doc["values"], "values"))
 
     if setting == SETTING_METRIC:
         if "agent_points" in doc or "item_points" in doc:
+            if "costs" in doc:
+                raise InstanceFormatError("metric instance takes 'costs' or 'agent_points'/'item_points', not both")
             if not ("agent_points" in doc and "item_points" in doc):
                 raise InstanceFormatError("point-based metric instance requires both 'agent_points' and 'item_points'")
             agents = _parse_points(doc["agent_points"], "agent_points")
@@ -127,31 +136,11 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
             return inst
         if "costs" not in doc:
             raise InstanceFormatError("metric instance requires 'costs' or 'agent_points'/'item_points'")
-        costs = _parse_matrix(doc["costs"], "costs")
-        return AssignmentInstance(n=n, setting=setting, costs=tuple(tuple(r) for r in costs))
+        return AssignmentInstance(n=n, setting=setting, costs=_parse_matrix(doc["costs"], "costs"))
 
     if "rankings" not in doc:
         raise InstanceFormatError("abstract instance requires field 'rankings'")
-    rankings = doc["rankings"]
-    if not isinstance(rankings, list) or not all(isinstance(r, list) for r in rankings):
-        raise InstanceFormatError("rankings: expected a list of rows")
-    rows = []
-    for i, row in enumerate(rankings, start=1):
-        parsed = []
-        for j, x in enumerate(row, start=1):
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise InstanceFormatError(f"rankings[{i}][{j}]: expected an integer item index")
-            parsed.append(x)
-        rows.append(tuple(parsed))
-    return AssignmentInstance(n=n, setting=setting, rankings=tuple(rows))
-
-
-def _readable(text: str) -> str:
-    """``text``, or the :class:`ValueError` that :func:`rsdlab.core.parse_number`
-    raises for a literal longer than :data:`MAX_LITERAL_LENGTH`."""
-    if len(text) > MAX_LITERAL_LENGTH:
-        raise ValueError(f"literal longer than {MAX_LITERAL_LENGTH} characters")
-    return text
+    return AssignmentInstance(n=n, setting=setting, rankings=_parse_matrix(doc["rankings"], "rankings", _parse_item))
 
 
 @lru_cache(maxsize=128)  # a writer meets few denominators: random values have the 49 divisors of 10**6
@@ -176,14 +165,14 @@ def format_number(x: Fraction) -> int | str:
         x = Fraction(x)
     num, den = x.numerator, x.denominator
     if den == 1:
-        return num if abs(num) < _JSON_INT_LIMIT else _readable(exact_str(num))
+        return num if abs(num) < _JSON_INT_LIMIT else bounded_literal(exact_str(num))
     found = _decimal_scale(den)
     if found is None:
         raise ValueError(f"{exact_str(x)} has no finite decimal representation")
     scale, factor = found
     digits = num * factor
     text = exact_str(abs(digits)).rjust(scale + 1, "0")
-    return _readable(f"{'-' if digits < 0 else ''}{text[:-scale]}.{text[-scale:]}")
+    return bounded_literal(f"{'-' if digits < 0 else ''}{text[:-scale]}.{text[-scale:]}")
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:

@@ -5,11 +5,12 @@ with the potential updates of each augmentation deferred to its end, as in
 Jonker & Volgenant) runs on the integer payoff table of
 :func:`rsdlab.core.integer_payoff_table` (the payoffs times their common
 denominator).  A positive scale preserves every comparison, so the
-matching is the one the rational payoffs give, and its value is then summed
-exactly from the instance; the reported optimum can be compared with exact
-enumeration results without tolerances.  Welfare maximization negates the
-table and reuses the minimizer.  A factorial brute-force solver over the
-rational entries doubles as the independent test oracle.
+matching is the one the rational payoffs give, and its value is read off
+the same table, its entries' sum over the denominator; the reported optimum
+can be compared with exact enumeration results without tolerances.  Welfare
+maximization negates the table and reuses the minimizer.  A factorial
+brute-force solver over the rational entries doubles as the independent
+test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .core import AssignmentInstance, Matching, Objective, integer_payoff_table
-from .sd import evaluate
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,11 @@ def _min_assignment(cost: list[list[int]]) -> list[int]:
 def solve_opt(instance: AssignmentInstance, objective: Objective) -> OptResult:
     """Exact optimum: maximum welfare or minimum cost perfect matching."""
     objective.require_compatible(instance)
-    rows, _ = integer_payoff_table(instance)
-    if objective is Objective.WELFARE:
-        rows = [[-p for p in row] for row in rows]
+    scaled, denom = integer_payoff_table(instance)
+    rows = [[-p for p in row] for row in scaled] if objective is Objective.WELFARE else scaled
     assign = _min_assignment(rows)
-    matching = Matching(tuple(g + 1 for g in assign))
-    return OptResult(matching=matching, objective_value=evaluate(instance, matching, objective))
+    total = sum(map(list.__getitem__, scaled, assign))  # before the welfare negation
+    return OptResult(matching=Matching(tuple(g + 1 for g in assign)), objective_value=Fraction(total, denom))
 
 
 def brute_force_opt(instance: AssignmentInstance, objective: Objective, cap: int = 7) -> OptResult:

@@ -44,6 +44,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
 
+SLOT_BYTES = 16  # one slot of packed_draws: a 64-bit lane, and the 64 bits its products spill into
+
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: bijective 64-bit mixing of ``z``."""
@@ -98,8 +100,8 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
 def _lanes(count: int) -> tuple[int, int, int]:
     """``(ones, lane, ramp)`` for ``count`` lanes: a 1, the 64-bit mask and
     the slot's index at the bottom of every 128-bit slot."""
-    ones = ((1 << (128 * count)) - 1) // ((1 << 128) - 1)
-    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(count)), "little")
+    ones = ((1 << (8 * SLOT_BYTES * count)) - 1) // ((1 << 8 * SLOT_BYTES) - 1)
+    ramp = int.from_bytes(b"".join(i.to_bytes(SLOT_BYTES, "little") for i in range(count)), "little")
     return ones, ones * _MASK64, ramp
 
 

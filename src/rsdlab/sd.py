@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import AssignmentInstance, Matching, Objective, Ordering, preference_rows
-from .rng import SplitMix64, packed_draws
+from .rng import SLOT_BYTES, SplitMix64, packed_draws
 
 LANES = 4096
 """Samples :func:`sd_total` runs at once on lanes, one bit of a Python int
@@ -76,7 +76,7 @@ def _shuffled_planes(draws: Iterable[int], count: int, n: int) -> list[list[int]
     mask = (1 << count) - 1
     planes = [[mask if p >> b & 1 else 0 for p in range(n)] for b in range((n - 1).bit_length())]
     for i, packed in zip(range(n - 1, 0, -1), draws):
-        column = packed.to_bytes(16 * count, "little")[::16]  # the low byte of each lane
+        column = packed.to_bytes(SLOT_BYTES * count, "little")[::SLOT_BYTES]  # the low byte of each lane
         drew = _split([int(column.translate(_BIT_DIGITS[b]), 2) for b in range(i.bit_length())], mask, i)
         for plane in planes:
             at = plane[i]
@@ -114,10 +114,10 @@ def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], pla
 
 def _words(z: int, count: int) -> memoryview:
     """The ``count`` lanes of ``z`` as native 64-bit words, in lane order."""
-    words = memoryview(z.to_bytes(16 * count, sys.byteorder)).cast("Q")
+    words = memoryview(z.to_bytes(SLOT_BYTES * count, sys.byteorder)).cast("Q")
     # little-endian: slot i is words 2i (its lane) and 2i + 1; big-endian
     # puts the last slot first and each slot's lane second
-    return words[::2] if sys.byteorder == "little" else words[::-2]
+    return words[:: SLOT_BYTES // 8] if sys.byteorder == "little" else words[:: -(SLOT_BYTES // 8)]
 
 
 def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, start: int, count: int) -> int:

@@ -17,13 +17,14 @@ from rsdlab.core import (
     SETTING_VALUE,
     Objective,
     Violation,
+    bounded_literal,
     clipped,
     exact_str,
     integer_payoff_table,
     preference_rows,
 )
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
-from rsdlab.instance_io import _JSON_INT_LIMIT, _readable
+from rsdlab.instance_io import _JSON_INT_LIMIT
 from rsdlab.rng import substream
 from rsdlab.sd import LANES, LANES_MAX_N, sd_assign
 
@@ -277,7 +278,7 @@ def format_number_by_division(x: Fraction) -> int | str:
     x = Fraction(x)
     if x.denominator == 1:
         v = x.numerator
-        return v if abs(v) < _JSON_INT_LIMIT else _readable(exact_str(v))
+        return v if abs(v) < _JSON_INT_LIMIT else bounded_literal(exact_str(v))
     den = x.denominator
     twos = 0
     while den % 2 == 0:
@@ -294,7 +295,7 @@ def format_number_by_division(x: Fraction) -> int | str:
     sign = "-" if digits < 0 else ""
     text = exact_str(abs(digits)).rjust(scale + 1, "0")
     whole, frac = text[:-scale] if scale else text, text[-scale:] if scale else ""
-    return _readable(f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}")
+    return bounded_literal(f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}")
 
 
 def dumps_value_instance_by_division(instance: AssignmentInstance) -> str:

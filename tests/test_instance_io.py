@@ -166,6 +166,45 @@ def test_bad_entries_are_addressed():
         loads_instance('{"n": 2, "setting": "abstract", "rankings": [[1, 2], ["1", 2]]}')
 
 
+_MALFORMED = [
+    pytest.param("abstract", '"rankings": [[1, 2], [2, true]]', "rankings[2][2]: expected an integer item index",
+                 id="rank-true"),
+    pytest.param("abstract", '"rankings": [[1, "2"], [2, 1]]', "rankings[1][2]: expected an integer item index",
+                 id="rank-string"),
+    pytest.param("abstract", '"rankings": [[1, 2], [1.0, 2]]', "rankings[2][1]: expected an integer item index",
+                 id="rank-float"),
+    # a JSON integer of 20 characters or more is kept as text
+    pytest.param("abstract", '"rankings": [[1, 2], [2, 123456789012345678901]]',
+                 "rankings[2][2]: expected an integer item index", id="rank-21-digits"),
+    pytest.param("abstract", '"rankings": [[null, 2], [2, 1]]', "rankings[1][1]: expected an integer item index",
+                 id="rank-null"),
+    pytest.param("abstract", '"rankings": [[1, 2], {"1": 2}]', "rankings: expected a list of rows", id="rankings-row"),
+    pytest.param("abstract", '"rankings": "1 2 / 2 1"', "rankings: expected a list of rows", id="rankings-field"),
+    pytest.param("value", '"values": [[1, 2], [3, "0x4"]]', "values[2][2]: '0x4' is not a numeric literal",
+                 id="values-literal"),
+    pytest.param("metric", '"costs": [[0, 1], [1, false]]', "costs[2][2]: booleans are not numbers", id="costs-bool"),
+    pytest.param("metric", '"agent_points": [0, 1], "item_points": [2, "1/0"]',
+                 "item_points[2]: '1/0' has a zero denominator", id="point-literal"),
+]
+
+
+@pytest.mark.parametrize("setting, fields, message", _MALFORMED)
+def test_malformed_files_give_the_whole_message(setting, fields, message):
+    with pytest.raises(InstanceFormatError) as info:
+        loads_instance(f'{{"n": 2, "setting": "{setting}", {fields}}}')
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("points", [
+    '"agent_points": [0, 1], "item_points": [5, 6]', '"agent_points": [0, 1]', '"item_points": [5, 6]',
+], ids=["both", "agent-points", "item-points"])
+def test_a_metric_file_with_costs_and_points_is_refused(points):
+    text = f'{{"n": 2, "setting": "metric", "costs": [[0, 100], [100, 0]], {points}}}'
+    with pytest.raises(InstanceFormatError) as info:
+        loads_instance(text)
+    assert str(info.value) == "metric instance takes 'costs' or 'agent_points'/'item_points', not both"
+
+
 def test_point_instance_requires_both_point_lists():
     with pytest.raises(InstanceFormatError, match="item_points"):
         loads_instance('{"n": 1, "setting": "metric", "agent_points": [0]}')
