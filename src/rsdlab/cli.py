@@ -10,7 +10,8 @@ cannot be read or written, or a requested computation is refused, 2 on
 usage errors.  ``exact``, ``reduce`` and ``coverage`` take ``--oracle-cap``,
 the only setting of the enumeration cap (default
 :data:`rsdlab.exact.DEFAULT_ORACLE_CAP`); a cap above the default warns on
-stderr.
+stderr.  ``exact`` and ``reduce`` refuse an n above the cap before they
+validate the instance.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from .bounds import Method, sample_size, welfare_lower_bound_window
 from .core import Objective, exact_str, validate
 from .coverage import coverage_csv, run_coverage, write_coverage_csv
 from .estimate import estimate_median_of_means
-from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd
+from .exact import DEFAULT_ORACLE_CAP, check_cap, enumerate_rsd
 from .families import Family, FamilySpec, generate
 from .instance_io import InstanceFormatError, load_instance, parse_literal, save_instance
 from .optimal import solve_opt
 from .reduction import build_artifact, round_trip_matches
 
 
-# A non-metric matrix can break the four-point condition ~n^4 times; the
+# validate lists at most one four-point violation per cell, n^2 in all; the
 # report names the first ones and counts the rest.
 MAX_REPORTED_VIOLATIONS = 20
 
@@ -83,13 +84,17 @@ def _oracle_cap(args) -> int:
     return args.oracle_cap
 
 
-def _load_validated(path):
+def _load_validated(path, cap: int | None = None):
+    """The instance in ``path``, refused if its n exceeds ``cap`` (when given)
+    before it is validated."""
     try:
         instance = load_instance(path)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except (InstanceFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"malformed instance file {path}: {exc}") from exc
+    if cap is not None:
+        check_cap(instance.n, cap)
     problems = validate(instance)
     if problems:
         shown = problems[:MAX_REPORTED_VIOLATIONS]
@@ -139,7 +144,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    instance = _load_validated(args.infile)
+    instance = _load_validated(args.infile, args.oracle_cap)
     cap = _oracle_cap(args)
     objective = Objective(args.objective) if args.objective else None
     summary = enumerate_rsd(instance, objective, cap=cap)
@@ -238,7 +243,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    source = _load_validated(args.infile)
+    source = _load_validated(args.infile, args.oracle_cap)
     if source.setting != "abstract":
         raise InputError("reduce expects an abstract instance (rankings only)")
     artifact = build_artifact(source, args.setting, cap=_oracle_cap(args))

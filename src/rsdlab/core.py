@@ -10,8 +10,8 @@ convention used throughout the package) under one of three payoff settings:
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
   :func:`validate` checks the inequality exactly in O(n^3), as two min-plus
-  products on the integer payoff table, and runs the full four-point scan
-  only to list the violations of an instance that fails.  For a
+  products on the integer payoff table, and names each failing cell once,
+  by a witness read off the same rows, so its report is O(n^2).  For a
   point-defined instance it first checks in O(n^2), on the points scaled to
   integers, that every cost is the points' distance, and skips the O(n^3)
   check when they all are.
@@ -416,14 +416,17 @@ def _unordered(instance: AssignmentInstance, rows: str, *points: str) -> list[Vi
 
 
 def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
-    """Every four-point failure ``c[i1][g1] > c[i1][g2] + c[i2][g2] + c[i2][g1]``
-    of a square, non-negative cost matrix, in (i1, g1, i2, g2) order.
+    """One four-point failure ``c[i1][g1] > c[i1][g2] + c[i2][g2] + c[i2][g1]``
+    per failing cell (i1, g1) of a square, non-negative cost matrix, in
+    (i1, g1) order: the cell's first failing (i2, g2), i2 before g2.
 
     Exact and O(n^3) on the integer table: cell (i1, g1) satisfies the
     condition for every (i2, g2) iff ``c[i1][g1] <= min_i2 (M[i1][i2] +
     c[i2][g1])`` with ``M[i1][i2] = min_g (c[i1][g] + c[i2][g])``, two
-    min-plus products.  Only a failing cell is scanned over all (i2, g2),
-    to list its violations.
+    min-plus products.  A failing cell's witness is read off the same rows
+    in O(n): i2 is the first index whose term of that minimum is below
+    ``c[i1][g1]``, g2 the first whose term of ``M[i1][i2]`` is below
+    ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2) on every input.
     """
     costs = instance.costs
     assert costs is not None
@@ -436,15 +439,15 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
             lhs = row[g1]
             if lhs <= min(map(int.__add__, m_row, col)):
                 continue
-            for i2, other in enumerate(c):
-                for g2, x in enumerate(row):
-                    if lhs > x + other[g2] + other[g1]:
-                        out.append(Violation(
-                            "triangle",
-                            (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                            f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(costs[i1][g1]))} exceeds "
-                            f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
-                        ))
+            i2 = next(i for i, (m, x) in enumerate(zip(m_row, col)) if lhs > m + x)
+            other = c[i2]
+            g2 = next(g for g, (x, y) in enumerate(zip(row, other)) if lhs > x + y + other[g1])
+            out.append(Violation(
+                "triangle",
+                (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(costs[i1][g1]))} exceeds "
+                f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
+            ))
     return out
 
 
@@ -467,12 +470,13 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     Never raises: malformed content comes back as a list of violations,
     each naming the offending indices.  The metric check is an exact O(n^3)
     min-plus test of the four-point condition on the integer payoff table;
-    the full four-point scan runs only over failing cells, to list every
-    violation.  A point-defined instance whose every cost is its points'
-    distance is a line metric, which an O(n^2) integer check establishes;
-    if any cost differs, the full check runs.  A value of the wrong type,
-    such as a float rank, and a field or row that is not a sequence, such
-    as a set or a dict, are listed as well.
+    each failing cell (i1, g1) is listed once, with its first failing
+    (i2, g2), so at most n^2 violations come back.  A point-defined
+    instance whose every cost is its points' distance is a line metric,
+    which an O(n^2) integer check establishes; if any cost differs, the
+    full check runs.  A value of the wrong type, such as a float rank, and
+    a field or row that is not a sequence, such as a set or a dict, are
+    listed as well.
     """
     n = instance.n
     try:

@@ -9,6 +9,10 @@ Schema (UTF-8 JSON object)::
      "item_points": [...]
      "rankings": [[...]]}         # abstract setting, 1-indexed items
 
+A file carries only the payload fields its setting reads: a payload field
+of another setting (say ``rankings`` in a value file) is refused, and the
+refusal names it.  Fields outside these five are ignored.
+
 Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
 float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
@@ -52,6 +56,15 @@ from .core import (
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
+
+_PAYLOAD_SETTING = {
+    "values": SETTING_VALUE,
+    "costs": SETTING_METRIC,
+    "agent_points": SETTING_METRIC,
+    "item_points": SETTING_METRIC,
+    "rankings": SETTING_ABSTRACT,
+}
+"""Each payload field of an instance file and the setting that reads it."""
 
 
 class InstanceFormatError(ValueError):
@@ -116,6 +129,9 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
         raise InstanceFormatError("field 'n': expected an integer")
     if setting not in (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT):
         raise InstanceFormatError(f"field 'setting': unknown setting {setting!r}")
+    foreign = [f"'{field}'" for field, reader in _PAYLOAD_SETTING.items() if reader != setting and field in doc]
+    if foreign:
+        raise InstanceFormatError(f"{setting} instance does not read {', '.join(foreign)}")
 
     if setting == SETTING_VALUE:
         if "values" not in doc:

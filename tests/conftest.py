@@ -183,6 +183,15 @@ def four_point_scan(costs) -> list[Violation]:
     return out
 
 
+def first_per_cell(violations: list[Violation]) -> list[Violation]:
+    """The first violation of each (i1, g1) cell of a list in (i1, g1)
+    order: what ``validate`` lists of a :func:`four_point_scan`."""
+    cells: dict = {}
+    for v in violations:
+        cells.setdefault(v.indices[:2], v)
+    return list(cells.values())
+
+
 def reference_run_means(instance: AssignmentInstance, objective: Objective, k: int, runs: int, seed: int):
     """Reference sampler: one scalar ``substream(seed, run, i)`` per sample,
     its Fisher-Yates permutation, serial dictatorship and the exact integer

@@ -256,6 +256,21 @@ def test_raised_oracle_cap_warns_and_runs(tmp_path, capsys):
     assert "warning: enumeration cap raised to 12" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "reduce"])
+def test_n_above_the_oracle_cap_is_refused_before_validation(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "abstract6.json"
+    run_cli(capsys, "gen", "--family", "random-abstract", "--n", "6", "--out", str(path))
+
+    def refused(_):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr("rsdlab.cli.validate", refused)
+    argv = [command, "--in", str(path), "--oracle-cap", "5", *(["--setting", "value"] if command == "reduce" else [])]
+    assert run_cli(capsys, *argv) == (1, "", (
+        "error: exact enumeration over 6! orderings refused: n=6 exceeds the cap of 5 "
+        "(raise the cap explicitly to accept a cost exponential in n)\n"))
+
+
 def test_sampling_a_payoff_beyond_float_range_exits_one(tmp_path, capsys):
     # the metric reduction of an n=9 instance has costs near 2**1539
     src = tmp_path / "abstract9.json"
@@ -457,7 +472,7 @@ def test_validation_report_names_the_first_violations_and_counts_the_rest(tmp_pa
     from rsdlab.cli import MAX_REPORTED_VIOLATIONS
 
     rng = Random(1)
-    inst = AssignmentInstance.from_costs([[rng.choice((0, 1, 100)) for _ in range(14)] for _ in range(14)])
+    inst = AssignmentInstance.from_costs([[rng.choice((0, 1, 100)) for _ in range(60)] for _ in range(60)])
     problems = validate(inst)
     assert len(problems) > 100 * MAX_REPORTED_VIOLATIONS
     path = tmp_path / "bad.json"
@@ -487,13 +502,17 @@ def test_validation_report_cuts_a_long_value(tmp_path, capsys):
 def test_a_huge_declared_n_fails_validation_without_a_traceback(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"n": 1000000000000000000, "setting": "abstract", "rankings": [[1]]}')
-    code, out, err = run_cli(capsys, "exact", "--in", str(path))
+    code, out, err = run_cli(capsys, "opt", "--in", str(path), "--objective", "cost")
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         f"error: instance file {path} failed validation:",
         "  - expected 1000000000000000000 rankings",
         "  - ranking of agent 1 is not a permutation of 1..1000000000000000000",
     ]
+    # exact refuses an n above its cap before validating
+    code, out, err = run_cli(capsys, "exact", "--in", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: exact enumeration over 1000000000000000000! orderings refused")
 
 
 def test_bounds_plans_up_to_its_max_n_and_refuses_past_it(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     abstract_battery,
+    first_per_cell,
     four_point_scan,
     matrix_violations_by_fractions,
     metric_battery,
@@ -32,6 +33,7 @@ from rsdlab import (
 )
 from rsdlab import core
 from rsdlab.core import MAX_EXPONENT, QUOTED_LENGTH, as_fraction, exact_int, exact_str, preference_rows
+from rsdlab.rng import SplitMix64
 
 
 def test_bernoulli_preferences_follow_min_index():
@@ -73,12 +75,12 @@ def test_triangle_violation_is_located():
 
 @settings(max_examples=300)
 @given(st.data())
-def test_metric_check_lists_exactly_the_four_point_scan(data):
+def test_metric_check_lists_the_first_four_point_failure_of_each_cell(data):
     n = data.draw(st.integers(1, 5))
     # 0, ties and entries far apart enough to break the four-point condition
     entry = st.sampled_from([Fraction(x) for x in ("0", "1/3", "1/2", "1", "7/4", "3", "10")])
     costs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    assert validate(AssignmentInstance.from_costs(costs)) == four_point_scan(costs)
+    assert validate(AssignmentInstance.from_costs(costs)) == first_per_cell(four_point_scan(costs))
 
 
 def test_metric_check_on_reduction_built_costs():
@@ -88,7 +90,7 @@ def test_metric_check_on_reduction_built_costs():
         assert validate(AssignmentInstance.from_costs(costs)) == four_point_scan(costs) == []
         costs[-1][0] = sum(map(sum, costs))
         violations = validate(AssignmentInstance.from_costs(costs))
-        assert violations == four_point_scan(costs)
+        assert violations == first_per_cell(four_point_scan(costs))
         assert violations
 
 
@@ -96,6 +98,21 @@ def test_large_matrix_metric_instance_validates():
     # n=60 guards the O(n^3) check: a quadruple scan would take minutes
     inst = random_metric_line(60, 8)
     assert validate(AssignmentInstance.from_costs(inst.costs)) == []
+
+
+def test_non_metric_matrix_lists_one_violation_per_failing_cell():
+    # n=60 guards the O(n^2) report: this matrix has 1,442,481 failing quadruples
+    draws = SplitMix64(1)
+    n = 60
+    costs = [[Fraction((0, 1, 100)[draws.below(3)]) for _ in range(n)] for _ in range(n)]
+    violations = validate(AssignmentInstance.from_costs(costs))
+    cells = [v.indices[:2] for v in violations]
+    assert 0 < len(violations) <= n * n
+    assert cells == sorted(set(cells))
+    for v in violations:
+        i1, g1, i2, g2 = (x - 1 for x in v.indices)
+        assert v.code == "triangle"
+        assert costs[i1][g1] > costs[i1][g2] + costs[i2][g2] + costs[i2][g1]
 
 
 def test_negative_value_entry_reported():
@@ -215,7 +232,7 @@ def test_point_defined_validate_lists_the_full_check(data):
         costs[i][g] = data.draw(st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(100)]) | _POINT)
     costs = tuple(tuple(row) for row in costs)
     inst = AssignmentInstance(n=n, setting="metric", costs=costs, agent_points=tuple(agents), item_points=tuple(items))
-    expected = matrix_violations_by_fractions("costs", costs, n) or four_point_scan(costs)
+    expected = matrix_violations_by_fractions("costs", costs, n) or first_per_cell(four_point_scan(costs))
     assert validate(inst) == expected == validate(AssignmentInstance.from_costs(costs))
 
 
@@ -307,7 +324,7 @@ def test_validate_lists_the_fraction_sign_check_on_bad_matrices(data):
     for setting, field in (("value", "values"), ("metric", "costs")):
         expected = matrix_violations_by_fractions(field, rows, n)
         if setting == "metric" and not expected:
-            expected = four_point_scan(rows)
+            expected = first_per_cell(four_point_scan(rows))
         assert validate(AssignmentInstance(n=n, setting=setting, **{field: rows})) == expected
 
 

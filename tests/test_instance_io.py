@@ -205,6 +205,28 @@ def test_a_metric_file_with_costs_and_points_is_refused(points):
     assert str(info.value) == "metric instance takes 'costs' or 'agent_points'/'item_points', not both"
 
 
+@pytest.mark.parametrize("setting, fields, foreign", [
+    ("value", '"values": [[1, 2], [3, 4]], "rankings": [[2, 1], [1, 2]], "costs": [[9, 9], [9, 9]]',
+     "'costs', 'rankings'"),
+    ("value", '"values": [[1, 2], [3, 4]], "item_points": [0, 1]', "'item_points'"),
+    ("metric", '"costs": [[0, 1], [1, 0]], "values": [[1, 2], [3, 4]]', "'values'"),
+    ("metric", '"agent_points": [0, 1], "item_points": [2, 3], "rankings": [[1, 2], [2, 1]]', "'rankings'"),
+    ("abstract", '"rankings": [[1, 2], [2, 1]], "values": [[1, 2], [3, 4]]', "'values'"),
+    ("abstract", '"rankings": [[1, 2], [2, 1]], "agent_points": [0, 1], "item_points": [2, 3]',
+     "'agent_points', 'item_points'"),
+], ids=["value-rankings-costs", "value-points", "costs-values", "points-rankings", "abstract-values",
+        "abstract-points"])
+def test_a_payload_field_of_another_setting_is_refused(setting, fields, foreign):
+    with pytest.raises(InstanceFormatError) as info:
+        loads_instance(f'{{"n": 2, "setting": "{setting}", {fields}}}')
+    assert str(info.value) == f"{setting} instance does not read {foreign}"
+
+
+def test_fields_outside_the_payload_are_ignored():
+    inst = loads_instance('{"n": 1, "setting": "value", "values": [[3]], "name": "one", "points": [1]}')
+    assert inst == AssignmentInstance.from_values([[3]])
+
+
 def test_point_instance_requires_both_point_lists():
     with pytest.raises(InstanceFormatError, match="item_points"):
         loads_instance('{"n": 1, "setting": "metric", "agent_points": [0]}')
