@@ -274,7 +274,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    instance = _load_validated(args.infile)
+    # without a reference, the cap on the enumeration that finds one comes before validation
+    instance = _load_validated(args.infile, None if args.reference else args.oracle_cap)
     objective = Objective(args.objective)
     eps = parse_literal(args.eps, "--eps")
     delta = parse_literal(args.delta, "--delta")

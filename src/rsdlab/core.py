@@ -9,22 +9,18 @@ convention used throughout the package) under one of three payoff settings:
   satisfying the four-point triangle inequality, or agent/item coordinates
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
-  :func:`validate` checks the inequality exactly in O(n^3), as two min-plus
-  products on the integer payoff table, and names each failing cell once,
-  by a witness read off the same rows, so its report is O(n^2).  For a
-  point-defined instance it first checks in O(n^2), on the points scaled to
-  integers, that every cost is the points' distance, and skips the O(n^3)
-  check when they all are.
+  :func:`validate` checks the inequality exactly in O(n^3), and in O(n^2)
+  for costs that are their points' distances.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
-Entries are stored as exact :class:`fractions.Fraction` values.  Every
+A payoff matrix is stored as one integer table: int rows, the payoffs times
+their least common denominator, and that denominator; the file reader, the
+generators and the reductions build it with no Fraction per entry.  Every
 computation on payoffs (preference ranking, exact enumeration, sampling, the
-optimal-assignment solver, the metric check) runs on one integer table,
-:func:`integer_payoff_table`: the payoffs times their common denominator.
-No Fraction is compared on these paths; :func:`validate` reads an entry's
-sign off its numerator.  Sampling sums a run's scores exactly and rounds
-once, to the 64-bit float nearest the exact run mean; exact enumeration and
-the solver never round.
+optimal-assignment solver, the metric check, :func:`validate`'s sign check)
+runs on it, as :func:`integer_payoff_table` returns it.  Sampling sums a
+run's scores exactly and rounds once, to the 64-bit float nearest the exact
+run mean; exact enumeration and the solver never round.
 
 Ties between equally good items are broken in favour of the minimum item
 index, everywhere.  This single tie-breaking rule is what makes the exact
@@ -40,6 +36,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 from operator import index
 
@@ -55,7 +52,7 @@ as Python's default limit on the digits of an int parsed from a string."""
 MAX_LITERAL_LENGTH = 10_000
 """Longest numeric string read, in characters, checked before any
 conversion: the payoffs of the n=20 reduction take about 7,500 digits."""
-# The whole grammar of parse_number; re.ASCII keeps \s to ASCII whitespace.
+# The whole grammar of parse_ratio; re.ASCII keeps \s to ASCII whitespace.
 _LITERAL = re.compile(
     r"\s*([-+]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([-+]?)([0-9]+))?)\s*", re.ASCII)
 
@@ -68,8 +65,9 @@ def bounded_literal(text: str) -> str:
     return text
 
 
-def parse_number(text: str) -> Fraction:
-    """Exact value of a numeric string, or :class:`ValueError`.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """``(numerator, denominator)`` of a numeric string's exact value, the
+    denominator positive, or :class:`ValueError`.
 
     The grammar is ASCII only: ``[sign]digits[.digits][exponent]``,
     ``[sign].digits[exponent]`` and ``[sign]digits/digits``, with sign
@@ -82,18 +80,25 @@ def parse_number(text: str) -> Fraction:
     :data:`MAX_LITERAL_LENGTH` is refused before any conversion, and an
     exponent beyond :data:`MAX_EXPONENT` in magnitude before 10**e is built.
     A plain ``digits[.digits]``, the only form written for a non-negative
-    decimal, is read without the regular expression, to the same value.
+    decimal, is read without the regular expression, over 10**(its digits
+    after the point) and unreduced; any other form comes back reduced.
     """
     whole, dot, frac = bounded_literal(text).partition(".")
     digits = whole + frac
     if whole and (frac or not dot) and digits.isdigit() and digits.isascii():
-        return Fraction(exact_int(digits), 10 ** len(frac))
-    return _parse_by_grammar(text)
+        return exact_int(digits), 10 ** len(frac)
+    x = _parse_by_grammar(text)
+    return x.numerator, x.denominator
+
+
+def parse_number(text: str) -> Fraction:
+    """Exact value of a numeric string (:func:`parse_ratio`), or :class:`ValueError`."""
+    return Fraction(*parse_ratio(text))
 
 
 def _parse_by_grammar(text: str) -> Fraction:
-    """:func:`parse_number` past its length check, for a string of any
-    form: read by :data:`_LITERAL`."""
+    """:func:`parse_ratio` past its length check, as a Fraction, for a
+    string of any form: read by :data:`_LITERAL`."""
     literal = _LITERAL.fullmatch(text)
     if literal is None:
         raise ValueError(f"{clipped(text, repr)} is not a numeric literal")
@@ -182,40 +187,65 @@ def exact_int(digits: str) -> int:
     return value
 
 
-def _scaled_points(agents: Sequence[Fraction], items: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
-    """``(scale, agents * scale, items * scale)``: the points as integers
-    over their least common denominator ``scale``."""
-    scale = math.lcm(*(p.denominator for p in agents), *(p.denominator for p in items))
-    return (scale, [p.numerator * (scale // p.denominator) for p in agents],
-            [p.numerator * (scale // p.denominator) for p in items])
-
-
 def _matrix(rows: Iterable[Sequence], read=lambda row: tuple(map(as_fraction, row))) -> tuple:
     if isinstance(rows, (Set, Mapping)):  # a set or mapping of rows has no order to read; validate lists it
         return rows
     return tuple(read(row) if isinstance(row, Sequence) else row for row in rows)
 
 
-@dataclass(frozen=True)
+def _table(rows) -> tuple:
+    """``(rows * denom, denom)`` for a sequence of sequences of ints and
+    Fractions, ``denom`` their least common denominator, so no int > 1
+    divides both; any other ``rows`` (None too) as given, with None."""
+    if isinstance(rows, Sequence) and all(
+            isinstance(row, Sequence) and all(isinstance(x, (int, Fraction)) for x in row) for row in rows):
+        denom = math.lcm(*(x.denominator for row in rows for x in row))
+        return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+    return rows, None
+
+
+@dataclass(frozen=True, init=False)
 class AssignmentInstance:
     """One-to-one assignment instance in one of the three settings.
 
-    Construction is permissive: malformed content (non-square matrices,
-    negative entries, broken rankings, triangle failures) is stored as-is
-    and reported by :func:`validate` rather than rejected here.  The public
-    constructors read the rows in order, so a set or a mapping of rows, or a
-    row that is not a sequence, is kept as given for :func:`validate` to list;
+    A payoff matrix is stored as ``table``, int rows, over ``denom``, the
+    payoffs' least common denominator, so equal payoffs give equal instances
+    (``==``, ``hash``) however built; ``values`` and ``costs`` read it back
+    as Fraction rows, built on first read.  Construction is permissive:
+    malformed content (non-square matrices, negative entries, broken
+    rankings, triangle failures) is stored as-is and reported by
+    :func:`validate` rather than rejected here.  The raw constructor keeps
+    only the matrix its setting reads, as the table if its rows are
+    sequences of ints and Fractions, else as given, with ``denom`` None.
+    The public constructors read the rows in order, so a set or a mapping of
+    rows, or a row that is not a sequence, is kept as given too;
     :meth:`from_line_points` must read its points to build the costs, so it
     raises :class:`TypeError` for a point list that is not a sequence.
     """
 
     n: int
     setting: str
-    values: tuple[tuple[Fraction, ...], ...] | None = None
-    costs: tuple[tuple[Fraction, ...], ...] | None = None
-    agent_points: tuple[Fraction, ...] | None = None
-    item_points: tuple[Fraction, ...] | None = None
-    rankings: tuple[tuple[int, ...], ...] | None = None
+    table: tuple[tuple[int, ...], ...] | None
+    denom: int | None
+    agent_points: tuple[Fraction, ...] | None
+    item_points: tuple[Fraction, ...] | None
+    rankings: tuple[tuple[int, ...], ...] | None
+
+    def __init__(self, n, setting, values=None, costs=None, agent_points=None, item_points=None, rankings=None):
+        table, denom = _table(values if setting == SETTING_VALUE else costs if setting == SETTING_METRIC else None)
+        vars(self).update(n=n, setting=setting, table=table, denom=denom,
+                          agent_points=agent_points, item_points=item_points, rankings=rankings)
+
+    @classmethod
+    def from_table(cls, n: int, setting: str, rows: Sequence[Sequence[int]], denom: int,
+                   agent_points=None, item_points=None) -> "AssignmentInstance":
+        """Value or metric instance of payoffs ``rows[i][g] / denom`` (ints,
+        ``denom`` positive), both divided by their gcd; no Fraction is built."""
+        common = math.gcd(denom, *(math.gcd(*row) for row in rows))
+        instance = cls(n, setting, agent_points=agent_points, item_points=item_points)
+        table = tuple(tuple(t // common for t in row) if common > 1 else tuple(row) for row in rows)
+        vars(instance).update(table=table, denom=denom // common)
+        return instance
 
     @classmethod
     def from_values(cls, rows: Iterable[Sequence]) -> "AssignmentInstance":
@@ -232,26 +262,18 @@ class AssignmentInstance:
         """Metric instance from coordinates on the real line.
 
         The cost matrix is materialized eagerly; by construction it
-        satisfies the four-point triangle inequality.  Each cost is built
-        from the difference of two integers: the points times their least
-        common denominator (:func:`_scaled_points`).
+        satisfies the four-point triangle inequality.  Each cost is the
+        difference of two integers, the points times their least common
+        denominator, over that denominator.
         """
         for name, points in (("agent_points", agent_points), ("item_points", item_points)):
             if not isinstance(points, Sequence):
                 raise TypeError(f"{name} has type {type(points).__name__}, not a sequence")
         agents = tuple(as_fraction(x) for x in agent_points)
         items = tuple(as_fraction(x) for x in item_points)
-        scale, scaled_agents, scaled_items = _scaled_points(agents, items)
-        # Fraction(d) skips the gcd that Fraction(d, 1) computes
-        cost = Fraction if scale == 1 else lambda d: Fraction(d, scale)
-        costs = tuple(tuple(cost(abs(a - b)) for b in scaled_items) for a in scaled_agents)
-        return cls(
-            n=len(agents),
-            setting=SETTING_METRIC,
-            costs=costs,
-            agent_points=agents,
-            item_points=items,
-        )
+        (scaled_agents, scaled_items), scale = _table((agents, items))
+        rows = [[abs(a - b) for b in scaled_items] for a in scaled_agents]
+        return cls.from_table(len(agents), SETTING_METRIC, rows, scale, agents, items)
 
     @classmethod
     def from_rankings(cls, rankings: Iterable[Sequence[int]]) -> "AssignmentInstance":
@@ -262,14 +284,21 @@ class AssignmentInstance:
     def point_based(self) -> bool:
         return self.agent_points is not None
 
+    @cached_property
+    def _payoffs(self) -> tuple:
+        if self.denom is None:  # rows kept as given
+            return self.table
+        return tuple(tuple(Fraction(t, self.denom) for t in row) for row in self.table)
+
+    values = property(lambda self: self._payoffs if self.setting == SETTING_VALUE else None)
+    costs = property(lambda self: self._payoffs if self.setting == SETTING_METRIC else None)
+
     def value(self, agent: int, item: int) -> Fraction:
         """Value of 1-indexed ``agent`` for 1-indexed ``item``."""
-        assert self.values is not None
         return self.values[agent - 1][item - 1]
 
     def cost(self, agent: int, item: int) -> Fraction:
         """Cost of 1-indexed ``agent`` for 1-indexed ``item``."""
-        assert self.costs is not None
         return self.costs[agent - 1][item - 1]
 
     def ranking(self, agent: int) -> tuple[int, ...]:
@@ -277,12 +306,8 @@ class AssignmentInstance:
         return self.rankings[agent - 1]
 
     def payoff_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self.setting == SETTING_VALUE:
-            assert self.values is not None
-            return self.values
-        if self.setting == SETTING_METRIC:
-            assert self.costs is not None
-            return self.costs
+        if self.setting in (SETTING_VALUE, SETTING_METRIC):
+            return self._payoffs
         raise ValueError("abstract instances carry no payoff matrix")
 
 
@@ -370,18 +395,16 @@ def preference_rows(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(sorted(items, key=row.__getitem__, reverse=best_first)) for row in rows)
 
 
-def integer_payoff_table(instance: AssignmentInstance) -> tuple[list[list[int]], int]:
-    """Payoff matrix as exact integers over one common denominator.
-
-    Returns ``(rows, denom)`` with ``rows[i][g] == payoff[i][g] * denom``
-    (0-indexed), ``denom`` the least common denominator of the entries.
-    A positive scale preserves every comparison and every sum, so matchings
-    can be scored and compared on ``rows`` and divided by ``denom`` once.
-    """
-    matrix = instance.payoff_matrix()
-    denom = math.lcm(*(x.denominator for row in matrix for x in row))
-    rows = [[x.numerator * (denom // x.denominator) for x in row] for row in matrix]
-    return rows, denom
+def integer_payoff_table(instance: AssignmentInstance) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The stored ``(rows, denom)``: ``rows[i][g] == payoff[i][g] * denom``
+    (0-indexed), ``denom`` the least common denominator of the entries.  A
+    positive scale preserves every comparison and every sum, so matchings
+    are scored and compared on ``rows`` and divided by ``denom`` once."""
+    if instance.setting not in (SETTING_VALUE, SETTING_METRIC):
+        raise ValueError("abstract instances carry no payoff matrix")
+    if instance.denom is None:
+        raise TypeError(f"the {instance.setting} instance has no integer payoff table")
+    return instance.table, instance.denom
 
 
 def derive_preferences(instance: AssignmentInstance, agent: int) -> tuple[int, ...]:
@@ -391,28 +414,31 @@ def derive_preferences(instance: AssignmentInstance, agent: int) -> tuple[int, .
     return tuple(g + 1 for g in preference_rows(instance)[agent - 1])
 
 
-def _matrix_violations(name: str, rows: Sequence[Sequence[Fraction]], n: int) -> list[Violation]:
+def _matrix_violations(name: str, rows: Sequence[Sequence[int]], denom: int, n: int) -> list[Violation]:
     out = []
     if len(rows) != n:
         out.append(Violation("shape", (len(rows),), f"{name} has {len(rows)} rows, expected {n}"))
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             out.append(Violation("shape", (i, len(row)), f"{name} row {i} has {len(row)} entries, expected {n}"))
-    for i, row in enumerate(rows, start=1):
-        for g, x in enumerate(row, start=1):
-            if x.numerator < 0:
-                out.append(Violation("negative", (i, g), f"negative {name[:-1]} {clipped(exact_str(x))} at agent {i}, item {g}"))
+    out.extend(Violation("negative", (i, g), f"negative {name[:-1]} {clipped(exact_str(Fraction(t, denom)))} "
+                         f"at agent {i}, item {g}")
+               for i, row in enumerate(rows, start=1) if row and min(row) < 0 for g, t in enumerate(row, start=1) if t < 0)
     return out
 
 
-def _unordered(instance: AssignmentInstance, rows: str, *points: str) -> list[Violation]:
+def _unordered(name: str, rows, **points) -> list[Violation]:
     """A ``type`` violation for each field that is not a sequence, else for
-    each row of ``rows`` that is not: a set or a dict has no order to read."""
-    fields = [(name, getattr(instance, name)) for name in (rows, *points)]
-    out = [Violation("type", (), f"{name} has type {type(f).__name__}, not a sequence")
-           for name, f in fields if not isinstance(f, (Sequence, type(None)))]
-    return out or [Violation("type", (i,), f"row {i} of {rows} has type {type(row).__name__}, not a sequence")
-                   for i, row in enumerate(getattr(instance, rows), start=1) if not isinstance(row, Sequence)]
+    each of the ``rows`` that is not: a set or a dict has no order to read."""
+    out = [Violation("type", (), f"{field} has type {type(f).__name__}, not a sequence")
+           for field, f in ((name, rows), *points.items()) if not isinstance(f, (Sequence, type(None)))]
+    return out or [Violation("type", (i,), f"row {i} of {name} has type {type(row).__name__}, not a sequence")
+                   for i, row in enumerate(rows, start=1) if not isinstance(row, Sequence)]
+
+
+def _wrong_types(rows, kinds) -> list[Violation]:
+    return [Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
+            for i, row in enumerate(rows, start=1) for g, x in enumerate(row, start=1) if not isinstance(x, kinds)]
 
 
 def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
@@ -428,9 +454,7 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     ``c[i1][g1]``, g2 the first whose term of ``M[i1][i2]`` is below
     ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2) on every input.
     """
-    costs = instance.costs
-    assert costs is not None
-    c, _ = integer_payoff_table(instance)
+    c, denom = integer_payoff_table(instance)
     cols = list(zip(*c))
     out = []
     for i1, row in enumerate(c):
@@ -442,12 +466,9 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
             i2 = next(i for i, (m, x) in enumerate(zip(m_row, col)) if lhs > m + x)
             other = c[i2]
             g2 = next(g for g, (x, y) in enumerate(zip(row, other)) if lhs > x + y + other[g1])
-            out.append(Violation(
-                "triangle",
-                (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(costs[i1][g1]))} exceeds "
-                f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
-            ))
+            out.append(Violation("triangle", (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                                 f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(Fraction(lhs, denom)))} exceeds "
+                                 f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]"))
     return out
 
 
@@ -455,13 +476,11 @@ def _costs_are_distances(instance: AssignmentInstance) -> bool:
     """True iff every cost of a square point-defined instance equals
     |agent point - item point|, checked in O(n^2) on integers: such costs
     are a line metric, which meets the four-point condition."""
-    assert instance.agent_points is not None and instance.item_points is not None
-    assert instance.costs is not None
-    if not all(isinstance(p, Rational) for p in (*instance.agent_points, *instance.item_points)):
-        return False  # the full check reads the costs alone
-    scale, agents, items = _scaled_points(instance.agent_points, instance.item_points)
-    return all(x.numerator * scale == abs(a - b) * x.denominator
-               for a, row in zip(agents, instance.costs) for b, x in zip(items, row))
+    (agents, items), scale = _table((instance.agent_points, instance.item_points))
+    if scale is None:
+        return False  # points of another type: the full check reads the costs alone
+    c, denom = integer_payoff_table(instance)
+    return all(t * scale == abs(a - b) * denom for a, row in zip(agents, c) for b, t in zip(items, row))
 
 
 def validate(instance: AssignmentInstance) -> list[Violation]:
@@ -472,40 +491,37 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     min-plus test of the four-point condition on the integer payoff table;
     each failing cell (i1, g1) is listed once, with its first failing
     (i2, g2), so at most n^2 violations come back.  A point-defined
-    instance whose every cost is its points' distance is a line metric,
-    which an O(n^2) integer check establishes; if any cost differs, the
-    full check runs.  A value of the wrong type, such as a float rank, and
-    a field or row that is not a sequence, such as a set or a dict, are
-    listed as well.
+    instance whose every cost is its points' distance, as an O(n^2) integer
+    check finds, is a line metric and skips it.  A value of the wrong type,
+    such as a float rank, and a field or row that is not a sequence, such
+    as a set or a dict, are listed as well.
     """
     n = instance.n
     try:
         if index(n) < 1:
             return [Violation("size", (n,), f"n must be positive, got {n}")]
-        if instance.setting == SETTING_VALUE:
-            if instance.values is None:
-                return [Violation("missing", (), "value instance without a value matrix")]
-            return _unordered(instance, "values") or _matrix_violations("values", instance.values, n)
-
-        if instance.setting == SETTING_METRIC:
-            if instance.costs is None:
-                return [Violation("missing", (), "metric instance without a cost matrix")]
-            out = _unordered(instance, "costs", "agent_points", "item_points")
-            if out:
-                return out
-            if instance.point_based:
+        if instance.setting in (SETTING_VALUE, SETTING_METRIC):
+            name = "values" if instance.setting == SETTING_VALUE else "costs"
+            if instance.table is None:
+                return [Violation("missing", (), f"{instance.setting} instance without a {name[:-1]} matrix")]
+            metric = instance.setting == SETTING_METRIC
+            points = dict(agent_points=instance.agent_points, item_points=instance.item_points) if metric else {}
+            out = _unordered(name, instance.table, **points)
+            if out or instance.denom is None:  # a matrix kept as given holds a value of the wrong type
+                return out or _wrong_types(instance.table, (int, Fraction))
+            if metric and instance.point_based:
                 agents, items = len(instance.agent_points), len(instance.item_points)
                 if agents != n or items != n:
                     out.append(Violation("shape", (agents, items), "point lists must both have length n"))
-            out.extend(_matrix_violations("costs", instance.costs, n))
-            if out or instance.point_based and _costs_are_distances(instance):
+            out.extend(_matrix_violations(name, instance.table, instance.denom, n))
+            if out or not metric or instance.point_based and _costs_are_distances(instance):
                 return out
             return _triangle_violations(instance)
 
         if instance.setting == SETTING_ABSTRACT:
             if instance.rankings is None:
                 return [Violation("missing", (), "abstract instance without rankings")]
-            out = _unordered(instance, "rankings")
+            out = _unordered("rankings", instance.rankings)
             if out:
                 return out
             if len(instance.rankings) != n:
@@ -517,11 +533,8 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     except (TypeError, AttributeError):
         if not isinstance(n, int):
             return [Violation("type", (), f"n has type {type(n).__name__}, not int")]
-        abstract = instance.setting == SETTING_ABSTRACT
-        rows, kinds = (instance.rankings, int) if abstract else (instance.payoff_matrix(), (int, Fraction))
-        # every row is a sequence here: validate lists any other first
-        out = [Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
-               for i, row in enumerate(rows, start=1) for g, x in enumerate(row, start=1) if not isinstance(x, kinds)]
+        # every ranking is a sequence here: validate lists any other first
+        out = _wrong_types(instance.rankings or (), int)
         return out or [Violation("type", (), "the instance holds a value of the wrong type")]
     return [Violation("setting", (), f"unknown setting {instance.setting!r}")]
 
@@ -561,23 +574,10 @@ def remove_agent_best(instance: AssignmentInstance, agent: int) -> ReducedInstan
     item_keep = [g for g in range(1, n + 1) if g != best_item]
 
     if instance.point_based:
-        assert instance.agent_points is not None and instance.item_points is not None
-        reduced = AssignmentInstance.from_line_points(
-            [instance.agent_points[i - 1] for i in agent_keep],
-            [instance.item_points[g - 1] for g in item_keep],
-        )
+        reduced = AssignmentInstance.from_line_points([instance.agent_points[i - 1] for i in agent_keep],
+                                                      [instance.item_points[g - 1] for g in item_keep])
     else:
-        matrix = instance.payoff_matrix()
-        rows = [[matrix[i - 1][g - 1] for g in item_keep] for i in agent_keep]
-        if instance.setting == SETTING_VALUE:
-            reduced = AssignmentInstance.from_values(rows)
-        else:
-            reduced = AssignmentInstance.from_costs(rows)
-
-    return ReducedInstance(
-        instance=reduced,
-        agent_of=tuple(agent_keep),
-        item_of=tuple(item_keep),
-        removed_agent=agent,
-        removed_item=best_item,
-    )
+        table, denom = integer_payoff_table(instance)
+        rows = [[table[i - 1][g - 1] for g in item_keep] for i in agent_keep]
+        reduced = AssignmentInstance.from_table(n - 1, instance.setting, rows, denom)
+    return ReducedInstance(reduced, tuple(agent_keep), tuple(item_keep), agent, best_item)

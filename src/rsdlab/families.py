@@ -15,16 +15,16 @@ Random families draw from the package generator, so they are reproducible
 across platforms: values are integers in [0, VALUE_SCALE] divided by
 VALUE_SCALE, metric coordinates are integers in [0, LINE_GRID] (which keeps
 every entry an exact rational and the metric property automatic), and
-abstract rankings are uniform permutations.
+abstract rankings are uniform permutations.  Payoffs go straight into the
+instance's integer table, with no Fraction per entry.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import AssignmentInstance, Ordering
+from .core import SETTING_VALUE, AssignmentInstance, Ordering
 from .rng import substream
 
 
@@ -50,30 +50,27 @@ LINE_GRID = 1000  # random line coordinates are integers in [0, LINE_GRID]
 
 
 def bernoulli_welfare(n: int) -> AssignmentInstance:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    rows[0][0] = Fraction(1)
-    return AssignmentInstance.from_values(rows)
+    rows = [[0] * n for _ in range(n)]
+    rows[0][0] = 1
+    return AssignmentInstance.from_table(n, SETTING_VALUE, rows, 1)
 
 
 def worst_case_metric_line(n: int) -> AssignmentInstance:
-    agents = [Fraction(2**i) for i in range(n)]
-    items = [Fraction(-1)] + [Fraction(2**i) for i in range(1, n)]
+    agents = [2**i for i in range(n)]
+    items = [-1] + [2**i for i in range(1, n)]
     return AssignmentInstance.from_line_points(agents, items)
 
 
 def random_value(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
-    rows = [
-        [Fraction(rng.below(VALUE_SCALE + 1), VALUE_SCALE) for _ in range(n)]
-        for _ in range(n)
-    ]
-    return AssignmentInstance.from_values(rows)
+    rows = [[rng.below(VALUE_SCALE + 1) for _ in range(n)] for _ in range(n)]
+    return AssignmentInstance.from_table(n, SETTING_VALUE, rows, VALUE_SCALE)
 
 
 def random_metric_line(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
-    agents = [Fraction(rng.below(LINE_GRID + 1)) for _ in range(n)]
-    items = [Fraction(rng.below(LINE_GRID + 1)) for _ in range(n)]
+    agents = [rng.below(LINE_GRID + 1) for _ in range(n)]
+    items = [rng.below(LINE_GRID + 1) for _ in range(n)]
     return AssignmentInstance.from_line_points(agents, items)
 
 
@@ -85,7 +82,7 @@ def random_abstract(n: int, seed: int) -> AssignmentInstance:
 
 MAX_N = 500
 """Largest n that :func:`generate` builds.  An instance holds n² entries:
-``rsdlab gen`` takes about 1 s and 88 MB of memory for a random-value
+``rsdlab gen`` takes about 1 s and 69 MB of memory for a random-value
 instance at n = 500 (2 cores, Python 3.11), the costliest family there,
 and both grow as n²."""
 

@@ -17,9 +17,13 @@ Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
 float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
-no finite decimal expansion are rejected rather than rounded.
+no finite decimal expansion are rejected rather than rounded.  A value or
+cost matrix is read to the instance's integer table and written from it,
+with no Fraction per entry: a plain decimal is read as an int over
+10**(its digits after the point), scaled up to the matrix's common
+denominator.
 
-Strings are read by :func:`rsdlab.core.parse_number`, the same reader
+Strings are read by :func:`rsdlab.core.parse_ratio`, the same reader
 :func:`rsdlab.core.as_fraction` uses, whose one ASCII grammar is the same on
 every Python version: ``[sign]digits[.digits][exponent]``,
 ``[sign].digits[exponent]`` and ``[sign]digits/digits`` (sign ``-`` or
@@ -39,8 +43,8 @@ its length.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 
 from .core import (
@@ -52,7 +56,8 @@ from .core import (
     AssignmentInstance,
     bounded_literal,
     exact_str,
-    parse_number,
+    integer_payoff_table,
+    parse_ratio,
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
@@ -71,20 +76,25 @@ class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
 
 
-def parse_literal(x, where: str) -> Fraction:
-    """Exact value of an integer or a numeric string (read by
-    :func:`rsdlab.core.parse_number`); ``where`` names it in the
+def _literal_ratio(x, where: str) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an integer or a numeric string (read
+    by :func:`rsdlab.core.parse_ratio`); ``where`` names it in the
     :class:`InstanceFormatError` raised for anything else."""
     if isinstance(x, str):
         try:
-            return parse_number(x)
+            return parse_ratio(x)
         except ValueError as exc:
             raise InstanceFormatError(f"{where}: {exc}") from None
     if isinstance(x, bool):
         raise InstanceFormatError(f"{where}: booleans are not numbers")
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
     raise InstanceFormatError(f"{where}: expected an integer or decimal string, got {type(x).__name__}")
+
+
+def parse_literal(x, where: str) -> Fraction:
+    """Exact value of an integer or a numeric string, as :func:`_literal_ratio` reads it."""
+    return Fraction(*_literal_ratio(x, where))
 
 
 def _parse_item(x, where: str) -> int:
@@ -117,6 +127,21 @@ def _parse_points(xs, where: str) -> list[Fraction]:
     return _parse_list(xs, where)
 
 
+def _parse_table(rows, where: str) -> tuple[list[list[int]], int]:
+    """A payoff matrix as int rows over its entries' least common
+    denominator; each row is scaled to its own as it is read, so only a row
+    below the matrix's is scaled again."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InstanceFormatError(f"{where}: expected a list of rows")
+    table, dens = [], []
+    for i, row in enumerate(rows, start=1):
+        ratios = _parse_list(row, f"{where}[{i}]", _literal_ratio)
+        dens.append(math.lcm(*{d for _, d in ratios}))
+        table.append([t * (dens[-1] // d) for t, d in ratios])
+    denom = math.lcm(*dens)
+    return [row if den == denom else [t * (denom // den) for t in row] for row, den in zip(table, dens)], denom
+
+
 def instance_from_dict(doc: dict) -> AssignmentInstance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("top level: expected a JSON object")
@@ -136,7 +161,7 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     if setting == SETTING_VALUE:
         if "values" not in doc:
             raise InstanceFormatError("value instance requires field 'values'")
-        return AssignmentInstance(n=n, setting=setting, values=_parse_matrix(doc["values"], "values"))
+        return AssignmentInstance.from_table(n, setting, *_parse_table(doc["values"], "values"))
 
     if setting == SETTING_METRIC:
         if "agent_points" in doc or "item_points" in doc:
@@ -152,61 +177,60 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
             return inst
         if "costs" not in doc:
             raise InstanceFormatError("metric instance requires 'costs' or 'agent_points'/'item_points'")
-        return AssignmentInstance(n=n, setting=setting, costs=_parse_matrix(doc["costs"], "costs"))
+        return AssignmentInstance.from_table(n, setting, *_parse_table(doc["costs"], "costs"))
 
     if "rankings" not in doc:
         raise InstanceFormatError("abstract instance requires field 'rankings'")
     return AssignmentInstance(n=n, setting=setting, rankings=_parse_matrix(doc["rankings"], "rankings", _parse_item))
 
 
-@lru_cache(maxsize=128)  # a writer meets few denominators: random values have the 49 divisors of 10**6
-def _decimal_scale(den: int) -> tuple[int, int] | None:
-    """``(scale, 10**scale // den)`` for the least ``scale`` with ``den`` dividing
-    ``10**scale``, or None if ``den`` has a prime factor other than 2 and 5."""
-    twos = (den & -den).bit_length() - 1
-    rest, fives = den >> twos, 0
-    while rest % 5 == 0:
-        rest //= 5
+def _entry_writer(denom: int):
+    """The function that writes the int ``t`` as :func:`format_number`
+    writes ``t / denom``: at the decimal scale of ``denom``, found once, with
+    the trailing zeros cut, which gives the shortest decimal."""
+    twos = (denom & -denom).bit_length() - 1
+    odd, fives = denom >> twos, 0
+    while odd % 5 == 0:
+        odd //= 5
         fives += 1
     scale = max(twos, fives)
-    return (scale, 10**scale // den) if rest == 1 else None
+    factor = 10**scale * odd // denom
+
+    def write(t: int) -> int | str:
+        if odd != 1:
+            if t % odd:
+                raise ValueError(f"{exact_str(Fraction(t, denom))} has no finite decimal representation")
+            t //= odd
+        text = exact_str(abs(t) * factor).rjust(scale + 1, "0")
+        whole, frac = text[:len(text) - scale], text[len(text) - scale:].rstrip("0")
+        if frac:
+            return bounded_literal(f"{'-' if t < 0 else ''}{whole}.{frac}")
+        q = t * factor // 10**scale if scale else t
+        return q if abs(q) < _JSON_INT_LIMIT else bounded_literal(exact_str(q))
+
+    return write
 
 
 def format_number(x: Fraction) -> int | str:
     """Exact JSON encoding: small integers stay integers, everything else
     becomes a decimal string.  Raises if ``x`` has no finite decimal form,
-    or if its string is longer than the reader takes.  Each denominator's
-    decimal scale is found once (:func:`_decimal_scale`)."""
+    or if its string is longer than the reader takes."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    if den == 1:
-        return num if abs(num) < _JSON_INT_LIMIT else bounded_literal(exact_str(num))
-    found = _decimal_scale(den)
-    if found is None:
-        raise ValueError(f"{exact_str(x)} has no finite decimal representation")
-    scale, factor = found
-    digits = num * factor
-    text = exact_str(abs(digits)).rjust(scale + 1, "0")
-    return bounded_literal(f"{'-' if digits < 0 else ''}{text[:-scale]}.{text[-scale:]}")
+    return _entry_writer(x.denominator)(x.numerator)
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:
     doc: dict = {"n": instance.n, "setting": instance.setting}
-    if instance.setting == SETTING_VALUE:
-        assert instance.values is not None
-        doc["values"] = [[format_number(x) for x in row] for row in instance.values]
-    elif instance.setting == SETTING_METRIC:
-        if instance.point_based:
-            assert instance.agent_points is not None and instance.item_points is not None
-            doc["agent_points"] = [format_number(x) for x in instance.agent_points]
-            doc["item_points"] = [format_number(x) for x in instance.item_points]
-        else:
-            assert instance.costs is not None
-            doc["costs"] = [[format_number(x) for x in row] for row in instance.costs]
-    else:
-        assert instance.rankings is not None
+    if instance.setting == SETTING_ABSTRACT:
         doc["rankings"] = [list(row) for row in instance.rankings]
+    elif instance.setting == SETTING_METRIC and instance.point_based:
+        doc["agent_points"] = [format_number(x) for x in instance.agent_points]
+        doc["item_points"] = [format_number(x) for x in instance.item_points]
+    else:
+        rows, denom = integer_payoff_table(instance)
+        write = _entry_writer(denom)
+        doc["values" if instance.setting == SETTING_VALUE else "costs"] = [[write(t) for t in row] for row in rows]
     return doc
 
 

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import getitem
 
 from .core import AssignmentInstance, Matching, Objective, integer_payoff_table
 
@@ -100,7 +101,7 @@ def solve_opt(instance: AssignmentInstance, objective: Objective) -> OptResult:
     scaled, denom = integer_payoff_table(instance)
     rows = [[-p for p in row] for row in scaled] if objective is Objective.WELFARE else scaled
     assign = _min_assignment(rows)
-    total = sum(map(list.__getitem__, scaled, assign))  # before the welfare negation
+    total = sum(map(getitem, scaled, assign))  # before the welfare negation
     return OptResult(matching=Matching(tuple(g + 1 for g in assign)), objective_value=Fraction(total, denom))
 
 

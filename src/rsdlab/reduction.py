@@ -72,13 +72,11 @@ def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInsta
     n = source.n
     blocks, top = _offsets(n, setting)
     base = 0 if top is None else 1 << top
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for row, ranking, offsets in zip(rows, source.rankings, blocks):
         for item, offset in zip(ranking, offsets):
-            row[item - 1] = Fraction(base + (1 << offset))
-    if top is None:
-        return AssignmentInstance.from_values(rows)
-    return AssignmentInstance.from_costs(rows)
+            row[item - 1] = base + (1 << offset)
+    return AssignmentInstance.from_table(n, setting, rows, 1)
 
 
 def _scaled_total(built: AssignmentInstance, objective: Objective, counts) -> int:

@@ -13,11 +13,12 @@ words :data:`_CHUNK` samples at a time.  No other module reads them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
-from .core import AssignmentInstance, Matching, Objective, Ordering, preference_rows
+from .core import AssignmentInstance, Matching, Objective, Ordering, integer_payoff_table, preference_rows
 from .rng import SLOT_BYTES, SplitMix64, packed_draws
 
 LANES = 4096
@@ -88,7 +89,7 @@ def _shuffled_planes(draws: Iterable[int], count: int, n: int) -> list[list[int]
     return planes
 
 
-def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], planes: list[list[int]], count: int) -> int:
+def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[int]], planes: list[list[int]], count: int) -> int:
     """The total score of the orderings in ``planes``: at step t the lanes
     split into one set per agent at position t, and each agent walks its
     preference row and takes its item in every lane where it is still free."""
@@ -120,7 +121,7 @@ def _words(z: int, count: int) -> memoryview:
     return words[:: SLOT_BYTES // 8] if sys.byteorder == "little" else words[:: -(SLOT_BYTES // 8)]
 
 
-def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, start: int, count: int) -> int:
+def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[int]], seed: int, run: int, start: int, count: int) -> int:
     """The total score of samples ``start .. start + count - 1`` at n >= 2,
     :data:`_CHUNK` at a time: each sample's packed draws, read out as 64-bit
     words, swap its ordering in place, and :func:`sd_assign` scores it."""
@@ -133,11 +134,11 @@ def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], s
             order = identity[:]
             for i, j in zip(positions, js):
                 order[i], order[j] = order[j], order[i]
-            total += sum(map(list.__getitem__, scaled, sd_assign(prefs, order)))
+            total += sum(map(getitem, scaled, sd_assign(prefs, order)))
     return total
 
 
-def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: list[list[int]], seed: int, run: int, k: int) -> int:
+def sd_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[int]], seed: int, run: int, k: int) -> int:
     """The exact integer total of ``scaled[a][sd_assign(prefs, order)[a]]``
     over every agent ``a`` of the orderings
     ``substream(seed, run, i).permutation(n)``, ``i`` in ``range(k)``.
@@ -173,11 +174,8 @@ def evaluate(instance: AssignmentInstance, matching: Matching, objective: Object
     objective.require_compatible(instance)
     if matching.n != instance.n or not matching.is_perfect():
         raise ValueError("matching must be a perfect matching on 1..n")
-    matrix = instance.payoff_matrix()
-    return sum(
-        (matrix[i][matching.assign[i] - 1] for i in range(instance.n)),
-        start=Fraction(0),
-    )
+    table, denom = integer_payoff_table(instance)
+    return Fraction(sum(row[g - 1] for row, g in zip(table, matching.assign)), denom)
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,26 @@ def test_n_above_the_oracle_cap_is_refused_before_validation(tmp_path, capsys, m
         "(raise the cap explicitly to accept a cost exponential in n)\n"))
 
 
+def test_coverage_without_a_reference_refuses_n_above_the_oracle_cap_before_validation(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "line6.json"
+    run_cli(capsys, "gen", "--family", "random-metric-line", "--n", "6", "--out", str(path))
+    argv = ["coverage", "--in", str(path), "--objective", "cost", "--method", "cost-median-of-means",
+            "--eps", "0.5", "--delta", "0.2", "--trials", "1", "--k", "10", "--oracle-cap", "5"]
+    validated = []
+
+    def refused(instance):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr("rsdlab.cli.validate", refused)
+    assert run_cli(capsys, *argv) == (1, "", (
+        "error: exact enumeration over 6! orderings refused: n=6 exceeds the cap of 5 "
+        "(raise the cap explicitly to accept a cost exponential in n)\n"))
+    # a supplied reference needs no enumeration, so the cap does not apply and the file is validated
+    monkeypatch.setattr("rsdlab.cli.validate", lambda instance: validated.append(instance.n) or [])
+    assert run_cli(capsys, *argv, "--reference", "100")[0] == 0
+    assert validated == [6]
+
+
 def test_sampling_a_payoff_beyond_float_range_exits_one(tmp_path, capsys):
     # the metric reduction of an n=9 instance has costs near 2**1539
     src = tmp_path / "abstract9.json"

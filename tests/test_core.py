@@ -24,7 +24,11 @@ from rsdlab import (
     build_reduction,
     check_approx,
     derive_preferences,
+    dumps_instance,
+    loads_instance,
+    random_abstract,
     random_metric_line,
+    random_value,
     remove_agent_best,
     sample_size,
     solve_opt,
@@ -499,3 +503,56 @@ def test_as_fraction_refuses_infinities_and_nan(x):
         sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", x)
     with pytest.raises(ValueError, match=message):
         check_approx(x, 1, "0.5")
+
+
+def _twins(inst):
+    """The same payoffs built every other way: through a file, the raw
+    constructor and the public constructors (for points, both from points)."""
+    field = "values" if inst.setting == "value" else "costs"
+    rows = inst.payoff_matrix()
+    twins = [loads_instance(dumps_instance(inst))]
+    if inst.point_based:
+        points = dict(agent_points=inst.agent_points, item_points=inst.item_points)
+        twins += [AssignmentInstance(inst.n, inst.setting, costs=rows, **points),
+                  AssignmentInstance.from_line_points(*points.values())]
+    else:
+        public = AssignmentInstance.from_values if field == "values" else AssignmentInstance.from_costs
+        twins += [AssignmentInstance(n=inst.n, setting=inst.setting, **{field: rows}), public(rows),
+                  public([[str(x) for x in row] for row in rows]),
+                  AssignmentInstance.from_table(inst.n, inst.setting, [[7 * t for t in row] for row in inst.table],
+                                                7 * inst.denom)]
+    return twins
+
+
+@pytest.mark.parametrize("inst", [
+    random_value(6, 3),
+    bernoulli_welfare(4),
+    AssignmentInstance.from_values([["0.5", "3/8"], [2, "-0.25"]]),
+    random_metric_line(5, 2),
+    AssignmentInstance.from_costs(random_metric_line(5, 2).costs),
+    worst_case_metric_line(4),
+    AssignmentInstance.from_line_points(["0.5", "-1.25"], ["2", "0.75"]),
+    build_reduction(random_abstract(4, 1), "value"),
+    build_reduction(random_abstract(4, 1), "metric"),
+], ids=["random-value", "bernoulli", "fractions", "line-points", "line-matrix", "worst-case", "decimal-points",
+        "reduction-value", "reduction-metric"])
+def test_equal_payoffs_make_equal_instances_however_built(inst):
+    for twin in _twins(inst):
+        assert (twin.table, twin.denom) == (inst.table, inst.denom)
+        assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+
+
+def test_the_stored_table_is_reduced_whatever_the_literals_or_scale():
+    half = AssignmentInstance.from_values([[Fraction(1, 2), 1]])
+    assert (half.table, half.denom) == (((1, 2),), 2)
+    for same in (
+        loads_instance('{"n": 1, "setting": "value", "values": [["0.50", "2/2"]]}'),
+        loads_instance('{"n": 1, "setting": "value", "values": [["5e-1", 1.000]]}'),
+        loads_instance('{"n": 1, "setting": "value", "values": [["2/4", "10E-1"]]}'),
+        AssignmentInstance.from_table(1, "value", [[500_000, 1_000_000]], 1_000_000),
+        AssignmentInstance(n=1, setting="value", values=[[Fraction(1, 2), True]]),
+    ):
+        assert same == half and hash(same) == hash(half)
+    # only the matrix the setting reads is kept
+    assert AssignmentInstance(n=1, setting="value", values=((Fraction(1, 2), 1),), costs=((9, 9),)) == half
+    assert half.costs is None and AssignmentInstance(n=1, setting="abstract", values=((1,),)).table is None

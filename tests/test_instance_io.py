@@ -1,3 +1,5 @@
+import json
+import math
 import re
 from fractions import Fraction
 
@@ -19,8 +21,10 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab import core
-from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, parse_number
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, _decimal_scale, format_number, parse_literal
+from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table, parse_number
+from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
+from rsdlab.rng import substream
 
 
 def test_deep_nesting_is_a_format_error():
@@ -88,10 +92,7 @@ def _written(write, x):
 
 
 def _assert_written_as_by_division(x):
-    # the second call reads the denominator's scale from the cache
-    expected = _written(format_number_by_division, x)
-    assert _written(format_number, x) == expected
-    assert _written(format_number, x) == expected
+    assert _written(format_number, x) == _written(format_number_by_division, x)
 
 
 _TWO_FIVE = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 60), st.integers(0, 60))
@@ -141,13 +142,6 @@ def test_dumps_instance_matches_the_division_writer_byte_for_byte():
 def test_random_value_instances_round_trip(n):
     inst = random_value(n, 7)
     assert loads_instance(dumps_instance(inst)) == inst
-
-
-def test_the_decimal_scale_cache_stays_bounded():
-    maxsize = _decimal_scale.cache_parameters()["maxsize"]
-    for b in range(maxsize + 40):
-        assert format_number(Fraction(1, 2 * 5**b)) == format_number_by_division(Fraction(1, 2 * 5**b))
-    assert _decimal_scale.cache_info().currsize <= maxsize
 
 
 def test_missing_fields_are_named():
@@ -530,3 +524,117 @@ def test_plain_decimals_read_as_the_grammar_reads_them(text):
         value = parse_number(text)
         assert type(value) is Fraction
         assert value == expected
+
+
+
+def _table_by_fractions(rows):
+    """The integer table as it was built from Fraction rows: the lcm of the
+    entries' denominators, then each numerator scaled up to it."""
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+
+
+def _dumped_by_division(inst, rows):
+    """Reference bytes of an instance's file: a value instance's by
+    :func:`conftest.dumps_value_instance_by_division`, any other with every
+    number written by :func:`conftest.format_number_by_division`."""
+    if inst.setting == "value":
+        return dumps_value_instance_by_division(inst)
+    doc = {"n": inst.n, "setting": inst.setting}
+    if inst.point_based:
+        doc["agent_points"] = [format_number_by_division(x) for x in inst.agent_points]
+        doc["item_points"] = [format_number_by_division(x) for x in inst.item_points]
+    else:
+        doc["costs"] = [[format_number_by_division(x) for x in row] for row in rows]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _assert_stored_as_by_fractions(inst, rows):
+    """``inst`` stores the Fraction ``rows`` as the old Fraction computation
+    built their table, reads them back as those Fractions, and is written as
+    the division writer writes them (or both raise the same error)."""
+    rows = tuple(tuple(row) for row in rows)
+    assert (inst.table, inst.denom) == _table_by_fractions(rows)
+    assert integer_payoff_table(inst) == (inst.table, inst.denom)
+    assert inst.payoff_matrix() == rows
+    assert all(type(x) is Fraction for row in inst.payoff_matrix() for x in row)
+    assert _written(dumps_instance, inst) == _written(lambda i: _dumped_by_division(i, rows), inst)
+
+
+_PAYOFF = st.one_of(
+    st.builds(Fraction, st.integers(-(10**12), 10**12), _TWO_FIVE),
+    st.integers(-(2**70), 2**70).map(Fraction),
+    st.fractions(-20, 20, max_denominator=30),  # most of them with no finite decimal form
+    st.builds(Fraction, st.integers(0, VALUE_SCALE), st.just(VALUE_SCALE)),  # random-value entries
+)
+
+
+@st.composite
+def _literal(draw, x: Fraction) -> str:
+    """The JSON text of one file literal of ``x``: ``"a/b"``, reduced or not,
+    and for a finite decimal, a plain decimal with up to three trailing
+    zeros, quoted or a JSON number, and a mantissa with a decimal exponent."""
+    num, den = x.numerator, x.denominator
+    k = draw(st.integers(1, 3))
+    forms = [f'"{num}/{den}"', f'"{num * k}/{den * k}"']
+    scale = next((s for s in range(64) if 10**s % den == 0), None)
+    if scale is not None:
+        scale += draw(st.integers(0, 3))
+        digits = num * 10**scale // den
+        whole, frac = divmod(abs(digits), 10**scale)
+        text = f"{'-' if digits < 0 else ''}{whole}" + (f".{frac:0{scale}d}" if scale else "")
+        forms += [f'"{text}"', text, f'"{digits}e-{scale}"', f'"{digits}E-{scale}"']
+    return draw(st.sampled_from(forms))
+
+
+def _literals(data, xs) -> str:
+    return "[" + ", ".join(data.draw(_literal(x)) for x in xs) + "]"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_table_is_the_one_fraction_rows_give_on_every_path(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(_PAYOFF, min_size=n, max_size=n), min_size=n, max_size=n))
+    # the public constructors, from Fractions, ints and strings
+    given_as = [[data.draw(st.sampled_from([x, exact_str(x), *([x.numerator] if x.denominator == 1 else [])]))
+                 for x in row] for row in rows]
+    _assert_stored_as_by_fractions(AssignmentInstance.from_values(given_as), rows)
+    _assert_stored_as_by_fractions(AssignmentInstance.from_costs(given_as), rows)
+    # the file reader, each entry in one of its literal forms
+    for setting, field in (("value", "values"), ("metric", "costs")):
+        matrix = ", ".join(_literals(data, row) for row in rows)
+        _assert_stored_as_by_fractions(loads_instance(f'{{"n": {n}, "setting": "{setting}", "{field}": [{matrix}]}}'), rows)
+    # line points, given to the constructor and read from a file
+    agents, items = (data.draw(st.lists(_PAYOFF, min_size=n, max_size=n)) for _ in range(2))
+    costs = [[abs(a - b) for b in items] for a in agents]
+    _assert_stored_as_by_fractions(AssignmentInstance.from_line_points(agents, items), costs)
+    text = f'{{"n": {n}, "setting": "metric", "agent_points": {_literals(data, agents)}, "item_points": {_literals(data, items)}}}'
+    _assert_stored_as_by_fractions(loads_instance(text), costs)
+
+
+def _family_rows(family: Family, n: int, seed: int):
+    """The payoff rows of a generated instance as Fractions, drawn as the
+    generators drew them before they built the integer table directly."""
+    rng = substream(seed, 0, 0)
+    if family is Family.BERNOULLI_WELFARE:
+        return [[Fraction(int(i == g == 0)) for g in range(n)] for i in range(n)]
+    if family is Family.RANDOM_VALUE:
+        return [[Fraction(rng.below(VALUE_SCALE + 1), VALUE_SCALE) for _ in range(n)] for _ in range(n)]
+    if family is Family.WORST_CASE_METRIC_LINE:
+        agents, items = [Fraction(2**i) for i in range(n)], [Fraction(-1)] + [Fraction(2**i) for i in range(1, n)]
+    else:
+        agents, items = ([Fraction(rng.below(LINE_GRID + 1)) for _ in range(n)] for _ in range(2))
+    return [[abs(a - b) for b in items] for a in agents]
+
+
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.RANDOM_ABSTRACT])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
+def test_every_generator_stores_the_table_its_fraction_rows_give(family, n, seed):
+    _assert_stored_as_by_fractions(generate(FamilySpec(family, n, seed)), _family_rows(family, n, seed))
+
+
+def test_the_abstract_generator_stores_no_table():
+    inst = random_abstract(5, 3)
+    assert (inst.table, inst.denom, inst.values, inst.costs) == (None, None, None, None)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -177,7 +178,7 @@ def check_sd_total(monkeypatch, instances, seed, run, ks, n):
     for inst in instances:
         prefs = preference_rows(inst)
         scaled, _ = integer_payoff_table(inst)
-        scores = [sum(map(list.__getitem__, scaled, sd_assign(prefs, order))) for order in orders]
+        scores = [sum(map(getitem, scaled, sd_assign(prefs, order))) for order in orders]
         for k in sorted(ks):
             scored = record_orderings(monkeypatch)
             assert sd_total(prefs, scaled, seed, run, k) == sum(scores[:k]), k
