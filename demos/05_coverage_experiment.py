@@ -29,7 +29,6 @@ def main():
         bernoulli_welfare(8), Objective.WELFARE, plan,
         trials=400, master_seed=1234,
         reference=Fraction(1, 8), reference_provenance="analytic-family",
-        instance_id="bernoulli-welfare-8",
     )
     print(f"  plan: k = {plan.k} samples per trial")
     print(f"  reference mean = {report.reference} [{report.reference_provenance}]")
@@ -45,7 +44,6 @@ def main():
         inst, Objective.COST, plan,
         trials=60, master_seed=88,
         reference=exact, reference_provenance="exact-oracle",
-        instance_id="worst-case-metric-line-5",
     )
     print(f"  plan: k = {plan.k} per run, {plan.runs} runs per trial")
     print(f"  reference mean = {report.reference} = {float(report.reference):.6f}")

@@ -9,9 +9,10 @@ Exit codes: 0 on success, 1 when input data fails validation, a file
 cannot be read or written, or a requested computation is refused, 2 on
 usage errors.  ``exact``, ``reduce`` and ``coverage`` take ``--oracle-cap``,
 the only setting of the enumeration cap (default
-:data:`rsdlab.exact.DEFAULT_ORACLE_CAP`); a cap above the default warns on
-stderr.  ``exact`` and ``reduce`` refuse an n above the cap before they
-validate the instance.
+:data:`rsdlab.exact.DEFAULT_ORACLE_CAP`).  Where the cap applies (``exact``,
+``reduce``, and ``coverage`` without ``--reference``), an n above it is
+refused before the instance is validated, and a cap above the default warns
+on stderr once it is.
 """
 
 from __future__ import annotations
@@ -38,11 +39,6 @@ from .reduction import build_artifact, round_trip_matches
 # validate lists at most one four-point violation per cell, n^2 in all; the
 # report names the first ones and counts the rest.
 MAX_REPORTED_VIOLATIONS = 20
-
-
-class InputError(Exception):
-    """Bad input data, or a file that cannot be read or written: reported on
-    stderr, exit status 1."""
 
 
 def fmt_rational(x: Fraction) -> str:
@@ -75,24 +71,16 @@ def _cap_flag(text: str) -> int:
     return cap
 
 
-def _oracle_cap(args) -> int:
-    if args.oracle_cap > DEFAULT_ORACLE_CAP:
-        print(
-            f"warning: enumeration cap raised to {args.oracle_cap}; the cost grows exponentially in n",
-            file=sys.stderr,
-        )
-    return args.oracle_cap
-
-
 def _load_validated(path, cap: int | None = None):
-    """The instance in ``path``, refused if its n exceeds ``cap`` (when given)
-    before it is validated."""
+    """The instance in ``path``, or :class:`ValueError`.  Given a ``cap``, an
+    n above it is refused before validation, and a cap above the default
+    warns on stderr after it."""
     try:
         instance = load_instance(path)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except (InstanceFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputError(f"malformed instance file {path}: {exc}") from exc
+        raise ValueError(f"malformed instance file {path}: {exc}") from exc
     if cap is not None:
         check_cap(instance.n, cap)
     problems = validate(instance)
@@ -101,17 +89,19 @@ def _load_validated(path, cap: int | None = None):
         lines = "".join(f"\n  - {v.message}" for v in shown)
         if len(problems) > len(shown):
             lines += f"\n  … and {len(problems) - len(shown)} more ({len(problems)} violations)"
-        raise InputError(f"instance file {path} failed validation:{lines}")
+        raise ValueError(f"instance file {path} failed validation:{lines}")
+    if cap is not None and cap > DEFAULT_ORACLE_CAP:
+        print(f"warning: enumeration cap raised to {cap}; the cost grows exponentially in n", file=sys.stderr)
     return instance
 
 
 @contextmanager
 def _writing(path):
-    """Turn a failed write of ``path`` into an :class:`InputError`."""
+    """Turn a failed write of ``path`` into a :class:`ValueError`."""
     try:
         yield
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 @contextmanager
@@ -145,9 +135,8 @@ def cmd_gen(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = _load_validated(args.infile, args.oracle_cap)
-    cap = _oracle_cap(args)
     objective = Objective(args.objective) if args.objective else None
-    summary = enumerate_rsd(instance, objective, cap=cap)
+    summary = enumerate_rsd(instance, objective, cap=args.oracle_cap)
     print(f"orderings enumerated: {summary.order_count}")
     if summary.mean is not None:
         print(f"mean: {fmt_rational(summary.mean)}")
@@ -244,9 +233,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_reduce(args) -> int:
     source = _load_validated(args.infile, args.oracle_cap)
-    if source.setting != "abstract":
-        raise InputError("reduce expects an abstract instance (rankings only)")
-    artifact = build_artifact(source, args.setting, cap=_oracle_cap(args))
+    artifact = build_artifact(source, args.setting, cap=args.oracle_cap)
     matches = round_trip_matches(artifact)
     print(f"block bits q: {artifact.block_bits}")
     print(f"scaled total: {exact_str(artifact.scaled_total)}")
@@ -279,7 +266,6 @@ def cmd_coverage(args) -> int:
     objective = Objective(args.objective)
     eps = parse_literal(args.eps, "--eps")
     delta = parse_literal(args.delta, "--delta")
-    cap = _oracle_cap(args)
     plan = sample_size(Method(args.method), instance.n, eps, delta)
     if args.k is not None or args.lam is not None:
         # explicit k/lambda override the formula values
@@ -294,8 +280,7 @@ def cmd_coverage(args) -> int:
         trials=args.trials,
         master_seed=args.seed,
         reference=reference,
-        instance_id=str(args.infile),
-        oracle_cap=cap,
+        oracle_cap=args.oracle_cap,
     )
     print(f"method: {report.method}  k={report.k}  runs={report.runs}")
     print(f"reference: {fmt_rational(report.reference)} [{report.reference_provenance}]")
@@ -394,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

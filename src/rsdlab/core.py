@@ -509,7 +509,10 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
             out = _unordered(name, instance.table, **points)
             if out or instance.denom is None:  # a matrix kept as given holds a value of the wrong type
                 return out or _wrong_types(instance.table, (int, Fraction))
-            if metric and instance.point_based:
+            if metric and (instance.agent_points is None) != (instance.item_points is None):
+                out.append(Violation("missing", (), "point-based metric instance requires both "
+                                                    "'agent_points' and 'item_points'"))
+            elif metric and instance.point_based:
                 agents, items = len(instance.agent_points), len(instance.item_points)
                 if agents != n or items != n:
                     out.append(Violation("shape", (agents, items), "point lists must both have length n"))

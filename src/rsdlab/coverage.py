@@ -39,7 +39,6 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    instance_id: str
     objective: Objective
     method: str
     k: int
@@ -82,7 +81,6 @@ def run_coverage(
     master_seed: int,
     reference=None,
     reference_provenance: str | None = None,
-    instance_id: str = "instance",
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CoverageReport:
     """Run ``trials`` estimator invocations and count strict-accuracy failures."""
@@ -108,7 +106,6 @@ def run_coverage(
             side=verdict.side,
         ))
     return CoverageReport(
-        instance_id=instance_id,
         objective=objective,
         method=plan.method.value,
         k=plan.k,

@@ -65,7 +65,7 @@ def _offsets(n: int, setting: str) -> tuple[list[list[int]], int | None]:
 def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInstance:
     """Value or metric instance whose preferences equal ``source``'s rankings."""
     if source.setting != "abstract":
-        raise ValueError("the reduction starts from an abstract instance")
+        raise ValueError("reduce expects an abstract instance (rankings only)")
     problems = validate(source)
     if problems:
         raise ValueError(f"source instance is invalid: {problems[0].message}")

@@ -121,6 +121,24 @@ def test_lower_bound_window_empty_iff_delta_hypothesis_fails():
     assert window.k_lo >= window.k_hi or "e^-27" in window.reason
 
 
+def test_lower_bound_window_is_empty_just_below_e_to_the_minus_27():
+    # the double below exp(-27) passes the delta hypothesis, but k_hi rounds to k_lo
+    window = welfare_lower_bound_window(10, "0.5", math.nextafter(math.exp(-27), 0))
+    assert (window.k_lo, window.k_hi, window.applicable, window.reason) == (120, 120.0, False, "window is empty")
+
+
+@pytest.mark.parametrize("eps, delta, message", [
+    ("0", "1e-20", "eps must lie in (0, 1]"),
+    ("1.5", "1e-20", "eps must lie in (0, 1]"),
+    ("0.5", "0", "delta must be positive"),
+    ("0.5", "-1e-20", "delta must be positive"),
+])
+def test_lower_bound_window_refuses_eps_or_delta_out_of_range(eps, delta, message):
+    with pytest.raises(ValueError) as info:
+        welfare_lower_bound_window(10, eps, delta)
+    assert str(info.value) == message
+
+
 def test_bernstein_bound_worked_example():
     result = bound_value(Inequality.BERNSTEIN, t=3, alpha=1, total_variance=0)
     assert result.value == pytest.approx(2 * math.exp(-4.5))

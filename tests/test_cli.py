@@ -68,6 +68,25 @@ def test_opt_subcommand(tmp_path, capsys):
     assert "optimal cost: 2 (2" in out
 
 
+def _indented(*lines):
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("family, n, objective, written", [
+    ("random-metric-line", "5", "cost", _indented(
+        "{", '  "objective": "cost",', '  "optimal_value": "1022",', '  "matching": [',
+        "    3,", "    1,", "    4,", "    5,", "    2", "  ]", "}")),
+    ("random-value", "4", "welfare", _indented(
+        "{", '  "objective": "welfare",', '  "optimal_value": "2893357/1000000",', '  "matching": [',
+        "    3,", "    1,", "    4,", "    2", "  ]", "}")),
+])
+def test_opt_writes_its_json_byte_for_byte(tmp_path, capsys, family, n, objective, written):
+    path, out_path = tmp_path / "inst.json", tmp_path / "opt.json"
+    run_cli(capsys, "gen", "--family", family, "--n", n, "--seed", "1", "--out", str(path))
+    assert run_cli(capsys, "opt", "--in", str(path), "--objective", objective, "--out", str(out_path))[0] == 0
+    assert out_path.read_bytes() == written
+
+
 def test_bounds_worked_example(tmp_path, capsys):
     out_path = tmp_path / "plan.json"
     code, out, _ = run_cli(
@@ -77,6 +96,15 @@ def test_bounds_worked_example(tmp_path, capsys):
     assert code == 0
     assert "k: 320" in out
     assert json.loads(out_path.read_text())["k"] == 320
+
+
+def test_bounds_prints_and_writes_the_runs_of_a_median_of_means_plan(tmp_path, capsys):
+    out_path = tmp_path / "plan.json"
+    code, out, _ = run_cli(capsys, "bounds", "--method", "cost-median-of-means",
+                           "--n", "10", "--eps", "0.5", "--delta", "0.1", "--out", str(out_path))
+    assert code == 0
+    assert out.splitlines()[-2:] == ["k: 16000", "runs (lambda): 32"]
+    assert json.loads(out_path.read_text())["lambda"] == 32
 
 
 def test_bounds_window_mode(capsys):
@@ -289,6 +317,29 @@ def test_coverage_without_a_reference_refuses_n_above_the_oracle_cap_before_vali
     monkeypatch.setattr("rsdlab.cli.validate", lambda instance: validated.append(instance.n) or [])
     assert run_cli(capsys, *argv, "--reference", "100")[0] == 0
     assert validated == [6]
+
+
+@pytest.mark.parametrize("cap, warning", [
+    ([], ""), (["--oracle-cap", "11"], "warning: enumeration cap raised to 11; the cost grows exponentially in n\n"),
+], ids=["default-cap", "raised-cap"])
+def test_reduce_refuses_a_source_that_is_not_abstract(tmp_path, capsys, cap, warning):
+    # the library's refusal, after validation and, under a raised cap, its warning
+    path = tmp_path / "value3.json"
+    run_cli(capsys, "gen", "--family", "random-value", "--n", "3", "--out", str(path))
+    assert run_cli(capsys, "reduce", "--in", str(path), "--setting", "value", *cap) == (
+        1, "", warning + "error: reduce expects an abstract instance (rankings only)\n")
+
+
+def test_a_raised_oracle_cap_warns_only_where_it_applies(tmp_path, capsys):
+    path = tmp_path / "line5.json"
+    run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "5", "--out", str(path))
+    argv = ["coverage", "--in", str(path), "--objective", "cost", "--method", "cost-median-of-means",
+            "--eps", "0.5", "--delta", "0.2", "--trials", "1", "--k", "10", "--oracle-cap", "11"]
+    # the reference comes from an enumeration under the cap
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "warning: enumeration cap raised to 11; the cost grows exponentially in n\n")
+    # a supplied reference needs no enumeration
+    assert run_cli(capsys, *argv, "--reference", "7")[::2] == (0, "")
 
 
 def test_sampling_a_payoff_beyond_float_range_exits_one(tmp_path, capsys):

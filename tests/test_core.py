@@ -400,6 +400,26 @@ def test_validate_names_each_field_or_row_that_is_not_a_sequence():
         "row 2 of rankings has type set, not a sequence"]
 
 
+LONE_POINT_LIST = Violation("missing", (), "point-based metric instance requires both 'agent_points' and 'item_points'")
+
+
+@pytest.mark.parametrize("inst, violation", [
+    (AssignmentInstance(n=0, setting="value", values=()), Violation("size", (0,), "n must be positive, got 0")),
+    (AssignmentInstance(n=2, setting="value"), Violation("missing", (), "value instance without a value matrix")),
+    (AssignmentInstance(n=2, setting="metric"), Violation("missing", (), "metric instance without a cost matrix")),
+    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points=(0, 1), item_points=(1,)),
+     Violation("shape", (2, 1), "point lists must both have length n")),
+    # the reader refuses a lone point list; the raw constructor stores it
+    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), item_points=(0, 1)), LONE_POINT_LIST),
+    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points=(0, 1)), LONE_POINT_LIST),
+    (AssignmentInstance(n=2, setting="abstract"), Violation("missing", (), "abstract instance without rankings")),
+    (AssignmentInstance(n=2, setting="euclidean"), Violation("setting", (), "unknown setting 'euclidean'")),
+], ids=["n-zero", "no-values", "no-costs", "point-count", "item-points-only", "agent-points-only", "no-rankings",
+        "unknown-setting"])
+def test_validate_names_a_missing_field_a_bad_size_or_an_unknown_setting(inst, violation):
+    assert validate(inst) == [violation]
+
+
 def test_the_public_constructors_keep_a_row_that_is_not_a_sequence_for_validate():
     assert [v.message for v in validate(AssignmentInstance.from_values([{5, 1}, {3, 4}]))] == [
         "row 1 of values has type set, not a sequence", "row 2 of values has type set, not a sequence"]

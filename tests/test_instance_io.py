@@ -179,6 +179,11 @@ _MALFORMED = [
     pytest.param("metric", '"costs": [[0, 1], [1, false]]', "costs[2][2]: booleans are not numbers", id="costs-bool"),
     pytest.param("metric", '"agent_points": [0, 1], "item_points": [2, "1/0"]',
                  "item_points[2]: '1/0' has a zero denominator", id="point-literal"),
+    pytest.param("value", '"values": [[1, 2], 3]', "values: expected a list of rows", id="values-row"),
+    pytest.param("metric", '"agent_points": {"1": 0}, "item_points": [2, 3]', "agent_points: expected a list",
+                 id="points-field"),
+    pytest.param("metric", '"agent_points": [0, 1, 2], "item_points": [3, 4, 5]',
+                 "field 'n'=2 disagrees with 3 agent points", id="point-count"),
 ]
 
 

@@ -156,10 +156,16 @@ def test_entry_bit_length_is_polynomial():
 
 
 def test_rejects_non_abstract_source():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^reduce expects an abstract instance \(rankings only\)$"):
         build_reduction(AssignmentInstance.from_values([[1]]), "value")
     with pytest.raises(ValueError):
         build_reduction(TWO_AGENTS_SAME_FAVOURITE, "euclidean")
+
+
+def test_exact_scaled_total_refuses_a_non_integral_instance():
+    # E[welfare] = 1/3 and 1! = 1: no integer carries it
+    with pytest.raises(ValueError, match="scaled total is not an integer"):
+        exact_scaled_total(AssignmentInstance.from_values([["1/3"]]), Objective.WELFARE)
 
 
 @settings(max_examples=50)
