@@ -9,8 +9,9 @@ convention used throughout the package) under one of three payoff settings:
   satisfying the four-point triangle inequality, or agent/item coordinates
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
-  :func:`validate` checks the inequality exactly in O(n^3), and in O(n^2)
-  for costs that are their points' distances.
+  :func:`validate` checks the inequality exactly in O(n^3) on a cost
+  matrix; a point instance's costs are its points' distances by
+  construction, so it skips the check.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 A payoff matrix is stored as one integer table: int rows, the payoffs times
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Collection, Container, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -187,21 +188,82 @@ def exact_int(digits: str) -> int:
     return value
 
 
-def _matrix(rows: Iterable[Sequence], read=lambda row: tuple(map(as_fraction, row))) -> tuple:
-    if isinstance(rows, (Set, Mapping)):  # a set or mapping of rows has no order to read; validate lists it
-        return rows
-    return tuple(read(row) if isinstance(row, Sequence) else row for row in rows)
+_PAYLOAD = (("values", SETTING_VALUE), ("costs", SETTING_METRIC), ("agent_points", SETTING_METRIC),
+            ("item_points", SETTING_METRIC), ("rankings", SETTING_ABSTRACT))
+"""Each payload field of an instance and the setting that reads it."""
 
 
-def _table(rows) -> tuple:
-    """``(rows * denom, denom)`` for a sequence of sequences of ints and
-    Fractions, ``denom`` their least common denominator, so no int > 1
-    divides both; any other ``rows`` (None too) as given, with None."""
-    if isinstance(rows, Sequence) and all(
-            isinstance(row, Sequence) and all(isinstance(x, (int, Fraction)) for x in row) for row in rows):
-        denom = math.lcm(*(x.denominator for row in rows for x in row))
-        return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
-    return rows, None
+def check_fields(n, setting, fields: Container[str]) -> None:
+    """:class:`ValueError`, in the instance-file reader's words, unless an
+    instance of ``setting`` and size ``n`` may hold the payload ``fields``:
+    ``n`` an int and not a bool, a known setting, no field another setting
+    reads, and one payload, a metric one as costs or as both point lists.
+    The one rule of :class:`AssignmentInstance` and of the file reader."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError("field 'n': expected an integer")
+    if setting not in (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT):
+        raise ValueError(f"field 'setting': unknown setting {setting!r}")
+    foreign = [f"'{field}'" for field, reader in _PAYLOAD if reader != setting and field in fields]
+    if foreign:
+        raise ValueError(f"{setting} instance does not read {', '.join(foreign)}")
+    if setting != SETTING_METRIC:
+        field = "values" if setting == SETTING_VALUE else "rankings"
+        if field not in fields:
+            raise ValueError(f"{setting} instance requires field '{field}'")
+    elif "agent_points" in fields or "item_points" in fields:
+        if "costs" in fields:
+            raise ValueError("metric instance takes 'costs' or 'agent_points'/'item_points', not both")
+        if not ("agent_points" in fields and "item_points" in fields):
+            raise ValueError("point-based metric instance requires both 'agent_points' and 'item_points'")
+    elif "costs" not in fields:
+        raise ValueError("metric instance requires 'costs' or 'agent_points'/'item_points'")
+
+
+def _sequence(name: str, xs) -> Sequence:
+    if not isinstance(xs, Sequence):  # a set or a mapping has no order to read
+        raise TypeError(f"{name} has type {type(xs).__name__}, not a sequence")
+    return xs
+
+
+def _read(name: str, xs, read) -> tuple:
+    """``read`` of each entry of the sequence ``xs``; the error ``read``
+    raises for an entry is raised again naming the entry, found by reading
+    the entries again one by one."""
+    xs = _sequence(name, xs)
+    try:
+        return tuple(map(read, xs))
+    except (TypeError, ValueError):
+        for j, x in enumerate(xs, start=1):
+            try:
+                read(x)
+            except TypeError:
+                raise TypeError(f"entry {j} of {name} has type {type(x).__name__}") from None
+            except ValueError as exc:
+                raise ValueError(f"entry {j} of {name}: {exc}") from None
+        raise
+
+
+def _read_matrix(name: str, rows, read) -> tuple:
+    return tuple(_read(f"row {i} of {name}", row, read) for i, row in enumerate(_sequence(name, rows), start=1))
+
+
+def _collected(rows) -> Collection:
+    """``rows``, with an iterator read into a tuple, so that the public
+    constructors take any iterable of rows; any collection is passed on."""
+    return rows if isinstance(rows, Collection) else tuple(rows)
+
+
+def _table(rows: Sequence[Sequence[Fraction]]) -> tuple:
+    """``(rows * denom, denom)``, ``denom`` the least common denominator of
+    the entries, so no int > 1 divides both."""
+    denom = math.lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+
+
+def _reduced(rows: Sequence[Sequence[int]], denom: int) -> tuple:
+    """``(rows, denom)`` of int payoffs ``rows[i][g] / denom``, both divided by their gcd."""
+    common = math.gcd(denom, *(math.gcd(*row) for row in rows))
+    return tuple(tuple(t // common for t in row) if common > 1 else tuple(row) for row in rows), denom // common
 
 
 @dataclass(frozen=True, init=False)
@@ -211,16 +273,17 @@ class AssignmentInstance:
     A payoff matrix is stored as ``table``, int rows, over ``denom``, the
     payoffs' least common denominator, so equal payoffs give equal instances
     (``==``, ``hash``) however built; ``values`` and ``costs`` read it back
-    as Fraction rows, built on first read.  Construction is permissive:
-    malformed content (non-square matrices, negative entries, broken
-    rankings, triangle failures) is stored as-is and reported by
-    :func:`validate` rather than rejected here.  The raw constructor keeps
-    only the matrix its setting reads, as the table if its rows are
-    sequences of ints and Fractions, else as given, with ``denom`` None.
-    The public constructors read the rows in order, so a set or a mapping of
-    rows, or a row that is not a sequence, is kept as given too;
-    :meth:`from_line_points` must read its points to build the costs, so it
-    raises :class:`TypeError` for a point list that is not a sequence.
+    as Fraction rows, built on first read.  ``table`` and ``denom`` are None
+    only for an abstract instance; point lists give a metric instance their
+    distances as its table.
+
+    The constructor refuses what an instance may not hold: with
+    :class:`ValueError`, in the file reader's words, what
+    :func:`check_fields` refuses of ``n``, the setting and the fields given
+    (those not None); naming it, a field or row that is not a sequence (a
+    set or a mapping has no order to read) and an entry that
+    :func:`as_fraction`, or for a rank :func:`operator.index`, cannot read,
+    with the error that raised.  :func:`validate` checks the values.
     """
 
     n: int
@@ -232,29 +295,38 @@ class AssignmentInstance:
     rankings: tuple[tuple[int, ...], ...] | None
 
     def __init__(self, n, setting, values=None, costs=None, agent_points=None, item_points=None, rankings=None):
-        table, denom = _table(values if setting == SETTING_VALUE else costs if setting == SETTING_METRIC else None)
+        given = dict(values=values, costs=costs, agent_points=agent_points, item_points=item_points, rankings=rankings)
+        check_fields(n, setting, {field for field, x in given.items() if x is not None})
+        table = denom = None
+        if agent_points is not None:
+            agent_points, item_points = (_read(name, given[name], as_fraction) for name in ("agent_points", "item_points"))
+            (agents, items), scale = _table((agent_points, item_points))
+            table, denom = _reduced([[abs(a - b) for b in items] for a in agents], scale)
+        elif setting == SETTING_ABSTRACT:
+            rankings = _read_matrix("rankings", rankings, index)
+        else:
+            name = "values" if setting == SETTING_VALUE else "costs"
+            table, denom = _table(_read_matrix(name, given[name], as_fraction))
         vars(self).update(n=n, setting=setting, table=table, denom=denom,
                           agent_points=agent_points, item_points=item_points, rankings=rankings)
 
     @classmethod
-    def from_table(cls, n: int, setting: str, rows: Sequence[Sequence[int]], denom: int,
-                   agent_points=None, item_points=None) -> "AssignmentInstance":
+    def from_table(cls, n: int, setting: str, rows: Sequence[Sequence[int]], denom: int) -> "AssignmentInstance":
         """Value or metric instance of payoffs ``rows[i][g] / denom`` (ints,
         ``denom`` positive), both divided by their gcd; no Fraction is built."""
-        common = math.gcd(denom, *(math.gcd(*row) for row in rows))
-        instance = cls(n, setting, agent_points=agent_points, item_points=item_points)
-        table = tuple(tuple(t // common for t in row) if common > 1 else tuple(row) for row in rows)
-        vars(instance).update(table=table, denom=denom // common)
+        instance = cls(n, setting, **{"values" if setting == SETTING_VALUE else "costs": ()})  # the field rule
+        table, denom = _reduced(rows, denom)
+        vars(instance).update(table=table, denom=denom)
         return instance
 
     @classmethod
     def from_values(cls, rows: Iterable[Sequence]) -> "AssignmentInstance":
-        values = _matrix(rows)
+        values = _collected(rows)
         return cls(n=len(values), setting=SETTING_VALUE, values=values)
 
     @classmethod
     def from_costs(cls, rows: Iterable[Sequence]) -> "AssignmentInstance":
-        costs = _matrix(rows)
+        costs = _collected(rows)
         return cls(n=len(costs), setting=SETTING_METRIC, costs=costs)
 
     @classmethod
@@ -266,18 +338,12 @@ class AssignmentInstance:
         difference of two integers, the points times their least common
         denominator, over that denominator.
         """
-        for name, points in (("agent_points", agent_points), ("item_points", item_points)):
-            if not isinstance(points, Sequence):
-                raise TypeError(f"{name} has type {type(points).__name__}, not a sequence")
-        agents = tuple(as_fraction(x) for x in agent_points)
-        items = tuple(as_fraction(x) for x in item_points)
-        (scaled_agents, scaled_items), scale = _table((agents, items))
-        rows = [[abs(a - b) for b in scaled_items] for a in scaled_agents]
-        return cls.from_table(len(agents), SETTING_METRIC, rows, scale, agents, items)
+        n = len(_sequence("agent_points", agent_points))
+        return cls(n=n, setting=SETTING_METRIC, agent_points=agent_points, item_points=item_points)
 
     @classmethod
     def from_rankings(cls, rankings: Iterable[Sequence[int]]) -> "AssignmentInstance":
-        ranks = _matrix(rankings, tuple)
+        ranks = _collected(rankings)
         return cls(n=len(ranks), setting=SETTING_ABSTRACT, rankings=ranks)
 
     @property
@@ -286,8 +352,6 @@ class AssignmentInstance:
 
     @cached_property
     def _payoffs(self) -> tuple:
-        if self.denom is None:  # rows kept as given
-            return self.table
         return tuple(tuple(Fraction(t, self.denom) for t in row) for row in self.table)
 
     values = property(lambda self: self._payoffs if self.setting == SETTING_VALUE else None)
@@ -328,9 +392,9 @@ class Objective(enum.Enum):
 
 
 def _is_permutation(xs: Sequence[int], n: int) -> bool:
-    """True iff ``xs`` holds the ints 1..n, each once (another type raises);
-    the lengths go first, so memory follows ``xs``, never a declared ``n``."""
-    return len(xs) == n and sorted(map(index, xs)) == list(range(1, n + 1))
+    """True iff the ints ``xs`` are 1..n, each once; the lengths go first,
+    so memory follows ``xs``, never a declared ``n``."""
+    return len(xs) == n and sorted(xs) == list(range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -402,8 +466,6 @@ def integer_payoff_table(instance: AssignmentInstance) -> tuple[tuple[tuple[int,
     are scored and compared on ``rows`` and divided by ``denom`` once."""
     if instance.setting not in (SETTING_VALUE, SETTING_METRIC):
         raise ValueError("abstract instances carry no payoff matrix")
-    if instance.denom is None:
-        raise TypeError(f"the {instance.setting} instance has no integer payoff table")
     return instance.table, instance.denom
 
 
@@ -425,20 +487,6 @@ def _matrix_violations(name: str, rows: Sequence[Sequence[int]], denom: int, n: 
                          f"at agent {i}, item {g}")
                for i, row in enumerate(rows, start=1) if row and min(row) < 0 for g, t in enumerate(row, start=1) if t < 0)
     return out
-
-
-def _unordered(name: str, rows, **points) -> list[Violation]:
-    """A ``type`` violation for each field that is not a sequence, else for
-    each of the ``rows`` that is not: a set or a dict has no order to read."""
-    out = [Violation("type", (), f"{field} has type {type(f).__name__}, not a sequence")
-           for field, f in ((name, rows), *points.items()) if not isinstance(f, (Sequence, type(None)))]
-    return out or [Violation("type", (i,), f"row {i} of {name} has type {type(row).__name__}, not a sequence")
-                   for i, row in enumerate(rows, start=1) if not isinstance(row, Sequence)]
-
-
-def _wrong_types(rows, kinds) -> list[Violation]:
-    return [Violation("type", (i, g), f"entry {g} of row {i} has type {type(x).__name__}")
-            for i, row in enumerate(rows, start=1) for g, x in enumerate(row, start=1) if not isinstance(x, kinds)]
 
 
 def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
@@ -472,74 +520,34 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     return out
 
 
-def _costs_are_distances(instance: AssignmentInstance) -> bool:
-    """True iff every cost of a square point-defined instance equals
-    |agent point - item point|, checked in O(n^2) on integers: such costs
-    are a line metric, which meets the four-point condition."""
-    (agents, items), scale = _table((instance.agent_points, instance.item_points))
-    if scale is None:
-        return False  # points of another type: the full check reads the costs alone
-    c, denom = integer_payoff_table(instance)
-    return all(t * scale == abs(a - b) * denom for a, row in zip(agents, c) for b, t in zip(items, row))
-
-
 def validate(instance: AssignmentInstance) -> list[Violation]:
-    """Check every type invariant; an empty list means the instance is valid.
+    """Check the values the instance holds; an empty list means it is valid.
 
-    Never raises: malformed content comes back as a list of violations,
-    each naming the offending indices.  The metric check is an exact O(n^3)
-    min-plus test of the four-point condition on the integer payoff table;
-    each failing cell (i1, g1) is listed once, with its first failing
-    (i2, g2), so at most n^2 violations come back.  A point-defined
-    instance whose every cost is its points' distance, as an O(n^2) integer
-    check finds, is a line metric and skips it.  A value of the wrong type,
-    such as a float rank, and a field or row that is not a sequence, such
-    as a set or a dict, are listed as well.
+    The constructor has refused every value of the wrong kind, so this lists
+    a size below 1, a matrix or ranking list that is not n by n, a negative
+    payoff, a ranking that is not a permutation of 1..n, a point list whose
+    length is not n, and four-point failures, each naming its indices.  The
+    metric check is an exact O(n^3) min-plus test on the integer payoff
+    table; each failing cell (i1, g1) is listed once, with its first failing
+    (i2, g2), so at most n^2 violations come back.  A point instance's costs
+    are its points' distances, a line metric, so it skips the check.
     """
     n = instance.n
-    try:
-        if index(n) < 1:
-            return [Violation("size", (n,), f"n must be positive, got {n}")]
-        if instance.setting in (SETTING_VALUE, SETTING_METRIC):
-            name = "values" if instance.setting == SETTING_VALUE else "costs"
-            if instance.table is None:
-                return [Violation("missing", (), f"{instance.setting} instance without a {name[:-1]} matrix")]
-            metric = instance.setting == SETTING_METRIC
-            points = dict(agent_points=instance.agent_points, item_points=instance.item_points) if metric else {}
-            out = _unordered(name, instance.table, **points)
-            if out or instance.denom is None:  # a matrix kept as given holds a value of the wrong type
-                return out or _wrong_types(instance.table, (int, Fraction))
-            if metric and (instance.agent_points is None) != (instance.item_points is None):
-                out.append(Violation("missing", (), "point-based metric instance requires both "
-                                                    "'agent_points' and 'item_points'"))
-            elif metric and instance.point_based:
-                agents, items = len(instance.agent_points), len(instance.item_points)
-                if agents != n or items != n:
-                    out.append(Violation("shape", (agents, items), "point lists must both have length n"))
-            out.extend(_matrix_violations(name, instance.table, instance.denom, n))
-            if out or not metric or instance.point_based and _costs_are_distances(instance):
-                return out
-            return _triangle_violations(instance)
-
-        if instance.setting == SETTING_ABSTRACT:
-            if instance.rankings is None:
-                return [Violation("missing", (), "abstract instance without rankings")]
-            out = _unordered("rankings", instance.rankings)
-            if out:
-                return out
-            if len(instance.rankings) != n:
-                out.append(Violation("shape", (len(instance.rankings),), f"expected {n} rankings"))
-            for i, row in enumerate(instance.rankings, start=1):
-                if not _is_permutation(row, n):
-                    out.append(Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}"))
-            return out
-    except (TypeError, AttributeError):
-        if not isinstance(n, int):
-            return [Violation("type", (), f"n has type {type(n).__name__}, not int")]
-        # every ranking is a sequence here: validate lists any other first
-        out = _wrong_types(instance.rankings or (), int)
-        return out or [Violation("type", (), "the instance holds a value of the wrong type")]
-    return [Violation("setting", (), f"unknown setting {instance.setting!r}")]
+    if n < 1:
+        return [Violation("size", (n,), f"n must be positive, got {n}")]
+    if instance.setting == SETTING_ABSTRACT:
+        out = [] if len(instance.rankings) == n else [
+            Violation("shape", (len(instance.rankings),), f"expected {n} rankings")]
+        return out + [Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}")
+                      for i, row in enumerate(instance.rankings, start=1) if not _is_permutation(row, n)]
+    if instance.point_based:
+        lengths = len(instance.agent_points), len(instance.item_points)
+        return [] if lengths == (n, n) else [Violation("shape", lengths, "point lists must both have length n")]
+    name = "values" if instance.setting == SETTING_VALUE else "costs"
+    out = _matrix_violations(name, instance.table, instance.denom, n)
+    if out or instance.setting == SETTING_VALUE:
+        return out
+    return _triangle_violations(instance)
 
 
 @dataclass(frozen=True)

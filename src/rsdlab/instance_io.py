@@ -11,7 +11,10 @@ Schema (UTF-8 JSON object)::
 
 A file carries only the payload fields its setting reads: a payload field
 of another setting (say ``rankings`` in a value file) is refused, and the
-refusal names it.  Fields outside these five are ignored.
+refusal names it.  Fields outside these five are ignored.  The rule on
+``n``, the setting and the payload fields is :func:`rsdlab.core.check_fields`,
+the one :class:`rsdlab.core.AssignmentInstance` applies too; the reader
+raises its message as :class:`InstanceFormatError`.
 
 Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
@@ -51,26 +54,16 @@ from .core import (
     MAX_EXPONENT,  # both limits are still importable from this module
     MAX_LITERAL_LENGTH,
     SETTING_ABSTRACT,
-    SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
     bounded_literal,
+    check_fields,
     exact_str,
     integer_payoff_table,
     parse_ratio,
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
-
-_PAYLOAD_SETTING = {
-    "values": SETTING_VALUE,
-    "costs": SETTING_METRIC,
-    "agent_points": SETTING_METRIC,
-    "item_points": SETTING_METRIC,
-    "rankings": SETTING_ABSTRACT,
-}
-"""Each payload field of an instance file and the setting that reads it."""
-
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
@@ -150,38 +143,22 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
         setting = doc["setting"]
     except KeyError as exc:
         raise InstanceFormatError(f"missing required field {exc.args[0]!r}") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InstanceFormatError("field 'n': expected an integer")
-    if setting not in (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT):
-        raise InstanceFormatError(f"field 'setting': unknown setting {setting!r}")
-    foreign = [f"'{field}'" for field, reader in _PAYLOAD_SETTING.items() if reader != setting and field in doc]
-    if foreign:
-        raise InstanceFormatError(f"{setting} instance does not read {', '.join(foreign)}")
+    try:
+        check_fields(n, setting, doc)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
-    if setting == SETTING_VALUE:
-        if "values" not in doc:
-            raise InstanceFormatError("value instance requires field 'values'")
-        return AssignmentInstance.from_table(n, setting, *_parse_table(doc["values"], "values"))
-
-    if setting == SETTING_METRIC:
-        if "agent_points" in doc or "item_points" in doc:
-            if "costs" in doc:
-                raise InstanceFormatError("metric instance takes 'costs' or 'agent_points'/'item_points', not both")
-            if not ("agent_points" in doc and "item_points" in doc):
-                raise InstanceFormatError("point-based metric instance requires both 'agent_points' and 'item_points'")
-            agents = _parse_points(doc["agent_points"], "agent_points")
-            items = _parse_points(doc["item_points"], "item_points")
-            inst = AssignmentInstance.from_line_points(agents, items)
-            if inst.n != n:
-                raise InstanceFormatError(f"field 'n'={n} disagrees with {inst.n} agent points")
-            return inst
-        if "costs" not in doc:
-            raise InstanceFormatError("metric instance requires 'costs' or 'agent_points'/'item_points'")
-        return AssignmentInstance.from_table(n, setting, *_parse_table(doc["costs"], "costs"))
-
-    if "rankings" not in doc:
-        raise InstanceFormatError("abstract instance requires field 'rankings'")
-    return AssignmentInstance(n=n, setting=setting, rankings=_parse_matrix(doc["rankings"], "rankings", _parse_item))
+    if setting == SETTING_ABSTRACT:
+        return AssignmentInstance(n=n, setting=setting, rankings=_parse_matrix(doc["rankings"], "rankings", _parse_item))
+    if "agent_points" not in doc:
+        field = "values" if setting == SETTING_VALUE else "costs"
+        return AssignmentInstance.from_table(n, setting, *_parse_table(doc[field], field))
+    agents = _parse_points(doc["agent_points"], "agent_points")
+    items = _parse_points(doc["item_points"], "item_points")
+    inst = AssignmentInstance.from_line_points(agents, items)
+    if inst.n != n:
+        raise InstanceFormatError(f"field 'n'={n} disagrees with {inst.n} agent points")
+    return inst
 
 
 def _entry_writer(denom: int):
@@ -224,7 +201,7 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
     doc: dict = {"n": instance.n, "setting": instance.setting}
     if instance.setting == SETTING_ABSTRACT:
         doc["rankings"] = [list(row) for row in instance.rankings]
-    elif instance.setting == SETTING_METRIC and instance.point_based:
+    elif instance.point_based:
         doc["agent_points"] = [format_number(x) for x in instance.agent_points]
         doc["item_points"] = [format_number(x) for x in instance.item_points]
     else:

@@ -1,3 +1,4 @@
+import re
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -219,27 +220,6 @@ def test_line_points_always_metric(agents, items):
     assert validate(inst) == []
 
 
-_POINT = st.fractions(min_value=-20, max_value=20, max_denominator=6)
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_point_defined_validate_lists_the_full_check(data):
-    # the points' costs, or with one cost changed through the constructor,
-    # so that the points no longer define it
-    n = data.draw(st.integers(1, 6))
-    agents = data.draw(st.lists(_POINT, min_size=n, max_size=n))
-    items = data.draw(st.lists(_POINT, min_size=n, max_size=n))
-    costs = [list(row) for row in AssignmentInstance.from_line_points(agents, items).costs]
-    if data.draw(st.booleans()):
-        i, g = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-        costs[i][g] = data.draw(st.sampled_from([Fraction(0), Fraction(-1, 3), Fraction(100)]) | _POINT)
-    costs = tuple(tuple(row) for row in costs)
-    inst = AssignmentInstance(n=n, setting="metric", costs=costs, agent_points=tuple(agents), item_points=tuple(items))
-    expected = matrix_violations_by_fractions("costs", costs, n) or first_per_cell(four_point_scan(costs))
-    assert validate(inst) == expected == validate(AssignmentInstance.from_costs(costs))
-
-
 @pytest.mark.parametrize("inst", [
     random_metric_line(20, 7),
     AssignmentInstance.from_line_points(["0.5", "1/3", "-7/6"], ["2", "-0.25", "5/3"]),
@@ -251,24 +231,6 @@ def test_point_defined_costs_skip_the_four_point_check(inst, monkeypatch):
 
     monkeypatch.setattr(core, "_triangle_violations", refused)
     assert validate(inst) == []
-
-
-def test_points_given_as_floats_leave_the_check_to_the_costs():
-    costs = ((Fraction(1), Fraction(10)), (Fraction(1), Fraction(1)))
-    inst = AssignmentInstance(n=2, setting="metric", costs=costs, agent_points=(0.5, 1.5), item_points=(1.5, 2.5))
-    assert validate(inst) == validate(AssignmentInstance.from_costs(costs)) != []
-
-
-def test_one_changed_cost_of_a_large_point_instance_lists_the_matrix_violations():
-    line = random_metric_line(20, 7)
-    costs = [list(row) for row in line.costs]
-    costs[3][5] = sum(map(sum, costs))
-    costs = tuple(tuple(row) for row in costs)
-    inst = AssignmentInstance(n=20, setting="metric", costs=costs,
-                              agent_points=line.agent_points, item_points=line.item_points)
-    violations = validate(inst)
-    assert violations
-    assert violations == validate(AssignmentInstance.from_costs(costs))
 
 
 def _square(entry, n):
@@ -351,12 +313,16 @@ def test_violation_messages_cut_values_longer_than_the_quoted_length():
 
 _JUNK = st.one_of(st.floats(), st.text(max_size=3), st.none(), st.complex_numbers(), st.decimals(),
                   st.lists(st.integers(0, 3), max_size=2))
+# what a refusal of a field, row or entry reads like
+_NAMED = re.compile(r"(entry \d+ of )?(row \d+ of )?(values|costs|rankings|agent_points|item_points)"
+                    r"( has type \w+(, not a sequence)?|: .+)", re.S)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_validate_lists_values_of_the_wrong_type_and_never_raises(data):
-    # the raw constructor stores such values; from_values and the loader convert or refuse
+    # the constructor refuses a value of the wrong type, naming it, and
+    # validate returns a list on every instance that was built
     n = data.draw(st.integers(1, 4))
     setting, field = data.draw(st.sampled_from([("value", "values"), ("metric", "costs"), ("abstract", "rankings")]))
     payoff = st.one_of(st.integers(-1, 3), st.fractions(-1, 3, max_denominator=3))
@@ -370,79 +336,92 @@ def test_validate_lists_values_of_the_wrong_type_and_never_raises(data):
                                          st.sets(st.lists(good, min_size=n, max_size=n).map(tuple), min_size=1)))}
     if setting == "metric" and data.draw(st.booleans()):
         points = st.one_of(st.lists(st.one_of(good, _JUNK), min_size=n, max_size=n).map(tuple), st.sets(good, max_size=n))
-        fields.update(agent_points=data.draw(points), item_points=data.draw(points))
+        fields = dict(agent_points=data.draw(points), item_points=data.draw(points))
     declared = data.draw(st.one_of(st.just(n), _JUNK))
-    violations = validate(AssignmentInstance(n=declared, setting=setting, **fields))
+    # ordered lists of ints and Fractions (ints only for ranks) are never refused
+    kinds = int if setting == "abstract" else (int, Fraction)
+    rows = fields.get(field)
+    lists = list(fields.values()) if rows is None else rows if isinstance(rows, Sequence) else [set()]
+    plain = all(isinstance(xs, Sequence) and all(isinstance(x, kinds) for x in xs) for xs in lists)
+    try:
+        inst = AssignmentInstance(n=declared, setting=setting, **fields)
+    except (TypeError, ValueError) as refused:
+        if isinstance(declared, int):
+            assert not plain and _NAMED.fullmatch(str(refused))
+        else:
+            assert type(refused) is ValueError and str(refused) == "field 'n': expected an integer"
+        return
+    assert isinstance(declared, int) and all(isinstance(f, Sequence) for f in fields.values())
+    violations = validate(inst)
     assert isinstance(violations, list) and all(isinstance(v, Violation) for v in violations)
-    rows = fields[field]
-    unordered = [f for f in fields.values() if not isinstance(f, Sequence)] or [r for r in rows if not isinstance(r, Sequence)]
-    if not isinstance(declared, int):
-        assert violations
-    elif unordered:
-        assert violations and all(v.code == "type" and v.message.endswith("not a sequence") for v in violations)
-    elif any(not isinstance(x, (int, Fraction)) for r in rows for x in r):
-        assert violations
 
 
 def test_validate_names_each_field_or_row_that_is_not_a_sequence():
-    fields = {
-        "value": dict(values=({5, 1}, {3, 4})),
-        "metric": dict(costs=((0, 1), {0: 1, 1: 0})),
-        "abstract": dict(rankings={(1, 2), (2, 1)}),
-    }
-    assert [v.message for setting, f in fields.items() for v in validate(AssignmentInstance(n=2, setting=setting, **f))] == [
-        "row 1 of values has type set, not a sequence", "row 2 of values has type set, not a sequence",
-        "row 2 of costs has type dict, not a sequence", "rankings has type set, not a sequence",
+    # the constructor names it, so validate is never given one
+    fields = [
+        ("value", dict(values=({5, 1}, {3, 4})), "row 1 of values has type set, not a sequence"),
+        ("metric", dict(costs=((0, 1), {0: 1, 1: 0})), "row 2 of costs has type dict, not a sequence"),
+        ("abstract", dict(rankings={(1, 2), (2, 1)}), "rankings has type set, not a sequence"),
+        ("metric", dict(agent_points={0, 1}, item_points=(0, 1)), "agent_points has type set, not a sequence"),
+        ("abstract", dict(rankings=([1, 2], {2, 1})), "row 2 of rankings has type set, not a sequence"),
     ]
-    points = AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points={0, 1}, item_points=(0, 1))
-    assert validate(points) == [Violation("type", (), "agent_points has type set, not a sequence")]
-    assert [v.message for v in validate(AssignmentInstance(n=2, setting="abstract", rankings=([1, 2], {2, 1})))] == [
-        "row 2 of rankings has type set, not a sequence"]
+    for setting, f, message in fields:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            AssignmentInstance(n=2, setting=setting, **f)
 
 
-LONE_POINT_LIST = Violation("missing", (), "point-based metric instance requires both 'agent_points' and 'item_points'")
+LONE_POINT_LIST = "point-based metric instance requires both 'agent_points' and 'item_points'"
 
 
-@pytest.mark.parametrize("inst, violation", [
-    (AssignmentInstance(n=0, setting="value", values=()), Violation("size", (0,), "n must be positive, got 0")),
-    (AssignmentInstance(n=2, setting="value"), Violation("missing", (), "value instance without a value matrix")),
-    (AssignmentInstance(n=2, setting="metric"), Violation("missing", (), "metric instance without a cost matrix")),
-    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points=(0, 1), item_points=(1,)),
+@pytest.mark.parametrize("fields, named", [
+    (dict(n=0, setting="value", values=()), Violation("size", (0,), "n must be positive, got 0")),
+    (dict(n=2, setting="value"), "value instance requires field 'values'"),
+    (dict(n=2, setting="metric"), "metric instance requires 'costs' or 'agent_points'/'item_points'"),
+    (dict(n=2, setting="metric", agent_points=(0, 1), item_points=(1,)),
      Violation("shape", (2, 1), "point lists must both have length n")),
-    # the reader refuses a lone point list; the raw constructor stores it
-    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), item_points=(0, 1)), LONE_POINT_LIST),
-    (AssignmentInstance(n=2, setting="metric", costs=((0, 1), (1, 0)), agent_points=(0, 1)), LONE_POINT_LIST),
-    (AssignmentInstance(n=2, setting="abstract"), Violation("missing", (), "abstract instance without rankings")),
-    (AssignmentInstance(n=2, setting="euclidean"), Violation("setting", (), "unknown setting 'euclidean'")),
+    (dict(n=2, setting="metric", item_points=(0, 1)), LONE_POINT_LIST),
+    (dict(n=2, setting="metric", agent_points=(0, 1)), LONE_POINT_LIST),
+    (dict(n=2, setting="abstract"), "abstract instance requires field 'rankings'"),
+    (dict(n=2, setting="euclidean"), "field 'setting': unknown setting 'euclidean'"),
 ], ids=["n-zero", "no-values", "no-costs", "point-count", "item-points-only", "agent-points-only", "no-rankings",
         "unknown-setting"])
-def test_validate_names_a_missing_field_a_bad_size_or_an_unknown_setting(inst, violation):
-    assert validate(inst) == [violation]
+def test_validate_names_a_missing_field_a_bad_size_or_an_unknown_setting(fields, named):
+    # validate names a bad size or point count; the constructor refuses a
+    # missing payload, a lone point list or an unknown setting, in the file
+    # reader's words, so validate is never given one
+    if isinstance(named, Violation):
+        assert validate(AssignmentInstance(**fields)) == [named]
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            AssignmentInstance(**fields)
 
 
-def test_the_public_constructors_keep_a_row_that_is_not_a_sequence_for_validate():
-    assert [v.message for v in validate(AssignmentInstance.from_values([{5, 1}, {3, 4}]))] == [
-        "row 1 of values has type set, not a sequence", "row 2 of values has type set, not a sequence"]
-    assert [v.message for v in validate(AssignmentInstance.from_costs([(0, 1), {1: 5, 0: 1}]))] == [
-        "row 2 of costs has type dict, not a sequence"]
-    assert [v.message for v in validate(AssignmentInstance.from_rankings([{2, 1}, [1, 2]]))] == [
-        "row 1 of rankings has type set, not a sequence"]
+def test_the_public_constructors_refuse_a_row_that_is_not_a_sequence():
+    refused = [
+        (lambda: AssignmentInstance.from_values([{5, 1}, {3, 4}]), "row 1 of values has type set, not a sequence"),
+        (lambda: AssignmentInstance.from_costs([(0, 1), {1: 5, 0: 1}]), "row 2 of costs has type dict, not a sequence"),
+        (lambda: AssignmentInstance.from_rankings([{2, 1}, [1, 2]]), "row 1 of rankings has type set, not a sequence"),
+    ]
+    for build, message in refused:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build()
     # sequences of any kind are still read in order
     assert AssignmentInstance.from_values(iter([range(2), "12"])).values == ((0, 1), (1, 2))
     assert AssignmentInstance.from_rankings(([2, 1], range(1, 3))).rankings == ((2, 1), (1, 2))
 
 
-def test_the_public_constructors_keep_a_set_or_mapping_of_rows_for_validate():
-    kept = [
-        (AssignmentInstance.from_values({(5, 1), (3, 4)}), "values has type set, not a sequence"),
-        (AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}), "costs has type dict, not a sequence"),
-        (AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}.keys()), "costs has type dict_keys, not a sequence"),
-        (AssignmentInstance.from_rankings({(1, 2), (2, 1)}), "rankings has type set, not a sequence"),
-        (AssignmentInstance.from_rankings(frozenset({(1, 2), (2, 1)})), "rankings has type frozenset, not a sequence"),
+def test_the_public_constructors_refuse_a_set_or_mapping_of_rows():
+    refused = [
+        (lambda: AssignmentInstance.from_values({(5, 1), (3, 4)}), "values has type set, not a sequence"),
+        (lambda: AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}), "costs has type dict, not a sequence"),
+        (lambda: AssignmentInstance.from_costs({(0, 1): 0, (1, 0): 0}.keys()), "costs has type dict_keys, not a sequence"),
+        (lambda: AssignmentInstance.from_rankings({(1, 2), (2, 1)}), "rankings has type set, not a sequence"),
+        (lambda: AssignmentInstance.from_rankings(frozenset({(1, 2), (2, 1)})),
+         "rankings has type frozenset, not a sequence"),
     ]
-    for inst, message in kept:
-        assert inst.n == 2
-        assert validate(inst) == [Violation("type", (), message)]
+    for build, message in refused:
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build()
     # generators and other ordered iterables of rows are still read in order
     assert AssignmentInstance.from_values(row for row in ([5, 1], [3, 4])).values == ((5, 1), (3, 4))
     assert AssignmentInstance.from_costs(iter([(0, 1), (1, 0)])).costs == ((0, 1), (1, 0))
@@ -456,16 +435,38 @@ def test_from_line_points_refuses_point_lists_that_are_not_sequences():
         AssignmentInstance.from_line_points([3, 1], {0: 1, 2: 3}.keys())
     with pytest.raises(TypeError, match="^item_points has type generator"):
         AssignmentInstance.from_line_points([3, 1], (x for x in (0, 2)))
+    with pytest.raises(TypeError, match="^agent_points has type generator"):
+        AssignmentInstance.from_line_points((x for x in (3, 1)), [0, 2])
     assert AssignmentInstance.from_line_points(range(3, 0, -2), (0, 2)).agent_points == (3, 1)
 
 
 def test_float_ranks_and_orderings_are_refused_never_truncated():
-    inst = AssignmentInstance.from_rankings([[1.7, 2.2], [2.9, 1.0]])
-    assert inst.rankings == ((1.7, 2.2), (2.9, 1.0))
-    assert {v.code for v in validate(inst)} == {"type"}
+    with pytest.raises(TypeError, match="^entry 1 of row 1 of rankings has type float$"):
+        AssignmentInstance.from_rankings([[1.7, 2.2], [2.9, 1.0]])
     for kind in (Ordering, Matching):
         with pytest.raises(TypeError):
             kind((1.5, 2.9))
+
+
+def test_entries_are_named_in_the_constructors_refusal():
+    with pytest.raises(TypeError, match="^entry 2 of row 1 of values has type NoneType$"):
+        AssignmentInstance.from_values([[1, None], [0, 1]])
+    with pytest.raises(ValueError, match="^entry 1 of row 2 of costs: 'x' is not a numeric literal$"):
+        AssignmentInstance.from_costs([[0, 1], ["x", 0]])
+    with pytest.raises(ValueError, match="^entry 2 of item_points: inf is not a finite number$"):
+        AssignmentInstance.from_line_points([0, 1], [2, float("inf")])
+
+
+def test_a_value_or_abstract_instance_refuses_point_lists():
+    # the file reader refuses them as payload fields of another setting; a
+    # value instance that held them was read as a point instance, so that
+    # remove_agent_best returned a metric instance
+    points = dict(agent_points=(0, 1), item_points=(2, 3))
+    for setting, payload in (("value", dict(values=((1, 2), (3, 4)))), ("abstract", dict(rankings=((1, 2), (2, 1))))):
+        with pytest.raises(ValueError, match=f"^{setting} instance does not read 'agent_points', 'item_points'$"):
+            AssignmentInstance(n=2, setting=setting, **payload, **points)
+    reduced = remove_agent_best(AssignmentInstance(n=2, setting="value", values=((1, 2), (3, 4))), 1)
+    assert reduced.instance == AssignmentInstance.from_values([[3]])
 
 
 def test_exact_str_writes_any_number_of_pieces_without_recursing(monkeypatch):
@@ -527,14 +528,13 @@ def test_as_fraction_refuses_infinities_and_nan(x):
 
 def _twins(inst):
     """The same payoffs built every other way: through a file, the raw
-    constructor and the public constructors (for points, both from points)."""
+    constructor and the public constructors (for points, from the points)."""
     field = "values" if inst.setting == "value" else "costs"
     rows = inst.payoff_matrix()
     twins = [loads_instance(dumps_instance(inst))]
     if inst.point_based:
         points = dict(agent_points=inst.agent_points, item_points=inst.item_points)
-        twins += [AssignmentInstance(inst.n, inst.setting, costs=rows, **points),
-                  AssignmentInstance.from_line_points(*points.values())]
+        twins += [AssignmentInstance(inst.n, inst.setting, **points), AssignmentInstance.from_line_points(*points.values())]
     else:
         public = AssignmentInstance.from_values if field == "values" else AssignmentInstance.from_costs
         twins += [AssignmentInstance(n=inst.n, setting=inst.setting, **{field: rows}), public(rows),
@@ -573,6 +573,7 @@ def test_the_stored_table_is_reduced_whatever_the_literals_or_scale():
         AssignmentInstance(n=1, setting="value", values=[[Fraction(1, 2), True]]),
     ):
         assert same == half and hash(same) == hash(half)
-    # only the matrix the setting reads is kept
-    assert AssignmentInstance(n=1, setting="value", values=((Fraction(1, 2), 1),), costs=((9, 9),)) == half
-    assert half.costs is None and AssignmentInstance(n=1, setting="abstract", values=((1,),)).table is None
+    # a matrix the setting does not read is refused
+    with pytest.raises(ValueError, match="^value instance does not read 'costs'$"):
+        AssignmentInstance(n=1, setting="value", values=((Fraction(1, 2), 1),), costs=((9, 9),))
+    assert half.costs is None and AssignmentInstance.from_rankings([[1]]).table is None

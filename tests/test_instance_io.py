@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from rsdlab import (
 from rsdlab import core
 from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table, parse_number
 from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, parse_literal
+from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, instance_from_dict, parse_literal
 from rsdlab.rng import substream
 
 
@@ -219,6 +220,33 @@ def test_a_payload_field_of_another_setting_is_refused(setting, fields, foreign)
     with pytest.raises(InstanceFormatError) as info:
         loads_instance(f'{{"n": 2, "setting": "{setting}", {fields}}}')
     assert str(info.value) == f"{setting} instance does not read {foreign}"
+
+
+_PAYLOADS = {"values": [[1, 2], [3, 4]], "costs": [[0, 1], [1, 0]], "agent_points": [0, 1], "item_points": [2, 3],
+             "rankings": [[1, 2], [2, 1]]}
+
+
+def test_the_reader_and_the_constructor_hold_one_rule_on_fields():
+    # every subset of the payload fields in each setting (the empty one is a
+    # missing payload), an unknown setting, and an n that is a bool or a str
+    docs = [{"n": 2, "setting": setting, **{field: _PAYLOADS[field] for field in fields}}
+            for setting in ("value", "metric", "abstract")
+            for size in range(len(_PAYLOADS) + 1) for fields in itertools.combinations(_PAYLOADS, size)]
+    docs += [{"n": 2, "setting": "euclidean", "values": _PAYLOADS["values"]},
+             {"n": True, "setting": "value", "values": _PAYLOADS["values"]},
+             {"n": "2", "setting": "value", "values": _PAYLOADS["values"]}]
+    accepted = 0
+    for doc in docs:
+        try:
+            read = instance_from_dict(doc)
+        except InstanceFormatError as refused:
+            with pytest.raises(ValueError) as built:
+                AssignmentInstance(**doc)
+            assert str(built.value) == str(refused)
+        else:
+            assert AssignmentInstance(**doc) == read
+            accepted += 1
+    assert accepted == 4  # values; costs; both point lists; rankings
 
 
 def test_fields_outside_the_payload_are_ignored():
