@@ -23,15 +23,19 @@ bounded draw per position from ``n - 1`` down to ``1``.
 ``SplitMix64``, ``substream`` and ``permutation`` are the scalar reference.
 ``packed_draws(seed, run, start, count, n)`` runs the generators of samples
 ``start .. start + count - 1`` at once, packed into one Python int: sample
-``start + s`` owns the 64-bit lane in the low half of the 128-bit slot ``s``.
-Masking with ``& lane`` (all-ones in every lane) after each shift-xor and
-before each multiply keeps every product of a lane and a 64-bit constant
-inside its slot, so the packed arithmetic is the scalar arithmetic on every
-lane at once.  It yields one packed int of draws per position.  This module
-writes the packed lanes; :mod:`rsdlab.sd` is the one reader, and every
-sampled run reads them through :func:`rsdlab.sd.sd_total`: on lanes it
-shuffles the draws on bit planes, and on the scalar loop it reads them out
-as 64-bit words and swaps each sample's ordering.
+``start + s`` owns the 128-bit slot ``s``, its 64-bit state in the low half.
+Masking with ``& lane`` (all-ones in the low half of every slot) after each
+shift-xor and before each multiply keeps every product of a lane and a
+64-bit constant inside its slot, so the packed arithmetic is the scalar
+arithmetic on every lane at once.  It yields one packed int per position,
+the products ``u * (i + 1)`` left as the multiply leaves them: each is below
+``2**64 * (i + 1)``, so it stays inside its own slot and the draw
+``(u * (i + 1)) >> 64`` is the slot's high 64-bit word, with no shift.  This
+module writes the packed lanes; :mod:`rsdlab.sd` is the one reader, and
+every sampled run reads them through :func:`rsdlab.sd.sd_total`: on lanes it
+reads each draw's low byte, eight positions per conversion to bytes, and
+shuffles on bit planes, and on the scalar loop it reads the draws out as
+64-bit words and swaps each sample's ordering.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
 _MIX_MUL2 = 0x94D049BB133111EB
 
-SLOT_BYTES = 16  # one slot of packed_draws: a 64-bit lane, and the 64 bits its products spill into
+SLOT_BYTES = 16  # one slot of packed_draws: a 64-bit lane, and the high word where its product with a bound leaves the draw
 
 
 def mix64(z: int) -> int:
@@ -97,12 +101,13 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
 
 
 @lru_cache(maxsize=8)  # rebuilding them for every lane batch or scalar chunk costs about 30% of an n=6 estimate
-def _lanes(count: int) -> tuple[int, int, int]:
-    """``(ones, lane, ramp)`` for ``count`` lanes: a 1, the 64-bit mask and
-    the slot's index at the bottom of every 128-bit slot."""
+def _lanes(count: int) -> tuple[int, int, int, int]:
+    """``(ones, lane, ramp, draw_byte)`` for ``count`` lanes: a 1, the 64-bit
+    mask and the slot's index at the bottom of every 128-bit slot, and 0xFF
+    at byte 8 of every slot, where a draw below 256 sits."""
     ones = ((1 << (8 * SLOT_BYTES * count)) - 1) // ((1 << 8 * SLOT_BYTES) - 1)
     ramp = int.from_bytes(b"".join(i.to_bytes(SLOT_BYTES, "little") for i in range(count)), "little")
-    return ones, ones * _MASK64, ramp
+    return ones, ones * _MASK64, ramp, ones * 0xFF << 64
 
 
 def _mix_lanes(z: int, lane: int) -> int:
@@ -115,13 +120,15 @@ def _mix_lanes(z: int, lane: int) -> int:
 def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterator[int]:
     """The draws of samples ``start .. start + count - 1`` of ``(seed, run)``,
     one position at a time: for ``i`` from ``n - 1`` down to ``1``, one packed
-    int whose lane ``s`` is the draw ``below(i + 1)`` of sample ``start + s``."""
-    ones, lane, ramp = _lanes(count)
+    int whose slot ``s`` holds the 128-bit product ``u * (i + 1)`` of sample
+    ``start + s``'s word ``u``, so its high 64-bit word is the draw
+    ``below(i + 1)``."""
+    ones, lane, ramp, _ = _lanes(count)
     step = _GOLDEN * ones
     state = _mix_lanes(((_run_state(seed, run) + start) * ones + ramp) & lane, lane)
     for i in range(n - 1, 0, -1):
         state = (state + step) & lane
-        yield (_mix_lanes(state, lane) * (i + 1)) >> 64 & lane
+        yield _mix_lanes(state, lane) * (i + 1)
 
 
 def derive_seed(master_seed: int, trial: int) -> int:

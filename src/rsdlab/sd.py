@@ -5,9 +5,11 @@ available, with ties resolved in favour of the minimum item index.  The
 mechanism is deterministic given the instance and the ordering; uniformly
 random orderings are drawn from the package's documented generator.
 :func:`sd_total` scores the orderings ``substream(seed, run, i).permutation(n)``
-of a run, and reads their draws packed (:func:`rsdlab.rng.packed_draws`) on
-one of two paths: on lanes, as bit planes, or on the scalar loop, as 64-bit
-words :data:`_CHUNK` samples at a time.  No other module reads them.
+of a run, and reads their draws packed (:func:`rsdlab.rng.packed_draws`),
+each the high 64-bit word of its sample's 128-bit slot, on one of two paths:
+on lanes, as bit planes, from one byte array per eight positions, or on the
+scalar loop, as 64-bit words :data:`_CHUNK` samples at a time.  No other
+module reads them.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import getitem
 
 from .core import AssignmentInstance, Matching, Objective, Ordering, integer_payoff_table, preference_rows
-from .rng import SLOT_BYTES, SplitMix64, packed_draws
+from .rng import SLOT_BYTES, SplitMix64, _lanes, packed_draws
 
 LANES = 4096
 """Samples :func:`sd_total` runs at once on lanes, one bit of a Python int
@@ -71,21 +74,32 @@ def _shuffled_planes(draws: Iterable[int], count: int, n: int) -> list[list[int]
     """The decreasing-index Fisher-Yates shuffle of ``range(n)`` on ``count``
     lanes at once, from :func:`rsdlab.rng.packed_draws`: entry ``[b][p]``
     holds bit b of the agent at position p, sample s in bit ``count - 1 - s``.
-    Position i reads its draws as one byte column (so n <= 256), splits its
-    lanes by draw, and swaps with each position v in the lanes that drew v.
+    Each group of up to eight positions converts to bytes once: the ``p``-th
+    position's draw bytes (byte 8 of each slot, so n <= 256) move down ``p``
+    bytes, and its column is the byte slice ``raw[8 - p::16]``.  Position i
+    splits its lanes by draw and swaps with each position v in the lanes
+    that drew v.
     """
     mask = (1 << count) - 1
+    draw_byte = _lanes(count)[3]
     planes = [[mask if p >> b & 1 else 0 for p in range(n)] for b in range((n - 1).bit_length())]
-    for i, packed in zip(range(n - 1, 0, -1), draws):
-        column = packed.to_bytes(SLOT_BYTES * count, "little")[::SLOT_BYTES]  # the low byte of each lane
-        drew = _split([int(column.translate(_BIT_DIGITS[b]), 2) for b in range(i.bit_length())], mask, i)
-        for plane in planes:
-            at = plane[i]
-            for v, lanes in enumerate(drew):
-                x = (at ^ plane[v]) & lanes
-                at ^= x
-                plane[v] ^= x
-            plane[i] = at
+    draws = iter(draws)
+    for top in range(n - 1, 0, -8):
+        group = range(top, max(top - 8, 0), -1)
+        grouped = 0
+        for p, packed in enumerate(islice(draws, len(group))):
+            grouped |= (packed & draw_byte) >> 8 * p
+        raw = grouped.to_bytes(SLOT_BYTES * count, "little")
+        for p, i in enumerate(group):
+            column = raw[8 - p::SLOT_BYTES]
+            drew = _split([int(column.translate(_BIT_DIGITS[b]), 2) for b in range(i.bit_length())], mask, i)
+            for plane in planes:
+                at = plane[i]
+                for v, lanes in enumerate(drew):
+                    x = (at ^ plane[v]) & lanes
+                    at ^= x
+                    plane[v] ^= x
+                plane[i] = at
     return planes
 
 
@@ -114,11 +128,12 @@ def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[in
 
 
 def _words(z: int, count: int) -> memoryview:
-    """The ``count`` lanes of ``z`` as native 64-bit words, in lane order."""
+    """The draws in the ``count`` slots of ``z`` as native 64-bit words, in
+    lane order: the high word of each 128-bit slot."""
     words = memoryview(z.to_bytes(SLOT_BYTES * count, sys.byteorder)).cast("Q")
-    # little-endian: slot i is words 2i (its lane) and 2i + 1; big-endian
-    # puts the last slot first and each slot's lane second
-    return words[:: SLOT_BYTES // 8] if sys.byteorder == "little" else words[:: -(SLOT_BYTES // 8)]
+    # little-endian: slot i is words 2i and 2i + 1 (its draw); big-endian
+    # puts the last slot first and each slot's draw first
+    return words[1::2] if sys.byteorder == "little" else words[-2::-2]
 
 
 def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[int]], seed: int, run: int, start: int, count: int) -> int:

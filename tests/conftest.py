@@ -8,6 +8,7 @@ import contextlib
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from itertools import permutations
 from random import Random
@@ -27,6 +28,15 @@ from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
 from rsdlab.instance_io import _JSON_INT_LIMIT
 from rsdlab.rng import substream
 from rsdlab.sd import LANES, LANES_MAX_N, sd_assign
+
+# Hypothesis's pytest plugin imports this module lazily, to write a patch for
+# a failing example; where libcst is installed, that import warns
+# (mypy_extensions.TypedDict is deprecated), which fails the whole session
+# under -W error::DeprecationWarning.  Loaded here once, with the warning
+# ignored, the plugin finds it in sys.modules.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def metric_battery(count: int, base_seed: int, ns=(2, 3, 4, 5, 6, 7)) -> list[AssignmentInstance]:

@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from operator import getitem
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from rsdlab import (
 )
 from rsdlab.core import integer_payoff_table, preference_rows
 from rsdlab.rng import packed_draws
-from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
+from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, _words, sd_assign, sd_total
 
 
 def test_worst_case_identity_run():
@@ -219,7 +221,10 @@ def decoded(planes, count, n):
     return [list(order) for order in zip(*columns)]
 
 
-@pytest.mark.parametrize("n", [2, 9, 20, 256])
+# the lane reader converts eight positions at a time: n = 2, 9, 10, 17 and 18
+# end in a group of 1, 8, 1, 8 and 1 positions after 0, 0, 1, 1 and 2 full
+# groups; n = 256 ends in a group of 7 after 31, and draws up to 255, a whole byte
+@pytest.mark.parametrize("n", [2, 9, 10, 17, 18, 20, 256])
 @pytest.mark.parametrize("k", [LANES - 1, LANES, LANES + 1])
 def test_the_lane_shuffle_holds_the_orderings_of_run_permutations(k, n):
     seed, run = 41, 2
@@ -228,3 +233,20 @@ def test_the_lane_shuffle_holds_the_orderings_of_run_permutations(k, n):
         count = min(LANES, k - start)
         orders += decoded(_shuffled_planes(packed_draws(seed, run, start, count, n), count, n), count, n)
     assert orders == list(substream_orders(seed, run, LANES + 1, n)[:k])
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("n", [2, 18, 257])
+def test_the_scalar_loop_reads_each_draw_from_the_high_word(n, byteorder, monkeypatch):
+    # at n = 257 the draws below(257) need a second byte; the byte order that
+    # is not this host's is read as such a host reads it, so its native words
+    # come byte-swapped here and are swapped back
+    seed, run, count = 41, 2, 5
+    rngs = [substream(seed, run, s) for s in range(count)]
+    expected = [[r.below(i + 1) for r in rngs] for i in range(n - 1, 0, -1)]
+    monkeypatch.setattr("rsdlab.sd.sys", SimpleNamespace(byteorder=byteorder))
+    words = [[int.from_bytes(w.to_bytes(8, sys.byteorder), byteorder) for w in _words(d, count)]
+             for d in packed_draws(seed, run, 0, count, n)]
+    assert words == expected
+    monkeypatch.undo()
+    check_sd_total(monkeypatch, tie_battery(1, seed, ns=(n,)), seed, run, {count}, n)
