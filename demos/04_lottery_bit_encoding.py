@@ -31,10 +31,10 @@ def main():
     for setting in ("value", "metric"):
         artifact = build_artifact(source, setting)
         print(f"--- {setting} encoding ---")
-        matrix = artifact.built.payoff_matrix()
+        # every payoff is an integer, so the stored table holds them over denom 1
         print("payoff matrix (entries are sums of powers of two):")
-        for row in matrix:
-            print("   " + "  ".join(f"{int(x):>10}" for x in row))
+        for row in artifact.built.table:
+            print("   " + "  ".join(f"{t:>10}" for t in row))
         total = artifact.scaled_total
         print(f"n! * E[objective] = {total}")
         print(f"                  = {total:b} (binary)")

@@ -10,8 +10,8 @@ convention used throughout the package) under one of three payoff settings:
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
   :func:`validate` checks the inequality exactly in O(n^3) on a cost
-  matrix; a point instance's costs are its points' distances by
-  construction, so it skips the check.
+  matrix, one test per pair of agents; a point instance's costs are its
+  points' distances by construction, so it skips the check.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 A payoff matrix is stored as one integer table: int rows, the payoffs times
@@ -38,8 +38,9 @@ from collections.abc import Collection, Container, Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from numbers import Rational
-from operator import index
+from operator import add, index, sub
 
 SETTING_VALUE = "value"
 SETTING_METRIC = "metric"
@@ -494,15 +495,21 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     per failing cell (i1, g1) of a square, non-negative cost matrix, in
     (i1, g1) order: the cell's first failing (i2, g2), i2 before g2.
 
-    Exact and O(n^3) on the integer table: cell (i1, g1) satisfies the
-    condition for every (i2, g2) iff ``c[i1][g1] <= min_i2 (M[i1][i2] +
-    c[i2][g1])`` with ``M[i1][i2] = min_g (c[i1][g] + c[i2][g])``, two
-    min-plus products.  A failing cell's witness is read off the same rows
-    in O(n): i2 is the first index whose term of that minimum is below
-    ``c[i1][g1]``, g2 the first whose term of ``M[i1][i2]`` is below
-    ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2) on every input.
+    Exact and O(n^3) on the integer table, decided one pair of agents at a
+    time: (i1, i2) and (i2, i1) hold at every (g1, g2) iff ``max_g
+    |c[i1][g] - c[i2][g]| <= min_g (c[i1][g] + c[i2][g])``, and i1 = i2
+    holds on non-negative entries.  Only a matrix that fails a pair is
+    scanned: cell (i1, g1) holds for every (i2, g2) iff ``c[i1][g1] <=
+    min_i2 (M[i1][i2] + c[i2][g1])`` with ``M[i1][i2] = min_g (c[i1][g] +
+    c[i2][g])``, two min-plus products.  A failing cell's witness is read
+    off the same rows in O(n): i2 is the first index whose term of that
+    minimum is below ``c[i1][g1]``, g2 the first whose term of
+    ``M[i1][i2]`` is below ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2)
+    on every input.
     """
     c, denom = integer_payoff_table(instance)
+    if all(max(map(abs, map(sub, row, other))) <= min(map(add, row, other)) for row, other in combinations(c, 2)):
+        return []
     cols = list(zip(*c))
     out = []
     for i1, row in enumerate(c):
@@ -527,8 +534,9 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     a size below 1, a matrix or ranking list that is not n by n, a negative
     payoff, a ranking that is not a permutation of 1..n, a point list whose
     length is not n, and four-point failures, each naming its indices.  The
-    metric check is an exact O(n^3) min-plus test on the integer payoff
-    table; each failing cell (i1, g1) is listed once, with its first failing
+    metric check is exact and O(n^3) on the integer payoff table, one test
+    per pair of agents, then a min-plus scan of a matrix that fails one;
+    each failing cell (i1, g1) is listed once, with its first failing
     (i2, g2), so at most n^2 violations come back.  A point instance's costs
     are its points' distances, a line metric, so it skips the check.
     """

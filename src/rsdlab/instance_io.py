@@ -22,9 +22,11 @@ float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.  A value or
 cost matrix is read to the instance's integer table and written from it,
-with no Fraction per entry: a plain decimal is read as an int over
-10**(its digits after the point), scaled up to the matrix's common
-denominator.
+with no Fraction per entry.  A row of JSON integers, or of plain decimals
+``digits[.digits]`` (one regular expression on the joined row), is read in
+one pass at the row's scale 10**F, F its longest fraction; any other row,
+or one past 512 digits at that scale, entry by entry, to the same ints and
+messages.  Each row is then scaled up to the matrix's common denominator.
 
 Strings are read by :func:`rsdlab.core.parse_ratio`, the same reader
 :func:`rsdlab.core.as_fraction` uses, whose one ASCII grammar is the same on
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +58,7 @@ from .core import (
     MAX_LITERAL_LENGTH,
     SETTING_ABSTRACT,
     SETTING_VALUE,
+    _PIECE_DIGITS,
     AssignmentInstance,
     bounded_literal,
     check_fields,
@@ -64,6 +68,8 @@ from .core import (
 )
 
 _JSON_INT_LIMIT = 1 << 53  # larger integers are written as decimal strings
+# One or more plain decimals, digits[.digits], ASCII digits only, joined by commas.
+_PLAIN_ROW = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:,[0-9]+(?:\.[0-9]+)?)*")
 
 class InstanceFormatError(ValueError):
     """Malformed instance file; the message names the offending field."""
@@ -120,17 +126,42 @@ def _parse_points(xs, where: str) -> list[Fraction]:
     return _parse_list(xs, where)
 
 
+def _plain_row(row: list) -> tuple[list[int], int] | None:
+    """``(ints, 10**F)`` of a row of ints, or of plain decimals
+    ``digits[.digits]`` with F their longest fraction: what
+    :func:`_literal_ratio` and the row's scaling give.  None for any other
+    row, or one with an entry past ``_PIECE_DIGITS`` digits at that scale."""
+    kinds = set(map(type, row))
+    if kinds == {int}:
+        return row, 1
+    if kinds != {str}:
+        return None
+    text = ",".join(row)  # a comma inside an entry adds one more than the join's
+    if text.count(",") != len(row) - 1 or _PLAIN_ROW.fullmatch(text) is None:
+        return None
+    parts = [x.partition(".") for x in row]
+    scale = max([len(frac) for _, _, frac in parts])
+    if max([len(whole) for whole, _, _ in parts]) + scale > _PIECE_DIGITS:
+        return None
+    return [int(whole + frac.ljust(scale, "0")) for whole, _, frac in parts], 10**scale
+
+
 def _parse_table(rows, where: str) -> tuple[list[list[int]], int]:
     """A payoff matrix as int rows over its entries' least common
     denominator; each row is scaled to its own as it is read, so only a row
-    below the matrix's is scaled again."""
+    below the matrix's is scaled again.  A row :func:`_plain_row` does not
+    read is read entry by entry, a message naming the entry's place."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
     table, dens = [], []
     for i, row in enumerate(rows, start=1):
-        ratios = _parse_list(row, f"{where}[{i}]", _literal_ratio)
-        dens.append(math.lcm(*{d for _, d in ratios}))
-        table.append([t * (dens[-1] // d) for t, d in ratios])
+        scaled = _plain_row(row)
+        if scaled is None:
+            ratios = _parse_list(row, f"{where}[{i}]", _literal_ratio)
+            den = math.lcm(*{d for _, d in ratios})
+            scaled = [t * (den // d) for t, d in ratios], den
+        table.append(scaled[0])
+        dens.append(scaled[1])
     denom = math.lcm(*dens)
     return [row if den == denom else [t * (denom // den) for t in row] for row, den in zip(table, dens)], denom
 

@@ -9,8 +9,8 @@ matching is the one the rational payoffs give, and its value is read off
 the same table, its entries' sum over the denominator; the reported optimum
 can be compared with exact enumeration results without tolerances.  Welfare
 maximization negates the table and reuses the minimizer.  A factorial
-brute-force solver over the rational entries doubles as the independent
-test oracle.
+brute-force solver, summing each matching's entries of the same table,
+doubles as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -115,17 +115,14 @@ def brute_force_opt(instance: AssignmentInstance, objective: Objective, cap: int
     n = instance.n
     if n > cap:
         raise ValueError(f"brute force over {n}! matchings refused: n={n} exceeds the cap of {cap}")
-    matrix = instance.payoff_matrix()
+    rows, denom = integer_payoff_table(instance)
     best_assign: tuple[int, ...] | None = None
-    best_value: Fraction | None = None
+    best_total: int | None = None
     maximize = objective is Objective.WELFARE
     for assign in permutations(range(n)):
-        value = sum((matrix[i][assign[i]] for i in range(n)), start=Fraction(0))
-        if best_value is None or (value > best_value if maximize else value < best_value):
-            best_value = value
+        total = sum(map(getitem, rows, assign))
+        if best_total is None or (total > best_total if maximize else total < best_total):
+            best_total = total
             best_assign = assign
-    assert best_assign is not None and best_value is not None
-    return OptResult(
-        matching=Matching(tuple(g + 1 for g in best_assign)),
-        objective_value=best_value,
-    )
+    assert best_assign is not None and best_total is not None
+    return OptResult(matching=Matching(tuple(g + 1 for g in best_assign)), objective_value=Fraction(best_total, denom))

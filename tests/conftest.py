@@ -25,7 +25,7 @@ from rsdlab.core import (
     preference_rows,
 )
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
-from rsdlab.instance_io import _JSON_INT_LIMIT
+from rsdlab.instance_io import _JSON_INT_LIMIT, _literal_ratio
 from rsdlab.rng import substream
 from rsdlab.sd import LANES, LANES_MAX_N, sd_assign
 
@@ -322,3 +322,16 @@ def dumps_value_instance_by_division(instance: AssignmentInstance) -> str:
     :func:`format_number_by_division`."""
     values = [[format_number_by_division(x) for x in row] for row in instance.values]
     return json.dumps({"n": instance.n, "setting": instance.setting, "values": values}, indent=2) + "\n"
+
+
+def parse_table_by_entries(rows, where: str) -> tuple[list[list[int]], int]:
+    """Reference matrix reader: each entry read by ``_literal_ratio`` at its
+    own address ``where[i][j]``, each row scaled to the lcm of its entries'
+    denominators, then every row to the matrix's."""
+    table, dens = [], []
+    for i, row in enumerate(rows, start=1):
+        ratios = [_literal_ratio(x, f"{where}[{i}][{j}]") for j, x in enumerate(row, start=1)]
+        dens.append(math.lcm(*(d for _, d in ratios)))
+        table.append([t * (dens[-1] // d) for t, d in ratios])
+    denom = math.lcm(*dens)
+    return [[t * (denom // den) for t in row] for row, den in zip(table, dens)], denom

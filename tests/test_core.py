@@ -78,14 +78,30 @@ def test_triangle_violation_is_located():
     assert any(v.code == "triangle" and v.indices == (1, 2, 2, 1) for v in violations)
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(st.data())
 def test_metric_check_lists_the_first_four_point_failure_of_each_cell(data):
     n = data.draw(st.integers(1, 5))
-    # 0, ties and entries far apart enough to break the four-point condition
-    entry = st.sampled_from([Fraction(x) for x in ("0", "1/3", "1/2", "1", "7/4", "3", "10")])
-    costs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        # 0, ties and entries far apart enough to break the four-point condition
+        entry = st.sampled_from([Fraction(x) for x in ("0", "1/3", "1/2", "1", "7/4", "3", "10")])
+        costs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    else:
+        # a line metric with at most one entry moved, so the pair test both accepts and refuses
+        agents, items = (data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n)) for _ in range(2))
+        costs = [[Fraction(abs(a - b)) for b in items] for a in agents]
+        i, g = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        costs[i][g] = max(Fraction(0), costs[i][g] + Fraction(data.draw(st.integers(-6, 6)), 2))
     assert validate(AssignmentInstance.from_costs(costs)) == first_per_cell(four_point_scan(costs))
+
+
+def test_a_pair_that_fails_only_in_the_second_order_is_listed():
+    # agents 1 and 2 hold in the order (1, 2), c[1][g] - c[2][g] <= 0 <= every sum,
+    # and fail in the order (2, 1): c[2][1] = 5 > c[2][2] + c[1][2] + c[1][1] = 0
+    inst = AssignmentInstance.from_costs([[0, 0], [5, 0]])
+    assert validate(inst) == [Violation("triangle", (2, 1, 1, 2), "c[2][1]=5 exceeds c[2][2]+c[1][2]+c[1][1]")]
+    assert validate(AssignmentInstance.from_costs([[0, 5], [0, 0]])) == [
+        Violation("triangle", (1, 2, 2, 1), "c[1][2]=5 exceeds c[1][1]+c[2][1]+c[2][2]")]
 
 
 def test_metric_check_on_reduction_built_costs():

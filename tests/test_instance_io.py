@@ -8,7 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dumps_value_instance_by_division, format_number_by_division, int_digit_limit
+from conftest import (
+    dumps_value_instance_by_division,
+    format_number_by_division,
+    int_digit_limit,
+    parse_table_by_entries,
+)
 from rsdlab import (
     AssignmentInstance,
     InstanceFormatError,
@@ -24,7 +29,15 @@ from rsdlab import (
 from rsdlab import core
 from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table, parse_number
 from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH, format_number, instance_from_dict, parse_literal
+from rsdlab.instance_io import (
+    MAX_EXPONENT,
+    MAX_LITERAL_LENGTH,
+    _parse_table,
+    _plain_row,
+    format_number,
+    instance_from_dict,
+    parse_literal,
+)
 from rsdlab.rng import substream
 
 
@@ -644,6 +657,65 @@ def test_the_table_is_the_one_fraction_rows_give_on_every_path(data):
     _assert_stored_as_by_fractions(AssignmentInstance.from_line_points(agents, items), costs)
     text = f'{{"n": {n}, "setting": "metric", "agent_points": {_literals(data, agents)}, "item_points": {_literals(data, items)}}}'
     _assert_stored_as_by_fractions(loads_instance(text), costs)
+
+
+# Matrix entries for the row reader: plain decimals (the one-pass rows),
+# JSON ints, and every form and near miss the per-entry reader reads or refuses
+_PLAIN_ENTRY = st.builds(lambda whole, frac: whole + frac, st.text("0123456789", min_size=1, max_size=25),
+                         st.just("") | st.text("0123456789", min_size=1, max_size=8).map(".".__add__))
+_LONG_RUN = st.sampled_from([511, 512, 513, MAX_LITERAL_LENGTH - 1, MAX_LITERAL_LENGTH, MAX_LITERAL_LENGTH + 1])
+_TABLE_ENTRY = st.one_of(
+    _PLAIN_ENTRY,
+    st.integers(-(10**25), 10**25),
+    _LONG_RUN.map(lambda k: "7" * k),
+    _LONG_RUN.map(lambda k: "0." + "3" * (k - 2)),
+    st.sampled_from([True, False, None, 1.5, [1], "", "5.", ".5", "+1.5", "-2", "-0.25", "1e3", "2.5E-2", "3/4",
+                     "6/8", "1/0", " 1.5", "1.5\n", "\t7", "1_000", "\u0661\u0662", "\u00b2", "1,2", "1.2.3", ",",
+                     "0x10", "nan"]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.lists(_PLAIN_ENTRY, max_size=5), st.lists(st.integers(-9, 10**30), max_size=5),
+                          st.lists(_TABLE_ENTRY, max_size=5)), min_size=1, max_size=4))
+@example([["9" * 512, "0"], ["9" * 512, "0.5"], ["0." + "1" * 511], ["0." + "1" * 512]])
+@example([["1", "2"], ["1,2"], ["1.5", "2.25", "3"], [1, True], [0, 1]])
+@example([["\u0661\u0662", "1.\uff15"]])
+def test_the_row_reader_gives_the_per_entry_table_or_message(rows):
+    try:
+        expected = parse_table_by_entries(rows, "values")
+    except InstanceFormatError as refused:
+        with pytest.raises(InstanceFormatError) as info:
+            _parse_table(rows, "values")
+        assert str(info.value) == str(refused)
+    else:
+        assert _parse_table(rows, "values") == expected
+
+
+@pytest.mark.parametrize("row, plain", [
+    (["9" * 512, "0"], ([10**512 - 1, 0], 1)),
+    (["9" * 511, "0.5"], ([10**512 - 10, 5], 10)),
+    (["0." + "1" * 511], ([10**511 // 9], 10**511)),
+    (["9" * 512, "0.5"], None),  # 513 digits at the row's scale
+    (["0." + "1" * 512], None),
+    (["1" * 700], None),
+    (["1,2"], None),  # one entry, not two
+    (["\u0661\u0662", "1.\uff15"], None),  # non-ASCII digits, which int() reads
+    (["1", "2.50", "007.5"], ([100, 250, 750], 100)),
+    ([1, 2, -3], ([1, 2, -3], 1)),
+    ([1, True], None),
+    ([1, "2"], None),
+    ([], None),
+])
+def test_the_one_pass_row_stops_at_512_digits_and_at_anything_not_plain(row, plain):
+    assert _plain_row(row) == plain
+
+
+def test_a_plain_row_past_the_least_digit_limit_loads():
+    # the per-entry reader reads the 700 digits in pieces below 640
+    with int_digit_limit(640):
+        inst = loads_instance('{"n": 2, "setting": "value", "values": [["%s", "0.5"], ["1", "2"]]}' % ("1" * 700))
+    assert inst.table[0][0] == (10**700 - 1) // 9 * 2
 
 
 def _family_rows(family: Family, n: int, seed: int):
