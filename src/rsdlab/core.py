@@ -15,8 +15,10 @@ convention used throughout the package) under one of three payoff settings:
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 A payoff matrix is stored as one integer table: int rows, the payoffs times
-their least common denominator, and that denominator; the file reader, the
-generators and the reductions build it with no Fraction per entry.  Every
+their least common denominator, and that denominator; the constructor, the
+file reader, the generators and the reductions build it with no Fraction
+per entry.  A numeric string has one grammar, :func:`parse_ratio`'s, which
+gives its ratio as written, and the table is scaled one way.  Every
 computation on payoffs (preference ranking, exact enumeration, sampling, the
 optimal-assignment solver, the metric check, :func:`validate`'s sign check)
 runs on it, as :func:`integer_payoff_table` returns it.  Sampling sums a
@@ -68,10 +70,12 @@ def bounded_literal(text: str) -> str:
 
 
 def parse_ratio(text: str) -> tuple[int, int]:
-    """``(numerator, denominator)`` of a numeric string's exact value, the
-    denominator positive, or :class:`ValueError`.
+    """``(numerator, denominator)`` of a numeric string as written, never
+    reduced, or :class:`ValueError`: ``a/b`` is ``(a, b)``, a decimal its
+    digits over ``10**F``, F its digits after the point, and an exponent
+    multiplies the numerator or, if negative, the denominator by 10**|e|.
 
-    The grammar is ASCII only: ``[sign]digits[.digits][exponent]``,
+    The one grammar is ASCII only: ``[sign]digits[.digits][exponent]``,
     ``[sign].digits[exponent]`` and ``[sign]digits/digits``, with sign
     ``-`` or ``+``, exponent ``e`` or ``E`` then ``[sign]digits``, and
     optional whitespace (space, tab, newline, carriage return, form feed,
@@ -81,27 +85,8 @@ def parse_ratio(text: str) -> tuple[int, int]:
     digit limit (:func:`exact_int`).  A string longer than
     :data:`MAX_LITERAL_LENGTH` is refused before any conversion, and an
     exponent beyond :data:`MAX_EXPONENT` in magnitude before 10**e is built.
-    A plain ``digits[.digits]``, the only form written for a non-negative
-    decimal, is read without the regular expression, over 10**(its digits
-    after the point) and unreduced; any other form comes back reduced.
     """
-    whole, dot, frac = bounded_literal(text).partition(".")
-    digits = whole + frac
-    if whole and (frac or not dot) and digits.isdigit() and digits.isascii():
-        return exact_int(digits), 10 ** len(frac)
-    x = _parse_by_grammar(text)
-    return x.numerator, x.denominator
-
-
-def parse_number(text: str) -> Fraction:
-    """Exact value of a numeric string (:func:`parse_ratio`), or :class:`ValueError`."""
-    return Fraction(*parse_ratio(text))
-
-
-def _parse_by_grammar(text: str) -> Fraction:
-    """:func:`parse_ratio` past its length check, as a Fraction, for a
-    string of any form: read by :data:`_LITERAL`."""
-    literal = _LITERAL.fullmatch(text)
+    literal = _LITERAL.fullmatch(bounded_literal(text))
     if literal is None:
         raise ValueError(f"{clipped(text, repr)} is not a numeric literal")
     sign, whole, den, frac, exp_sign, exp = literal.groups("")
@@ -117,27 +102,34 @@ def _parse_by_grammar(text: str) -> Fraction:
             denominator *= 10 ** int(exp)
         else:
             numerator *= 10 ** int(exp)
-    return Fraction(-numerator if sign == "-" else numerator, denominator)
+    return -numerator if sign == "-" else numerator, denominator
+
+
+def _ratio(x) -> tuple[int, int]:
+    """``(numerator, denominator)`` of a number: a rational's own (a bool is
+    0 or 1), a string's by :func:`parse_ratio`, a finite float's exact binary
+    value; ``inf`` and ``nan`` raise :class:`ValueError`, other types
+    :class:`TypeError`.  Each payoff entry the constructor takes is read so."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        return parse_ratio(x)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x} is not a finite number")
+        return x.as_integer_ratio()
+    if isinstance(x, (int, Rational)):
+        return x.numerator, x.denominator
+    raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
 
 
 def as_fraction(x) -> Fraction:
-    """Exact conversion to Fraction.
-
-    Strings are read by :func:`parse_number` (``"0.25"`` becomes 1/4), which
-    raises :class:`ValueError` for anything that is not a numeric literal.
-    Finite floats convert to their exact binary value; prefer strings or
-    Fractions where the precise decimal matters.  ``inf``, ``-inf`` and
-    ``nan`` raise :class:`ValueError`.
-    """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return parse_number(x)
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"{x} is not a finite number")
-    if isinstance(x, (int, float, Rational)):
-        return Fraction(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to an exact rational")
+    """Exact conversion to Fraction: a Fraction as it is, anything else the
+    ratio :func:`_ratio` reads, so a string by the one grammar of
+    :func:`parse_ratio` (``"0.25"`` is 1/4, and a non-literal raises
+    :class:`ValueError`) and a float at its exact binary value; prefer
+    strings or Fractions where the precise decimal matters."""
+    return x if isinstance(x, Fraction) else Fraction(*_ratio(x))
 
 
 _PIECE_DIGITS = 512  # below every int-to-str digit limit Python accepts (>= 640)
@@ -254,11 +246,20 @@ def _collected(rows) -> Collection:
     return rows if isinstance(rows, Collection) else tuple(rows)
 
 
-def _table(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """``(rows * denom, denom)``, ``denom`` the least common denominator of
-    the entries, so no int > 1 divides both."""
-    denom = math.lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (denom // x.denominator) for x in row) for row in rows), denom
+def _ratio_row(ratios: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """``(ints, den)`` of a row of ``(numerator, denominator)`` pairs: ``den``
+    their lcm and each numerator scaled to it."""
+    den = math.lcm(*{d for _, d in ratios})
+    return [t * (den // d) for t, d in ratios], den
+
+
+def _scaled_table(rows: Iterable[tuple[list[int], int]]) -> tuple[list[list[int]], int]:
+    """One int table over the lcm of rows ``(ints, den)``, each over its own
+    ``den``, only a row below it scaled again: the constructor's and the
+    file reader's one way from rows of numbers to a payoff table."""
+    rows = list(rows)
+    denom = math.lcm(*(den for _, den in rows))
+    return [ints if den == denom else [t * (denom // den) for t in ints] for ints, den in rows], denom
 
 
 def _reduced(rows: Sequence[Sequence[int]], denom: int) -> tuple:
@@ -276,7 +277,8 @@ class AssignmentInstance:
     (``==``, ``hash``) however built; ``values`` and ``costs`` read it back
     as Fraction rows, built on first read.  ``table`` and ``denom`` are None
     only for an abstract instance; point lists give a metric instance their
-    distances as its table.
+    distances as its table.  A matrix entry is read as a ratio, as the file
+    reader reads it, with no Fraction built per entry.
 
     The constructor refuses what an instance may not hold: with
     :class:`ValueError`, in the file reader's words, what
@@ -301,13 +303,14 @@ class AssignmentInstance:
         table = denom = None
         if agent_points is not None:
             agent_points, item_points = (_read(name, given[name], as_fraction) for name in ("agent_points", "item_points"))
-            (agents, items), scale = _table((agent_points, item_points))
+            (agents, items), scale = _scaled_table(_ratio_row([(x.numerator, x.denominator) for x in points])
+                                                   for points in (agent_points, item_points))
             table, denom = _reduced([[abs(a - b) for b in items] for a in agents], scale)
         elif setting == SETTING_ABSTRACT:
             rankings = _read_matrix("rankings", rankings, index)
         else:
             name = "values" if setting == SETTING_VALUE else "costs"
-            table, denom = _table(_read_matrix(name, given[name], as_fraction))
+            table, denom = _reduced(*_scaled_table(map(_ratio_row, _read_matrix(name, given[name], _ratio))))
         vars(self).update(n=n, setting=setting, table=table, denom=denom,
                           agent_points=agent_points, item_points=item_points, rankings=rankings)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import SampleSizePlan
-from .core import AssignmentInstance, Objective, as_fraction, exact_str
+from .core import AssignmentInstance, Objective, as_fraction, clipped, exact_str
 from .estimate import check_approx, estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, enumerate_rsd, expected_objective
 from .rng import derive_seed
@@ -63,7 +63,10 @@ def resolve_reference(
 ) -> tuple[Fraction, str]:
     """Reference expected value: user-supplied, or by linearity off one count-only DP."""
     if reference is not None:
-        return as_fraction(reference), provenance or USER_SUPPLIED
+        reference = as_fraction(reference)
+        if reference < 0:  # refused before any sample is drawn
+            raise ValueError(f"reference must be non-negative, got {clipped(exact_str(reference))}")
+        return reference, provenance or USER_SUPPLIED
     if instance.n > oracle_cap:
         raise ValueError(
             f"no reference available: n={instance.n} exceeds the enumeration cap "

@@ -40,6 +40,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from statistics import median  # the even case is the mean of the two middles
 
 from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
 from .sd import sd_assign, sd_total  # sd_assign unused: bench/tracing.py patches it here
@@ -115,17 +116,6 @@ def estimate_mean(
     """Mean objective value over ``k`` uniformly random orderings: the
     one-run case of :func:`estimate_median_of_means`, whose report it returns."""
     return estimate_median_of_means(instance, objective, k, 1, seed)
-
-
-def median(values) -> float:
-    """Median with the even case resolved as the mean of the two middles."""
-    ordered = sorted(values)
-    if not ordered:
-        raise ValueError("median of an empty sequence")
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def estimate_median_of_means(

@@ -22,18 +22,21 @@ float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.  A value or
 cost matrix is read to the instance's integer table and written from it,
-with no Fraction per entry.  A row of JSON integers, or of plain decimals
-``digits[.digits]`` (one regular expression on the joined row), is read in
-one pass at the row's scale 10**F, F its longest fraction; any other row,
-or one past 512 digits at that scale, entry by entry, to the same ints and
-messages.  Each row is then scaled up to the matrix's common denominator.
+with no Fraction per entry.  A row of JSON integers and plain decimals
+``digits[.digits]``, mixed as the writer writes them (one regular
+expression on the joined row), is read in one pass at the row's scale
+10**F, F its longest fraction; any other row, or one past 512 digits at
+that scale, entry by entry, to the same ints and messages.  Each row is
+then scaled up to the matrix's common denominator, as the constructor
+scales its rows.
 
 Strings are read by :func:`rsdlab.core.parse_ratio`, the same reader
-:func:`rsdlab.core.as_fraction` uses, whose one ASCII grammar is the same on
-every Python version: ``[sign]digits[.digits][exponent]``,
-``[sign].digits[exponent]`` and ``[sign]digits/digits`` (sign ``-`` or
-``+``, exponent ``e`` or ``E`` then ``[sign]digits``, optional ASCII
-whitespace around the whole), read exactly at any length; underscores,
+:func:`rsdlab.core.as_fraction` and the constructor use, whose one ASCII
+grammar is the same on every Python version:
+``[sign]digits[.digits][exponent]``, ``[sign].digits[exponent]`` and
+``[sign]digits/digits`` (sign ``-`` or ``+``, exponent ``e`` or ``E`` then
+``[sign]digits``, optional ASCII whitespace around the whole), read
+exactly at any length, to the ratio as written; underscores,
 non-ASCII digits and every other form are refused.  Integers and decimals
 are written in pieces past Python's int-to-str digit limit
 (:func:`rsdlab.core.exact_str`).  On reading, a literal longer than
@@ -48,7 +51,6 @@ its length.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +62,8 @@ from .core import (
     SETTING_VALUE,
     _PIECE_DIGITS,
     AssignmentInstance,
+    _ratio_row,
+    _scaled_table,
     bounded_literal,
     check_fields,
     exact_str,
@@ -127,14 +131,19 @@ def _parse_points(xs, where: str) -> list[Fraction]:
 
 
 def _plain_row(row: list) -> tuple[list[int], int] | None:
-    """``(ints, 10**F)`` of a row of ints, or of plain decimals
+    """``(ints, 10**F)`` of a row of ints, or of ints and plain decimals
     ``digits[.digits]`` with F their longest fraction: what
     :func:`_literal_ratio` and the row's scaling give.  None for any other
     row, or one with an entry past ``_PIECE_DIGITS`` digits at that scale."""
     kinds = set(map(type, row))
     if kinds == {int}:
         return row, 1
-    if kinds != {str}:
+    if kinds == {int, str}:  # a mixed row, as the writer writes one
+        try:
+            row = list(map(str, row))  # an int past the int-to-str digit limit raises
+        except ValueError:
+            return None
+    elif kinds != {str}:
         return None
     text = ",".join(row)  # a comma inside an entry adds one more than the join's
     if text.count(",") != len(row) - 1 or _PLAIN_ROW.fullmatch(text) is None:
@@ -148,22 +157,13 @@ def _plain_row(row: list) -> tuple[list[int], int] | None:
 
 def _parse_table(rows, where: str) -> tuple[list[list[int]], int]:
     """A payoff matrix as int rows over its entries' least common
-    denominator; each row is scaled to its own as it is read, so only a row
-    below the matrix's is scaled again.  A row :func:`_plain_row` does not
+    denominator, scaled as the constructor scales its rows
+    (:func:`rsdlab.core._scaled_table`).  A row :func:`_plain_row` does not
     read is read entry by entry, a message naming the entry's place."""
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
-    table, dens = [], []
-    for i, row in enumerate(rows, start=1):
-        scaled = _plain_row(row)
-        if scaled is None:
-            ratios = _parse_list(row, f"{where}[{i}]", _literal_ratio)
-            den = math.lcm(*{d for _, d in ratios})
-            scaled = [t * (den // d) for t, d in ratios], den
-        table.append(scaled[0])
-        dens.append(scaled[1])
-    denom = math.lcm(*dens)
-    return [row if den == denom else [t * (denom // den) for t in row] for row, den in zip(table, dens)], denom
+    return _scaled_table(_plain_row(row) or _ratio_row(_parse_list(row, f"{where}[{i}]", _literal_ratio))
+                         for i, row in enumerate(rows, start=1))
 
 
 def instance_from_dict(doc: dict) -> AssignmentInstance:

@@ -319,6 +319,19 @@ def test_coverage_without_a_reference_refuses_n_above_the_oracle_cap_before_vali
     assert validated == [6]
 
 
+def test_coverage_refuses_a_negative_reference_before_sampling(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "line4.json"
+    run_cli(capsys, "gen", "--family", "random-metric-line", "--n", "4", "--out", str(path))
+
+    def sampled(*args):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr("rsdlab.coverage.estimate_median_of_means", sampled)
+    assert run_cli(capsys, "coverage", "--in", str(path), "--objective", "cost", "--method", "cost-chebyshev",
+                   "--eps", "0.01", "--delta", "0.01", "--trials", "1", "--reference", "-1") == (
+        1, "", "error: reference must be non-negative, got -1\n")
+
+
 @pytest.mark.parametrize("cap, warning", [
     ([], ""), (["--oracle-cap", "11"], "warning: enumeration cap raised to 11; the cost grows exponentially in n\n"),
 ], ids=["default-cap", "raised-cap"])

@@ -56,6 +56,19 @@ def test_missing_reference_is_an_instructive_error():
         resolve_reference(inst, Objective.WELFARE, oracle_cap=10)
 
 
+def test_a_negative_reference_is_refused_before_any_sample(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("the estimator ran")
+
+    monkeypatch.setattr(rsdlab.coverage, "estimate_median_of_means", sampled)
+    plan = sample_size(Method.COST_CHEBYSHEV, 4, "0.01", "0.01")
+    long = "-" + "9" * 50
+    for reference, shown in (("-1", "-1"), (Fraction(-1, 3), "-1/3"), (long, f"{long[:40]}… (51 characters)")):
+        with pytest.raises(ValueError) as info:
+            run_coverage(worst_case_metric_line(4), Objective.COST, plan, trials=1, master_seed=1, reference=reference)
+        assert str(info.value) == f"reference must be non-negative, got {shown}"
+
+
 def test_bernoulli_coverage_tracks_binomial_failure():
     inst = bernoulli_welfare(6)
     plan = sample_size(Method.WELFARE_BERNSTEIN, 6, "0.5", "0.2")

@@ -26,8 +26,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab import core
-from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table, parse_number
+from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table
 from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
 from rsdlab.instance_io import (
     MAX_EXPONENT,
@@ -514,6 +513,9 @@ _ASCII_TEXT = st.builds(
 @example("1/0")
 @example("1/3e2")
 @example("e" + "9" * 4300)
+@example("1" * 512 + "." + "2" * 513)
+@example("5.")
+@example(".5")
 def test_parse_number_reads_ascii_literals_as_fraction_does(text):
     # inside the bounds of both readers: Fraction builds 10**e and reads
     # each digit run with int(), whose default limit is MAX_EXPONENT digits
@@ -527,9 +529,9 @@ def test_parse_number_reads_ascii_literals_as_fraction_does(text):
             expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(ValueError):
-            parse_number(text)
+            as_fraction(text)
     else:
-        assert parse_number(text) == expected
+        assert as_fraction(text) == expected
 
 
 @given(st.text(max_size=8), st.one_of(st.just("_"), st.characters(min_codepoint=128)), st.text(max_size=8))
@@ -538,39 +540,7 @@ def test_parse_number_reads_ascii_literals_as_fraction_does(text):
 @example("", "\u2003", " 1.5")  # an em space, which Fraction reads
 def test_underscores_and_non_ascii_characters_are_refused(head, odd, tail):
     with pytest.raises(ValueError, match=" is not a numeric literal$"):
-        parse_number(head + odd + tail)
-
-
-# Plain decimals, which parse_number reads without its regular expression,
-# and near misses of them, up to the length bound
-_PLAIN_TEXT = st.one_of(
-    st.builds(lambda whole, frac: whole + frac, _DIGIT_TEXT, st.just("") | _DIGIT_TEXT.map(".".__add__)),
-    st.builds(lambda digits, times: digits * times, st.text(alphabet="0123456789.", min_size=1, max_size=9),
-              st.integers(1, MAX_LITERAL_LENGTH // 9)),
-    st.lists(st.sampled_from(["0", "7", "042", ".", "-", "+", " ", "e", "/", "_", "\u0661", "\u00b2", "\uff11"]),
-             max_size=6).map("".join),
-)
-
-
-@settings(deadline=None)
-@given(_PLAIN_TEXT)
-@example("1" * 512 + "." + "2" * 513)
-@example("1" * (MAX_LITERAL_LENGTH - 2) + ".5")
-@example("5.")
-@example(".5")
-@example("\u00b2")
-def test_plain_decimals_read_as_the_grammar_reads_them(text):
-    try:
-        expected = core._parse_by_grammar(text)
-    except ValueError as refused:
-        with pytest.raises(ValueError) as info:
-            parse_number(text)
-        assert str(info.value) == str(refused)
-    else:
-        value = parse_number(text)
-        assert type(value) is Fraction
-        assert value == expected
-
+        as_fraction(head + odd + tail)
 
 
 def _table_by_fractions(rows):
@@ -704,8 +674,14 @@ def test_the_row_reader_gives_the_per_entry_table_or_message(rows):
     (["1", "2.50", "007.5"], ([100, 250, 750], 100)),
     ([1, 2, -3], ([1, 2, -3], 1)),
     ([1, True], None),
-    ([1, "2"], None),
+    ([1, "2"], ([1, 2], 1)),  # the writer mixes JSON ints and decimal strings in a row
     ([], None),
+    (["0.5", 1], ([5, 10], 10)),
+    ([2, "0.25", 10**509], ([200, 25, 10**511], 100)),
+    (["0.5", True], None),  # a bool, a negative int or a 513-digit int goes entry by entry
+    ([-1, "0.5"], None),
+    ([10**512, "0"], None),
+    ([10**700, "0.5"], None),  # str() of it raises under the least int-to-str digit limit
 ])
 def test_the_one_pass_row_stops_at_512_digits_and_at_anything_not_plain(row, plain):
     assert _plain_row(row) == plain
@@ -716,6 +692,38 @@ def test_a_plain_row_past_the_least_digit_limit_loads():
     with int_digit_limit(640):
         inst = loads_instance('{"n": 2, "setting": "value", "values": [["%s", "0.5"], ["1", "2"]]}' % ("1" * 700))
     assert inst.table[0][0] == (10**700 - 1) // 9 * 2
+
+
+# Entries both the file reader and the constructors read: ints, plain
+# decimals, ".5", "5.", exponents and "a/b", with digit runs about the
+# one-pass reader's 512-digit bound
+_RUN = st.one_of(st.text("0123456789", min_size=1, max_size=6),
+                 st.sampled_from([511, 512, 513]).flatmap(lambda k: st.sampled_from(["9" * k, "1" + "0" * (k - 1)])))
+_SHARED_ENTRY = st.one_of(
+    st.integers(0, 10**25),
+    st.sampled_from([511, 512, 513]).map(lambda k: 10 ** (k - 1)),
+    _RUN,
+    st.builds("{}.{}".format, _RUN, _RUN),
+    _RUN.map(".".__add__),
+    _RUN.map(lambda digits: digits + "."),
+    st.builds("{}{}{}{}".format, _RUN, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), st.integers(0, 30)),
+    st.builds("{}/{}".format, _RUN, _RUN.filter(lambda digits: digits.strip("0"))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(_SHARED_ENTRY, st.integers(0, 10**6) | st.builds("{}.{}".format, _RUN, _RUN)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([["0.5", 1], [2, "0.25"]])
+@example([["9" * 511 + ".5", 10**511], [".5", "5."]])
+def test_the_reader_and_the_constructors_build_one_table_from_the_same_entries(rows):
+    for setting, field, build in (("value", "values", AssignmentInstance.from_values),
+                                  ("metric", "costs", AssignmentInstance.from_costs)):
+        read = loads_instance(json.dumps({"n": len(rows), "setting": setting, field: rows}))
+        built = build(rows)
+        assert (read.table, read.denom) == (built.table, built.denom)
+        assert read == built and hash(read) == hash(built)
 
 
 def _family_rows(family: Family, n: int, seed: int):
