@@ -63,14 +63,14 @@ def worst_case_metric_line(n: int) -> AssignmentInstance:
 
 def random_value(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
-    rows = [[rng.below(VALUE_SCALE + 1) for _ in range(n)] for _ in range(n)]
+    rows = [rng.below_many(VALUE_SCALE + 1, n) for _ in range(n)]
     return AssignmentInstance.from_table(n, SETTING_VALUE, rows, VALUE_SCALE)
 
 
 def random_metric_line(n: int, seed: int) -> AssignmentInstance:
     rng = substream(seed, 0, 0)
-    agents = [rng.below(LINE_GRID + 1) for _ in range(n)]
-    items = [rng.below(LINE_GRID + 1) for _ in range(n)]
+    agents = rng.below_many(LINE_GRID + 1, n)
+    items = rng.below_many(LINE_GRID + 1, n)
     return AssignmentInstance.from_line_points(agents, items)
 
 
@@ -82,7 +82,7 @@ def random_abstract(n: int, seed: int) -> AssignmentInstance:
 
 MAX_N = 500
 """Largest n that :func:`generate` builds.  An instance holds n² entries:
-``rsdlab gen`` takes about 1 s and 69 MB of memory for a random-value
+``rsdlab gen`` takes about 0.3 s and 69 MB of memory for a random-value
 instance at n = 500 (2 cores, Python 3.11), the costliest family there,
 and both grow as n²."""
 

@@ -22,7 +22,8 @@ float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
 parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.  A value or
 cost matrix is read to the instance's integer table and written from it,
-with no Fraction per entry.  A row of JSON integers and plain decimals
+with no Fraction per entry, a row at a time at the matrix's one decimal
+scale (:func:`_row_writer`).  A row of JSON integers and plain decimals
 ``digits[.digits]``, mixed as the writer writes them (one regular
 expression on the joined row), is read in one pass at the row's scale
 10**F, F its longest fraction; any other row, or one past 512 digits at
@@ -192,29 +193,39 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     return inst
 
 
-def _entry_writer(denom: int):
-    """The function that writes the int ``t`` as :func:`format_number`
-    writes ``t / denom``: at the decimal scale of ``denom``, found once, with
-    the trailing zeros cut, which gives the shortest decimal."""
+def _row_writer(denom: int):
+    """The function that writes a row of ints ``t`` as :func:`format_number`
+    writes each ``t / denom``: at the decimal scale of ``denom``, found once,
+    trailing zeros cut.  A row of non-negative entries below 2**53 at a scale
+    of at most 512 digits takes ``divmod`` and ``str`` with no check per
+    entry: its literals stay far below :data:`MAX_LITERAL_LENGTH`, and its
+    whole numbers are JSON ints.  Any other row goes entry by entry."""
     twos = (denom & -denom).bit_length() - 1
     odd, fives = denom >> twos, 0
     while odd % 5 == 0:
         odd //= 5
         fives += 1
     scale = max(twos, fives)
-    factor = 10**scale * odd // denom
+    unit = 10**scale
+    factor = unit * odd // denom
 
-    def write(t: int) -> int | str:
-        if odd != 1:
-            if t % odd:
-                raise ValueError(f"{exact_str(Fraction(t, denom))} has no finite decimal representation")
-            t //= odd
+    def entry(t: int) -> int | str:
         text = exact_str(abs(t) * factor).rjust(scale + 1, "0")
         whole, frac = text[:len(text) - scale], text[len(text) - scale:].rstrip("0")
         if frac:
             return bounded_literal(f"{'-' if t < 0 else ''}{whole}.{frac}")
-        q = t * factor // 10**scale if scale else t
+        q = t * factor // unit
         return q if abs(q) < _JSON_INT_LIMIT else bounded_literal(exact_str(q))
+
+    def write(row) -> list[int | str]:
+        if odd != 1:
+            for t in row:
+                if t % odd:
+                    raise ValueError(f"{exact_str(Fraction(t, denom))} has no finite decimal representation")
+            row = [t // odd for t in row]
+        if scale > _PIECE_DIGITS or min(row) < 0 or max(row) * factor >= _JSON_INT_LIMIT * unit:
+            return list(map(entry, row))
+        return [f"{q}.{str(unit + r)[1:].rstrip('0')}" if r else q for q, r in (divmod(t * factor, unit) for t in row)]
 
     return write
 
@@ -225,7 +236,7 @@ def format_number(x: Fraction) -> int | str:
     or if its string is longer than the reader takes."""
     if type(x) is not Fraction:
         x = Fraction(x)
-    return _entry_writer(x.denominator)(x.numerator)
+    return _row_writer(x.denominator)([x.numerator])[0]
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:
@@ -237,8 +248,7 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
         doc["item_points"] = [format_number(x) for x in instance.item_points]
     else:
         rows, denom = integer_payoff_table(instance)
-        write = _entry_writer(denom)
-        doc["values" if instance.setting == SETTING_VALUE else "costs"] = [[write(t) for t in row] for row in rows]
+        doc["values" if instance.setting == SETTING_VALUE else "costs"] = list(map(_row_writer(denom), rows))
     return doc
 
 

@@ -30,16 +30,19 @@ shift-xor and before each multiply keeps every product of a lane and a
 arithmetic on every lane at once.  It yields one packed int per position,
 the products ``u * (i + 1)`` left as the multiply leaves them: each is below
 ``2**64 * (i + 1)``, so it stays inside its own slot and the draw
-``(u * (i + 1)) >> 64`` is the slot's high 64-bit word, with no shift.  This
-module writes the packed lanes; :mod:`rsdlab.sd` is the one reader, and
-every sampled run reads them through :func:`rsdlab.sd.sd_total`: on lanes it
-reads each draw's low byte, eight positions per conversion to bytes, and
-shuffles on bit planes, and on the scalar loop it reads the draws out as
-64-bit words and swaps each sample's ordering.
+``(u * (i + 1)) >> 64`` is the slot's high 64-bit word, with no shift.
+:func:`rsdlab.sd.sd_total` reads them: on lanes each draw's low byte, eight
+positions per conversion to bytes, shuffled on bit planes, and on the scalar
+loop as 64-bit words by ``_words``, the one reader of high words.
+``SplitMix64.below_many(bound, count)`` is ``count`` calls of ``below`` on
+such slots, lane k from the state ``s + (k + 1) * golden``, read by
+``_words``; a bound past ``2**64`` would spill its slot, and takes the
+scalar loop.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -77,6 +80,18 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return (self.next_u64() * bound) >> 64
 
+    def below_many(self, bound: int, count: int) -> list[int]:
+        """``[self.below(bound) for _ in range(count)]``, its words mixed at
+        once on packed lanes, as the module docstring says."""
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        if bound > 1 << 64 or count < 1:
+            return [self.below(bound) for _ in range(count)]
+        ones, lane, ramp, _ = _lanes(count)
+        state = (self._state * ones + (ramp + ones) * _GOLDEN) & lane
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return _words(_mix_lanes(state, lane) * bound, count).tolist()
+
     def permutation(self, n: int) -> list[int]:
         """Uniform permutation of ``range(n)`` (decreasing-index shuffle)."""
         items = list(range(n))
@@ -105,9 +120,14 @@ def _lanes(count: int) -> tuple[int, int, int, int]:
     """``(ones, lane, ramp, draw_byte)`` for ``count`` lanes: a 1, the 64-bit
     mask and the slot's index at the bottom of every 128-bit slot, and 0xFF
     at byte 8 of every slot, where a draw below 256 sits."""
-    ones = ((1 << (8 * SLOT_BYTES * count)) - 1) // ((1 << 8 * SLOT_BYTES) - 1)
-    ramp = int.from_bytes(b"".join(i.to_bytes(SLOT_BYTES, "little") for i in range(count)), "little")
-    return ones, ones * _MASK64, ramp, ones * 0xFF << 64
+    bits = 8 * SLOT_BYTES
+    ones = ((1 << (bits * count)) - 1) // ((1 << bits) - 1)
+    ramp, step, width = 0, 1, 1  # the indices of `width` slots and a 1 in each, doubled until they cover count
+    while width < count:
+        ramp += (ramp + width * step) << bits * width
+        step += step << bits * width
+        width *= 2
+    return ones, ones * _MASK64, ramp & ((1 << bits * count) - 1), ones * 0xFF << 64
 
 
 def _mix_lanes(z: int, lane: int) -> int:
@@ -115,6 +135,15 @@ def _mix_lanes(z: int, lane: int) -> int:
     z = ((z ^ (z >> 30)) & lane) * _MIX_MUL1 & lane
     z = ((z ^ (z >> 27)) & lane) * _MIX_MUL2 & lane
     return (z ^ (z >> 31)) & lane
+
+
+def _words(z: int, count: int) -> memoryview:
+    """The draws in the ``count`` slots of ``z`` as native 64-bit words, in
+    lane order: the high word of each 128-bit slot."""
+    words = memoryview(z.to_bytes(SLOT_BYTES * count, sys.byteorder)).cast("Q")
+    # little-endian: slot i is words 2i and 2i + 1 (its draw); big-endian
+    # puts the last slot first and each slot's draw first
+    return words[1::2] if sys.byteorder == "little" else words[-2::-2]
 
 
 def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterator[int]:

@@ -14,7 +14,6 @@ module reads them.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +21,7 @@ from itertools import islice
 from operator import getitem
 
 from .core import AssignmentInstance, Matching, Objective, Ordering, integer_payoff_table, preference_rows
-from .rng import SLOT_BYTES, SplitMix64, _lanes, packed_draws
+from .rng import SLOT_BYTES, SplitMix64, _lanes, _words, packed_draws
 
 LANES = 4096
 """Samples :func:`sd_total` runs at once on lanes, one bit of a Python int
@@ -125,15 +124,6 @@ def _lane_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[in
                     if not lanes:
                         break
     return total
-
-
-def _words(z: int, count: int) -> memoryview:
-    """The draws in the ``count`` slots of ``z`` as native 64-bit words, in
-    lane order: the high word of each 128-bit slot."""
-    words = memoryview(z.to_bytes(SLOT_BYTES * count, sys.byteorder)).cast("Q")
-    # little-endian: slot i is words 2i and 2i + 1 (its draw); big-endian
-    # puts the last slot first and each slot's draw first
-    return words[1::2] if sys.byteorder == "little" else words[-2::-2]
 
 
 def _scalar_total(prefs: tuple[tuple[int, ...], ...], scaled: Sequence[Sequence[int]], seed: int, run: int, start: int, count: int) -> int:

@@ -33,6 +33,7 @@ from rsdlab.instance_io import (
     MAX_LITERAL_LENGTH,
     _parse_table,
     _plain_row,
+    _row_writer,
     format_number,
     instance_from_dict,
     parse_literal,
@@ -149,6 +150,50 @@ def test_format_number_matches_the_division_writer_on_long_denominators(x):
 def test_dumps_instance_matches_the_division_writer_byte_for_byte():
     inst = random_value(80, 7)
     assert dumps_instance(inst) == dumps_value_instance_by_division(inst)
+
+
+@st.composite
+def _row_and_denom(draw):
+    """A table row of ints over ``denom``: scales from 0 to past 512 digits,
+    an odd factor that leaves other entries with no finite decimal, and
+    entries negative, at 2**53 and past 512 digits."""
+    odd = draw(st.sampled_from([1, 1, 3, 21]))
+    denom = 2 ** draw(st.sampled_from([0, 1, 6, 512, 513, 700])) * 5 ** draw(st.sampled_from([0, 3, 512, 513])) * odd
+    entry = st.one_of(
+        st.integers(0, 10**15).map(lambda t: t * odd),
+        st.integers(-(10**15), 10**15).map(lambda t: t * odd),
+        st.integers(-(10**6), 10**6),
+        # whole numbers on both sides of the largest one JSON writes as a number
+        st.builds(lambda sign, k: sign * (2**53 + k) * denom, st.sampled_from([1, 1, -1]), st.integers(-3, 3)),
+        st.builds(lambda e, k: (10**e + k) * odd, st.sampled_from([509, 511, 512, 513, 600]), st.integers(-2, 2)),
+    )
+    return draw(st.lists(entry, min_size=1, max_size=8)), denom
+
+
+@settings(deadline=None)
+@given(_row_and_denom())
+@example(([0, 2**53 - 1, 2**53, 5], 1))
+@example(([2**53 * 10**6 - 1, 2**53 * 10**6, 2**53 * 10**6 + 1], 10**6))
+@example(([1, 10**(MAX_LITERAL_LENGTH - 1), 10**MAX_LITERAL_LENGTH], 1))
+@example(([3, 4], 6))
+def test_the_row_writer_writes_each_entry_as_the_division_writer(row_and_denom):
+    row, denom = row_and_denom
+    expected = _written(lambda r: [format_number_by_division(Fraction(t, denom)) for t in r], row)
+    assert _written(_row_writer(denom), row) == expected
+    with int_digit_limit(640):
+        assert _written(_row_writer(denom), tuple(row)) == expected
+
+
+@pytest.mark.parametrize("inst", [
+    AssignmentInstance.from_costs(random_metric_line(20, 7).costs),
+    # payoffs near 2**4176, their rows past 512 digits
+    build_reduction(random_abstract(12, 8), "value"),
+    build_reduction(random_abstract(12, 8), "metric"),
+    AssignmentInstance.from_values([[Fraction(-1, 4), 2**53], [Fraction(3, 8), -(2**60)]]),
+])
+def test_tables_are_written_as_the_division_writer_writes_them(inst):
+    rows = inst.payoff_matrix()
+    assert _written(dumps_instance, inst) == _written(lambda i: _dumped_by_division(i, rows), inst)
 
 
 @pytest.mark.parametrize("n", [2, 17, 80])

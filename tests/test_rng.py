@@ -4,6 +4,9 @@ it and ``rsdlab.rng`` must reproduce.  Every sampled output of the package
 depends on these words, so a change to any of them is a contract change.
 """
 
+import sys
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import record_orderings
@@ -155,3 +158,34 @@ def test_run_permutations_wrap_the_lane_counter(monkeypatch):
 def test_below_refuses_an_empty_range():
     with pytest.raises(ValueError):
         rng.SplitMix64(1).below(0)
+    with pytest.raises(ValueError):
+        rng.SplitMix64(1).below_many(0, 5)
+    with pytest.raises(ValueError):
+        rng.SplitMix64(1).below_many(-1, 0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 7, 8, 9, 904, 4096])
+def test_the_lane_ramp_counts_the_slots(count):
+    ramp = rng._lanes(count)[2]
+    assert ramp == int.from_bytes(b"".join(i.to_bytes(rng.SLOT_BYTES, "little") for i in range(count)), "little")
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+@pytest.mark.parametrize("bound", [1, 1001, 10**6 + 1, 2**64, 2**64 + 1])
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 500])
+def test_below_many_is_the_scalar_loop(count, bound, byteorder, monkeypatch):
+    # the byte order that is not this host's is read as such a host reads
+    # it, so its native words come byte-swapped here and are swapped back;
+    # past 2**64 the draws are the scalar loop's own, in either order
+    for state in (7, MASK - 3):
+        ref = RefGenerator(state)
+        expected = [ref.below(bound) for _ in range(count)]
+        gen = rng.SplitMix64(state)
+        monkeypatch.setattr("rsdlab.rng.sys", SimpleNamespace(byteorder=byteorder))
+        draws = gen.below_many(bound, count)
+        monkeypatch.undo()
+        if bound <= 2**64:
+            draws = [int.from_bytes(w.to_bytes(8, sys.byteorder), byteorder) for w in draws]
+        assert draws == expected
+        assert gen._state == ref.state
+        assert gen.next_u64() == ref.next_u64()

@@ -27,8 +27,8 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.core import integer_payoff_table, preference_rows
-from rsdlab.rng import packed_draws
-from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, _words, sd_assign, sd_total
+from rsdlab.rng import _words, packed_draws
+from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
 
 
 def test_worst_case_identity_run():
@@ -244,7 +244,7 @@ def test_the_scalar_loop_reads_each_draw_from_the_high_word(n, byteorder, monkey
     seed, run, count = 41, 2, 5
     rngs = [substream(seed, run, s) for s in range(count)]
     expected = [[r.below(i + 1) for r in rngs] for i in range(n - 1, 0, -1)]
-    monkeypatch.setattr("rsdlab.sd.sys", SimpleNamespace(byteorder=byteorder))
+    monkeypatch.setattr("rsdlab.rng.sys", SimpleNamespace(byteorder=byteorder))
     words = [[int.from_bytes(w.to_bytes(8, sys.byteorder), byteorder) for w in _words(d, count)]
              for d in packed_draws(seed, run, 0, count, n)]
     assert words == expected
