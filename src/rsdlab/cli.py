@@ -31,7 +31,7 @@ from .coverage import coverage_csv, run_coverage, write_coverage_csv
 from .estimate import estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, check_cap, enumerate_rsd
 from .families import Family, FamilySpec, generate
-from .instance_io import InstanceFormatError, load_instance, parse_literal, save_instance
+from .instance_io import InstanceFormatError, load_instance, parse_literal, save_instance, write_json
 from .optimal import solve_opt
 from .reduction import build_artifact, round_trip_matches
 
@@ -104,24 +104,9 @@ def _writing(path):
         raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
-@contextmanager
-def _any_int_digits():
-    """Lift Python's int-to-str digit limit, where it has one, inside the
-    block: ``json`` writes ints with it, and the bytes must not depend on it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-
-
 def _write_json(path, payload) -> None:
-    with _writing(path), _any_int_digits(), open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    with _writing(path):
+        write_json(path, payload)
 
 
 def cmd_gen(args) -> int:

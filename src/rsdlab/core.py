@@ -21,7 +21,7 @@ per entry.  A numeric string has one grammar, :func:`parse_ratio`'s, which
 gives its ratio as written, and the table is scaled one way.  Every
 computation on payoffs (preference ranking, exact enumeration, sampling, the
 optimal-assignment solver, the metric check, :func:`validate`'s sign check)
-runs on it, as :func:`integer_payoff_table` returns it.  Sampling sums a
+runs on it, the instance's ``table`` over its ``denom``.  Sampling sums a
 run's scores exactly and rounds once, to the 64-bit float nearest the exact
 run mean; exact enumeration and the solver never round.
 
@@ -48,6 +48,8 @@ SETTING_VALUE = "value"
 SETTING_METRIC = "metric"
 SETTING_ABSTRACT = "abstract"
 
+PAYOFF_FIELD = {SETTING_VALUE: "values", SETTING_METRIC: "costs"}
+"""The field that holds the payoff matrix of a value or metric instance."""
 
 MAX_EXPONENT = 4300
 """Largest decimal exponent magnitude a numeric string may carry; the same
@@ -278,7 +280,9 @@ class AssignmentInstance:
     as Fraction rows, built on first read.  ``table`` and ``denom`` are None
     only for an abstract instance; point lists give a metric instance their
     distances as its table.  A matrix entry is read as a ratio, as the file
-    reader reads it, with no Fraction built per entry.
+    reader reads it, with no Fraction built per entry.  A positive scale
+    keeps every comparison and every sum, so matchings are scored and
+    compared on ``table`` and divided by ``denom`` once.
 
     The constructor refuses what an instance may not hold: with
     :class:`ValueError`, in the file reader's words, what
@@ -309,7 +313,7 @@ class AssignmentInstance:
         elif setting == SETTING_ABSTRACT:
             rankings = _read_matrix("rankings", rankings, index)
         else:
-            name = "values" if setting == SETTING_VALUE else "costs"
+            name = PAYOFF_FIELD[setting]
             table, denom = _reduced(*_scaled_table(map(_ratio_row, _read_matrix(name, given[name], _ratio))))
         vars(self).update(n=n, setting=setting, table=table, denom=denom,
                           agent_points=agent_points, item_points=item_points, rankings=rankings)
@@ -318,7 +322,7 @@ class AssignmentInstance:
     def from_table(cls, n: int, setting: str, rows: Sequence[Sequence[int]], denom: int) -> "AssignmentInstance":
         """Value or metric instance of payoffs ``rows[i][g] / denom`` (ints,
         ``denom`` positive), both divided by their gcd; no Fraction is built."""
-        instance = cls(n, setting, **{"values" if setting == SETTING_VALUE else "costs": ()})  # the field rule
+        instance = cls(n, setting, **{PAYOFF_FIELD.get(setting, "costs"): ()})  # the field rule
         table, denom = _reduced(rows, denom)
         vars(instance).update(table=table, denom=denom)
         return instance
@@ -457,20 +461,9 @@ def preference_rows(instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]
     if instance.setting == SETTING_ABSTRACT:
         assert instance.rankings is not None
         return tuple(tuple(g - 1 for g in row) for row in instance.rankings)
-    rows, _ = integer_payoff_table(instance)
     best_first = instance.setting == SETTING_VALUE
     items = range(instance.n)
-    return tuple(tuple(sorted(items, key=row.__getitem__, reverse=best_first)) for row in rows)
-
-
-def integer_payoff_table(instance: AssignmentInstance) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The stored ``(rows, denom)``: ``rows[i][g] == payoff[i][g] * denom``
-    (0-indexed), ``denom`` the least common denominator of the entries.  A
-    positive scale preserves every comparison and every sum, so matchings
-    are scored and compared on ``rows`` and divided by ``denom`` once."""
-    if instance.setting not in (SETTING_VALUE, SETTING_METRIC):
-        raise ValueError("abstract instances carry no payoff matrix")
-    return instance.table, instance.denom
+    return tuple(tuple(sorted(items, key=row.__getitem__, reverse=best_first)) for row in instance.table)
 
 
 def derive_preferences(instance: AssignmentInstance, agent: int) -> tuple[int, ...]:
@@ -510,7 +503,7 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     ``M[i1][i2]`` is below ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2)
     on every input.
     """
-    c, denom = integer_payoff_table(instance)
+    c, denom = instance.table, instance.denom
     if all(max(map(abs, map(sub, row, other))) <= min(map(add, row, other)) for row, other in combinations(c, 2)):
         return []
     cols = list(zip(*c))
@@ -554,8 +547,7 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     if instance.point_based:
         lengths = len(instance.agent_points), len(instance.item_points)
         return [] if lengths == (n, n) else [Violation("shape", lengths, "point lists must both have length n")]
-    name = "values" if instance.setting == SETTING_VALUE else "costs"
-    out = _matrix_violations(name, instance.table, instance.denom, n)
+    out = _matrix_violations(PAYOFF_FIELD[instance.setting], instance.table, instance.denom, n)
     if out or instance.setting == SETTING_VALUE:
         return out
     return _triangle_violations(instance)
@@ -599,7 +591,6 @@ def remove_agent_best(instance: AssignmentInstance, agent: int) -> ReducedInstan
         reduced = AssignmentInstance.from_line_points([instance.agent_points[i - 1] for i in agent_keep],
                                                       [instance.item_points[g - 1] for g in item_keep])
     else:
-        table, denom = integer_payoff_table(instance)
-        rows = [[table[i - 1][g - 1] for g in item_keep] for i in agent_keep]
-        reduced = AssignmentInstance.from_table(n - 1, instance.setting, rows, denom)
+        rows = [[instance.table[i - 1][g - 1] for g in item_keep] for i in agent_keep]
+        reduced = AssignmentInstance.from_table(n - 1, instance.setting, rows, instance.denom)
     return ReducedInstance(reduced, tuple(agent_keep), tuple(item_keep), agent, best_item)

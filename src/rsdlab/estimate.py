@@ -12,23 +12,15 @@ Reproducibility contract: sample ``i`` of run ``j`` uses the dedicated
 substream ``(seed, j, i)``, and its ordering is the scalar
 ``substream(seed, j, i).permutation(n)``, bit for bit, though its draws
 come packed with those of other samples (:func:`rsdlab.rng.packed_draws`).
-Each ordering is scored exactly on the integer payoff table of
-:func:`rsdlab.core.integer_payoff_table`.  A run sums its k integer scores
-and rounds once, to the float nearest the exact mean ``total / (k * denom)``.
+Each ordering is scored exactly on the instance's integer payoff ``table``.
+A run sums its k integer scores and rounds once, to the float nearest the
+exact mean ``total / (k * denom)``.
 Both choices make the report bit-for-bit identical however the samples are
 partitioned.
 
-Each run is one call of :func:`rsdlab.sd.sd_total`, which takes it in
-batches of up to :data:`rsdlab.sd.LANES` (4,096) samples.  A batch of at
-least 1.5 n b samples (b the bits of an agent index) at n <=
-:data:`rsdlab.sd.LANES_MAX_N` (192) runs on lanes: its shuffles and serial
-dictatorship run on every sample at once, one bit of a Python int each,
-straight from the packed draws, each the high 64-bit word of its sample's
-128-bit slot and read as one byte, eight positions per conversion to bytes.
-Any other batch, small or at larger n, reads the packed draws as 64-bit
-words, swaps each ordering and scores it alone with
-:func:`rsdlab.sd.sd_assign`.
-Both give the exact integer total, and all of it runs in one thread.
+Each run is one call of :func:`rsdlab.sd.sd_total`, in one thread, which
+gives the run's exact integer total; :mod:`rsdlab.sd` states which batches
+of samples run on lanes and which on its scalar loop.
 
 The reported means are doubles, so an instance on which a matching could
 total more than the double range is refused with ``ValueError``; its exact
@@ -42,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from statistics import median  # the even case is the mean of the two middles
 
-from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
+from .core import AssignmentInstance, Objective, as_fraction, preference_rows
 from .sd import sd_assign, sd_total  # sd_assign unused: bench/tracing.py patches it here
 
 
@@ -92,7 +84,7 @@ class EstimateReport:
 
 def _sampling_tables(instance: AssignmentInstance, objective: Objective):
     objective.require_compatible(instance)
-    scaled, denom = integer_payoff_table(instance)
+    scaled, denom = instance.table, instance.denom
     # No matching totals more than the sum of the row maxima, and rounding is
     # monotone, so if that bound fits a double every run mean does too.
     try:

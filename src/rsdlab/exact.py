@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import AssignmentInstance, Objective, as_fraction, integer_payoff_table, preference_rows
+from .core import AssignmentInstance, Objective, as_fraction, preference_rows
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -73,8 +73,8 @@ def enumerate_rsd(
     on which agents have acted and which items are taken.  A state is that
     pair, packed into one int as ``taken | acted << n``, and its value is
     one int ``v = s << K | w``: ``w`` prefixes reach it, ``s`` sums their
-    partial objective values on the integer payoffs of
-    :func:`rsdlab.core.integer_payoff_table`, and ``K = (n!).bit_length()``.
+    partial objective values on the instance's integer ``table``, and
+    ``K = (n!).bit_length()``.
     The ``w`` of a layer sum to at most n! < 2**K, so sums of ``v`` never
     carry between the parts, and ``v & mask`` and the floor shift ``v >> K``
     read them back, also for a negative ``s``.  At depth d, an agent ``a``
@@ -97,8 +97,7 @@ def enumerate_rsd(
         payoffs = [0] * (n * n)
     else:
         objective.require_compatible(instance)
-        scaled, denom = integer_payoff_table(instance)
-        payoffs = [p for row in scaled for p in row]
+        payoffs = [p for row in instance.table for p in row]
 
     prefs = preference_rows(instance)
     fact = math.factorial(n)
@@ -142,8 +141,8 @@ def enumerate_rsd(
     if objective is None:
         mean = second = variance = None
     else:
-        mean = Fraction(v >> K, fact * denom)
-        second = Fraction(total_sq, fact * denom * denom)
+        mean = Fraction(v >> K, fact * instance.denom)
+        second = Fraction(total_sq, fact * instance.denom ** 2)
         variance = second - mean * mean
     return ExactSummary(
         n=n,
@@ -161,9 +160,8 @@ def expected_objective(instance: AssignmentInstance, objective: Objective, count
     """E[objective] by linearity: the sum of counts[a][g] * payoff[a][g] over
     the n!-ordering count matrix, divided by n!, on the integer payoff table."""
     objective.require_compatible(instance)
-    scaled, denom = integer_payoff_table(instance)
-    total = sum(c * p for crow, prow in zip(counts, scaled) for c, p in zip(crow, prow))
-    return Fraction(total, math.factorial(instance.n) * denom)
+    total = sum(c * p for crow, prow in zip(counts, instance.table) for c, p in zip(crow, prow))
+    return Fraction(total, math.factorial(instance.n) * instance.denom)
 
 
 def counts_by_rank(summary: ExactSummary, instance: AssignmentInstance) -> tuple[tuple[int, ...], ...]:

@@ -82,7 +82,7 @@ def random_abstract(n: int, seed: int) -> AssignmentInstance:
 
 MAX_N = 500
 """Largest n that :func:`generate` builds.  An instance holds n² entries:
-``rsdlab gen`` takes about 0.3 s and 69 MB of memory for a random-value
+``rsdlab gen`` takes about 0.35 s and 43 MB of memory for a random-value
 instance at n = 500 (2 cores, Python 3.11), the costliest family there,
 and both grow as n²."""
 

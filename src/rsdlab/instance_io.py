@@ -23,13 +23,15 @@ parsed as exact decimals.  Writing follows the same rule; values that have
 no finite decimal expansion are rejected rather than rounded.  A value or
 cost matrix is read to the instance's integer table and written from it,
 with no Fraction per entry, a row at a time at the matrix's one decimal
-scale (:func:`_row_writer`).  A row of JSON integers and plain decimals
-``digits[.digits]``, mixed as the writer writes them (one regular
-expression on the joined row), is read in one pass at the row's scale
-10**F, F its longest fraction; any other row, or one past 512 digits at
-that scale, entry by entry, to the same ints and messages.  Each row is
-then scaled up to the matrix's common denominator, as the constructor
-scales its rows.
+scale (:func:`_row_writer`); a point list is written as one such row, at
+its points' common denominator.  :func:`write_json`, the one writer of the
+CLI's JSON files too, streams the text to the file.  A row of JSON integers
+and plain decimals ``digits[.digits]``, mixed as the writer writes them
+(one regular expression on the joined row), is read in one pass at the
+row's scale 10**F, F its longest fraction; any other row, or one past 512
+digits at that scale, entry by entry, to the same ints and messages.  Each
+row is then scaled up to the matrix's common denominator, as the
+constructor scales its rows.
 
 Strings are read by :func:`rsdlab.core.parse_ratio`, the same reader
 :func:`rsdlab.core.as_fraction` and the constructor use, whose one ASCII
@@ -53,14 +55,15 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .core import (
     MAX_EXPONENT,  # both limits are still importable from this module
     MAX_LITERAL_LENGTH,
+    PAYOFF_FIELD,
     SETTING_ABSTRACT,
-    SETTING_VALUE,
     _PIECE_DIGITS,
     AssignmentInstance,
     _ratio_row,
@@ -68,7 +71,6 @@ from .core import (
     bounded_literal,
     check_fields,
     exact_str,
-    integer_payoff_table,
     parse_ratio,
 )
 
@@ -183,7 +185,7 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     if setting == SETTING_ABSTRACT:
         return AssignmentInstance(n=n, setting=setting, rankings=_parse_matrix(doc["rankings"], "rankings", _parse_item))
     if "agent_points" not in doc:
-        field = "values" if setting == SETTING_VALUE else "costs"
+        field = PAYOFF_FIELD[setting]
         return AssignmentInstance.from_table(n, setting, *_parse_table(doc[field], field))
     agents = _parse_points(doc["agent_points"], "agent_points")
     items = _parse_points(doc["item_points"], "item_points")
@@ -223,7 +225,7 @@ def _row_writer(denom: int):
                 if t % odd:
                     raise ValueError(f"{exact_str(Fraction(t, denom))} has no finite decimal representation")
             row = [t // odd for t in row]
-        if scale > _PIECE_DIGITS or min(row) < 0 or max(row) * factor >= _JSON_INT_LIMIT * unit:
+        if scale > _PIECE_DIGITS or min(row, default=0) < 0 or max(row, default=0) * factor >= _JSON_INT_LIMIT * unit:
             return list(map(entry, row))
         return [f"{q}.{str(unit + r)[1:].rstrip('0')}" if r else q for q, r in (divmod(t * factor, unit) for t in row)]
 
@@ -244,11 +246,11 @@ def instance_to_dict(instance: AssignmentInstance) -> dict:
     if instance.setting == SETTING_ABSTRACT:
         doc["rankings"] = [list(row) for row in instance.rankings]
     elif instance.point_based:
-        doc["agent_points"] = [format_number(x) for x in instance.agent_points]
-        doc["item_points"] = [format_number(x) for x in instance.item_points]
+        for name in ("agent_points", "item_points"):
+            ints, den = _ratio_row([(x.numerator, x.denominator) for x in getattr(instance, name)])
+            doc[name] = _row_writer(den)(ints)
     else:
-        rows, denom = integer_payoff_table(instance)
-        doc["values" if instance.setting == SETTING_VALUE else "costs"] = list(map(_row_writer(denom), rows))
+        doc[PAYOFF_FIELD[instance.setting]] = list(map(_row_writer(instance.denom), instance.table))
     return doc
 
 
@@ -275,5 +277,21 @@ def dumps_instance(instance: AssignmentInstance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2) + "\n"
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` to ``path`` as ``json.dump(doc, fh, indent=2)`` streams
+    it, then a newline.  Python's int-to-str digit limit, where it has one,
+    is lifted while it writes, so the bytes do not depend on it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def save_instance(instance: AssignmentInstance, path: str | Path) -> None:
-    Path(path).write_text(dumps_instance(instance), encoding="utf-8")
+    write_json(path, instance_to_dict(instance))  # built first: a refused instance leaves no file

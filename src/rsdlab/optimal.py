@@ -2,9 +2,8 @@
 
 The O(n^3) potential-based assignment algorithm (shortest augmenting paths,
 with the potential updates of each augmentation deferred to its end, as in
-Jonker & Volgenant) runs on the integer payoff table of
-:func:`rsdlab.core.integer_payoff_table` (the payoffs times their common
-denominator).  A positive scale preserves every comparison, so the
+Jonker & Volgenant) runs on the instance's integer payoff ``table`` (the
+payoffs times their common denominator ``denom``).  A positive scale preserves every comparison, so the
 matching is the one the rational payoffs give, and its value is read off
 the same table, its entries' sum over the denominator; the reported optimum
 can be compared with exact enumeration results without tolerances.  Welfare
@@ -21,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations
 from operator import getitem
 
-from .core import AssignmentInstance, Matching, Objective, integer_payoff_table
+from .core import AssignmentInstance, Matching, Objective
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def _min_assignment(cost: list[list[int]]) -> list[int]:
 def solve_opt(instance: AssignmentInstance, objective: Objective) -> OptResult:
     """Exact optimum: maximum welfare or minimum cost perfect matching."""
     objective.require_compatible(instance)
-    scaled, denom = integer_payoff_table(instance)
+    scaled, denom = instance.table, instance.denom
     rows = [[-p for p in row] for row in scaled] if objective is Objective.WELFARE else scaled
     assign = _min_assignment(rows)
     total = sum(map(getitem, scaled, assign))  # before the welfare negation
@@ -115,7 +114,7 @@ def brute_force_opt(instance: AssignmentInstance, objective: Objective, cap: int
     n = instance.n
     if n > cap:
         raise ValueError(f"brute force over {n}! matchings refused: n={n} exceeds the cap of {cap}")
-    rows, denom = integer_payoff_table(instance)
+    rows, denom = instance.table, instance.denom
     best_assign: tuple[int, ...] | None = None
     best_total: int | None = None
     maximize = objective is Objective.WELFARE

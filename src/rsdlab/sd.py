@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import islice
 from operator import getitem
 
-from .core import AssignmentInstance, Matching, Objective, Ordering, integer_payoff_table, preference_rows
+from .core import AssignmentInstance, Matching, Objective, Ordering, preference_rows
 from .rng import SLOT_BYTES, SplitMix64, _lanes, _words, packed_draws
 
 LANES = 4096
@@ -179,8 +179,7 @@ def evaluate(instance: AssignmentInstance, matching: Matching, objective: Object
     objective.require_compatible(instance)
     if matching.n != instance.n or not matching.is_perfect():
         raise ValueError("matching must be a perfect matching on 1..n")
-    table, denom = integer_payoff_table(instance)
-    return Fraction(sum(row[g - 1] for row, g in zip(table, matching.assign)), denom)
+    return Fraction(sum(row[g - 1] for row, g in zip(instance.table, matching.assign)), instance.denom)
 
 
 @dataclass(frozen=True)

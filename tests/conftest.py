@@ -21,7 +21,6 @@ from rsdlab.core import (
     bounded_literal,
     clipped,
     exact_str,
-    integer_payoff_table,
     preference_rows,
 )
 from rsdlab.exact import DEFAULT_ORACLE_CAP, ExactSummary, enumerate_rsd
@@ -84,7 +83,7 @@ def enumerate_rsd_by_orderings(instance: AssignmentInstance, objective: Objectiv
         total = total_sq = None
         denom = 1
     else:
-        scaled, denom = integer_payoff_table(instance)
+        scaled, denom = instance.table, instance.denom
         total = 0
         total_sq = 0
         for order in permutations(range(n)):
@@ -208,7 +207,7 @@ def reference_run_means(instance: AssignmentInstance, objective: Objective, k: i
     score; each run's total is rounded once."""
     objective.require_compatible(instance)
     prefs = preference_rows(instance)
-    scaled, denom = integer_payoff_table(instance)
+    scaled, denom = instance.table, instance.denom
     n = instance.n
     means = []
     for run in range(runs):

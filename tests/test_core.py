@@ -37,7 +37,7 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab import core
-from rsdlab.core import MAX_EXPONENT, QUOTED_LENGTH, as_fraction, exact_int, exact_str, preference_rows
+from rsdlab.core import MAX_EXPONENT, PAYOFF_FIELD, QUOTED_LENGTH, as_fraction, exact_int, exact_str, preference_rows
 from rsdlab.rng import SplitMix64
 
 
@@ -187,6 +187,19 @@ def test_remove_agent_best_identity_value():
 def test_remove_agent_best_rejects_single_agent():
     with pytest.raises(ValueError):
         remove_agent_best(AssignmentInstance.from_values([[1]]), 1)
+
+
+def test_remove_agent_best_refuses_an_abstract_instance_and_an_agent_out_of_range():
+    with pytest.raises(ValueError, match="^removal is defined for value and metric instances only$"):
+        remove_agent_best(AssignmentInstance.from_rankings([(1, 2), (2, 1)]), 1)
+    for agent in (0, 3):
+        with pytest.raises(ValueError, match=rf"^agent index {agent} out of range 1\.\.2$"):
+            remove_agent_best(AssignmentInstance.from_values([[1, 0], [0, 1]]), agent)
+
+
+def test_an_abstract_instance_has_no_payoff_matrix():
+    with pytest.raises(ValueError, match="^abstract instances carry no payoff matrix$"):
+        AssignmentInstance.from_rankings([(1,)]).payoff_matrix()
 
 
 def test_removed_instance_claim_on_random_metric_instances():
@@ -545,7 +558,7 @@ def test_as_fraction_refuses_infinities_and_nan(x):
 def _twins(inst):
     """The same payoffs built every other way: through a file, the raw
     constructor and the public constructors (for points, from the points)."""
-    field = "values" if inst.setting == "value" else "costs"
+    field = PAYOFF_FIELD[inst.setting]
     rows = inst.payoff_matrix()
     twins = [loads_instance(dumps_instance(inst))]
     if inst.point_based:

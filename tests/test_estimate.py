@@ -151,6 +151,11 @@ def test_check_approx_rejects_bad_eps():
         check_approx(1.0, 1, 2)
 
 
+def test_check_approx_rejects_a_negative_target():
+    with pytest.raises(ValueError, match="^target must be non-negative$"):
+        check_approx(1.0, -1, "0.5")
+
+
 def test_exact_float_sum_merges_exactly():
     values = [0.1 * i for i in range(200)]
     whole = ExactFloatSum()

@@ -192,6 +192,14 @@ def test_binomial_failure_rejects_bad_domain():
         binomial_failure_probability(3, 4, 0)
 
 
+def test_binomial_upper_tail_and_the_grid_refuse_n_below_two():
+    with pytest.raises(ValueError, match="^need n >= 2 and k >= 1$"):
+        binomial_upper_tail(1, 4, 1)
+    (cell,) = verify_reverse_chernoff_grid([(1, 100, "0.5")])
+    assert (cell.applicable, cell.reason, cell.exact_tail, cell.floor_bound, cell.holds) == (
+        False, "hypothesis unmet: success probability 1/1 exceeds 1/2", None, None, None)
+
+
 def test_binomial_failure_matches_direct_sum():
     # independent oracle: direct comb/pow sum over the failure set
     n, k, eps = 5, 40, Fraction(1, 4)

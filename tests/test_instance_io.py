@@ -26,7 +26,7 @@ from rsdlab import (
     random_value,
     worst_case_metric_line,
 )
-from rsdlab.core import QUOTED_LENGTH, as_fraction, exact_int, exact_str, integer_payoff_table
+from rsdlab.core import PAYOFF_FIELD, QUOTED_LENGTH, as_fraction, exact_int, exact_str
 from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
 from rsdlab.instance_io import (
     MAX_EXPONENT,
@@ -36,7 +36,10 @@ from rsdlab.instance_io import (
     _row_writer,
     format_number,
     instance_from_dict,
+    instance_to_dict,
     parse_literal,
+    save_instance,
+    write_json,
 )
 from rsdlab.rng import substream
 
@@ -91,6 +94,16 @@ def test_format_number_cases():
     assert format_number(Fraction(123456, 10**6)) == "0.123456"
     with pytest.raises(ValueError):
         format_number(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("build", [AssignmentInstance.from_values, AssignmentInstance.from_costs])
+@pytest.mark.parametrize("rows", [[[1, 2], []], [[], ["0.5", "2.25"]], [[]]])
+def test_an_empty_payoff_row_is_written_as_an_empty_list_and_read_back(build, rows):
+    inst = build(rows)
+    text = dumps_instance(inst)
+    assert [] in json.loads(text)[PAYOFF_FIELD[inst.setting]]
+    back = loads_instance(text)
+    assert (back.table, back.denom) == (inst.table, inst.denom)
 
 
 class _FractionSubclass(Fraction):
@@ -616,7 +629,6 @@ def _assert_stored_as_by_fractions(inst, rows):
     the division writer writes them (or both raise the same error)."""
     rows = tuple(tuple(row) for row in rows)
     assert (inst.table, inst.denom) == _table_by_fractions(rows)
-    assert integer_payoff_table(inst) == (inst.table, inst.denom)
     assert inst.payoff_matrix() == rows
     assert all(type(x) is Fraction for row in inst.payoff_matrix() for x in row)
     assert _written(dumps_instance, inst) == _written(lambda i: _dumped_by_division(i, rows), inst)
@@ -732,6 +744,18 @@ def test_the_one_pass_row_stops_at_512_digits_and_at_anything_not_plain(row, pla
     assert _plain_row(row) == plain
 
 
+def test_a_mixed_row_with_an_int_past_the_digit_limit_is_read_entry_by_entry():
+    # str() of the int raises under the least int-to-str digit limit, so
+    # the one-pass reader hands the row to the per-entry reader
+    rows = [["0.5", 10**700], [1, 2]]
+    with int_digit_limit(640):
+        inst = instance_from_dict({"n": 2, "setting": "value", "values": rows})
+        assert _plain_row(rows[0]) is None
+        expected = AssignmentInstance.from_table(2, "value", *parse_table_by_entries(rows, "values"))
+    assert inst == expected
+    assert inst.denom == 2 and inst.table[0] == (1, 2 * 10**700)
+
+
 def test_a_plain_row_past_the_least_digit_limit_loads():
     # the per-entry reader reads the 700 digits in pieces below 640
     with int_digit_limit(640):
@@ -796,3 +820,38 @@ def test_every_generator_stores_the_table_its_fraction_rows_give(family, n, seed
 def test_the_abstract_generator_stores_no_table():
     inst = random_abstract(5, 3)
     assert (inst.table, inst.denom, inst.values, inst.costs) == (None, None, None, None)
+
+
+def _points_by_entry(inst):
+    return {"n": inst.n, "setting": inst.setting,
+            **{name: [format_number(x) for x in getattr(inst, name)] for name in ("agent_points", "item_points")}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ENTRIES, max_size=6), st.lists(_ENTRIES, max_size=6))
+@example([Fraction(1, 2), Fraction(3, 8), 5], [Fraction(-1, 4)])
+@example([Fraction(1, 2), Fraction(1, 3)], [])
+def test_a_point_list_is_written_as_one_row_with_each_points_own_literal(agents, items):
+    # at the points' common denominator, trailing zeros cut, or the same refusal
+    inst = AssignmentInstance.from_line_points(agents, items)
+    assert _written(instance_to_dict, inst) == _written(_points_by_entry, inst)
+
+
+def test_save_instance_writes_what_dumps_instance_returns_and_a_refused_instance_leaves_no_file(tmp_path):
+    for inst in (random_value(5, 3), random_metric_line(5, 3), random_abstract(5, 3)):
+        path = tmp_path / f"{inst.setting}.json"
+        save_instance(inst, path)
+        assert path.read_text(encoding="utf-8") == dumps_instance(inst)
+    refused = tmp_path / "third.json"
+    with pytest.raises(ValueError, match="^1/3 has no finite decimal representation$"):
+        save_instance(AssignmentInstance.from_values([["1/3"]]), refused)
+    assert not refused.exists()
+
+
+def test_write_json_writes_ints_past_the_digit_limit(tmp_path):
+    doc = {"k": 10**700, "rows": [[1, "0.5"], []], "reason": None}
+    path = tmp_path / "doc.json"
+    with int_digit_limit(640):
+        write_json(path, doc)
+    with int_digit_limit(0):
+        assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"

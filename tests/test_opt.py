@@ -21,7 +21,6 @@ from rsdlab import (
     solve_opt,
     worst_case_metric_line,
 )
-from rsdlab.core import integer_payoff_table
 from rsdlab.optimal import _min_assignment
 
 
@@ -111,7 +110,7 @@ def test_solver_picks_the_textbook_matching_on_large_files(build, n, objective, 
     # the benchmark's opt inputs, read back from their files; on a line
     # many matchings share the optimal cost, so the matching pins the ties
     instance = loads_instance(dumps_instance(build(n, seed)))
-    rows, _ = integer_payoff_table(instance)
+    rows = instance.table
     if objective is Objective.WELFARE:
         rows = [[-p for p in row] for row in rows]
     expected = tuple(g + 1 for g in min_assignment_textbook(rows))

@@ -162,6 +162,18 @@ def test_rejects_non_abstract_source():
         build_reduction(TWO_AGENTS_SAME_FAVOURITE, "euclidean")
 
 
+def test_rejects_an_invalid_source():
+    with pytest.raises(ValueError, match=r"^source instance is invalid: ranking of agent 2 is not a permutation of 1\.\.2$"):
+        build_reduction(AssignmentInstance.from_rankings([(1, 2), (1, 1)]), "value")
+
+
+def test_block_bits_and_decode_counts_refuse_what_has_no_layout():
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        block_bits(0)
+    with pytest.raises(ValueError, match="^scaled total must be non-negative$"):
+        decode_counts(-1, 2, "value")
+
+
 def test_exact_scaled_total_refuses_a_non_integral_instance():
     # E[welfare] = 1/3 and 1! = 1: no integer carries it
     with pytest.raises(ValueError, match="scaled total is not an integer"):

@@ -26,7 +26,7 @@ from rsdlab import (
     substream,
     worst_case_metric_line,
 )
-from rsdlab.core import integer_payoff_table, preference_rows
+from rsdlab.core import preference_rows
 from rsdlab.rng import _words, packed_draws
 from rsdlab.sd import _CHUNK, LANES, LANES_MAX_N, _shuffled_planes, sd_assign, sd_total
 
@@ -58,6 +58,13 @@ def test_invalid_ordering_rejected():
         serial_dictatorship(inst, Ordering((1, 1, 2)))
     with pytest.raises(ValueError):
         serial_dictatorship(inst, Ordering((1, 2)))
+
+
+def test_evaluate_refuses_a_matching_that_is_not_perfect():
+    inst = bernoulli_welfare(3)
+    for matching in (Matching((1, 1, 2)), Matching((1, 2))):
+        with pytest.raises(ValueError, match=r"^matching must be a perfect matching on 1\.\.n$"):
+            evaluate(inst, matching, Objective.WELFARE)
 
 
 def test_evaluate_zero_matrix():
@@ -179,7 +186,7 @@ def check_sd_total(monkeypatch, instances, seed, run, ks, n):
     orders = substream_orders(seed, run, max(ks), n)
     for inst in instances:
         prefs = preference_rows(inst)
-        scaled, _ = integer_payoff_table(inst)
+        scaled = inst.table
         scores = [sum(map(getitem, scaled, sd_assign(prefs, order))) for order in orders]
         for k in sorted(ks):
             scored = record_orderings(monkeypatch)
