@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bounds import Method, sample_size, welfare_lower_bound_window
-from .core import Objective, exact_str, validate
+from .core import SETTING_METRIC, SETTING_VALUE, Objective, exact_str, validate
 from .coverage import coverage_csv, run_coverage, write_coverage_csv
 from .estimate import estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, check_cap, enumerate_rsd
@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="bit-encoding round trip from an abstract instance")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--setting", required=True, choices=["value", "metric"])
+    p.add_argument("--setting", required=True, choices=[SETTING_VALUE, SETTING_METRIC])
     p.add_argument("--out")
     p.add_argument("--oracle-cap", type=_cap_flag, default=DEFAULT_ORACLE_CAP)
     p.set_defaults(fn=cmd_reduce)

@@ -183,8 +183,8 @@ def exact_int(digits: str) -> int:
     return value
 
 
-_PAYLOAD = (("values", SETTING_VALUE), ("costs", SETTING_METRIC), ("agent_points", SETTING_METRIC),
-            ("item_points", SETTING_METRIC), ("rankings", SETTING_ABSTRACT))
+_PAYLOAD = dict(zip(PAYOFF_FIELD.values(), PAYOFF_FIELD), agent_points=SETTING_METRIC, item_points=SETTING_METRIC,
+                rankings=SETTING_ABSTRACT)
 """Each payload field of an instance and the setting that reads it."""
 
 
@@ -198,20 +198,20 @@ def check_fields(n, setting, fields: Container[str]) -> None:
         raise ValueError("field 'n': expected an integer")
     if setting not in (SETTING_VALUE, SETTING_METRIC, SETTING_ABSTRACT):
         raise ValueError(f"field 'setting': unknown setting {setting!r}")
-    foreign = [f"'{field}'" for field, reader in _PAYLOAD if reader != setting and field in fields]
+    foreign = [f"'{field}'" for field, reader in _PAYLOAD.items() if reader != setting and field in fields]
     if foreign:
         raise ValueError(f"{setting} instance does not read {', '.join(foreign)}")
+    field = next(field for field, reader in _PAYLOAD.items() if reader == setting)  # its matrix, or its rankings
     if setting != SETTING_METRIC:
-        field = "values" if setting == SETTING_VALUE else "rankings"
         if field not in fields:
             raise ValueError(f"{setting} instance requires field '{field}'")
     elif "agent_points" in fields or "item_points" in fields:
-        if "costs" in fields:
-            raise ValueError("metric instance takes 'costs' or 'agent_points'/'item_points', not both")
+        if field in fields:
+            raise ValueError(f"metric instance takes '{field}' or 'agent_points'/'item_points', not both")
         if not ("agent_points" in fields and "item_points" in fields):
             raise ValueError("point-based metric instance requires both 'agent_points' and 'item_points'")
-    elif "costs" not in fields:
-        raise ValueError("metric instance requires 'costs' or 'agent_points'/'item_points'")
+    elif field not in fields:
+        raise ValueError(f"metric instance requires '{field}' or 'agent_points'/'item_points'")
 
 
 def _sequence(name: str, xs) -> Sequence:
@@ -320,9 +320,11 @@ class AssignmentInstance:
 
     @classmethod
     def from_table(cls, n: int, setting: str, rows: Sequence[Sequence[int]], denom: int) -> "AssignmentInstance":
-        """Value or metric instance of payoffs ``rows[i][g] / denom`` (ints,
-        ``denom`` positive), both divided by their gcd; no Fraction is built."""
-        instance = cls(n, setting, **{PAYOFF_FIELD.get(setting, "costs"): ()})  # the field rule
+        """Value or metric instance of payoffs ``rows[i][g] / denom``, ints over a positive int ``denom``
+        (:class:`ValueError` names any other), both divided by their gcd; no Fraction is built."""
+        if not isinstance(denom, int) or isinstance(denom, bool) or denom < 1:
+            raise ValueError(f"denom must be a positive integer, got {denom!r}")
+        instance = cls(n, setting, **{PAYOFF_FIELD.get(setting, PAYOFF_FIELD[SETTING_METRIC]): ()})  # the field rule
         table, denom = _reduced(rows, denom)
         vars(instance).update(table=table, denom=denom)
         return instance
@@ -580,10 +582,8 @@ def remove_agent_best(instance: AssignmentInstance, agent: int) -> ReducedInstan
         raise ValueError("cannot remove an agent from a single-agent instance")
     if instance.setting not in (SETTING_VALUE, SETTING_METRIC):
         raise ValueError("removal is defined for value and metric instances only")
-    if not 1 <= agent <= n:
-        raise ValueError(f"agent index {agent} out of range 1..{n}")
 
-    best_item = derive_preferences(instance, agent)[0]
+    best_item = derive_preferences(instance, agent)[0]  # which refuses an agent outside 1..n
     agent_keep = [i for i in range(1, n + 1) if i != agent]
     item_keep = [g for g in range(1, n + 1) if g != best_item]
 

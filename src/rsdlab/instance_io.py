@@ -19,19 +19,20 @@ raises its message as :class:`InstanceFormatError`.
 Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
 float rounding ever occurs, and strings like ``"0.25"`` or ``"257"`` are
-parsed as exact decimals.  Writing follows the same rule; values that have
-no finite decimal expansion are rejected rather than rounded.  A value or
-cost matrix is read to the instance's integer table and written from it,
-with no Fraction per entry, a row at a time at the matrix's one decimal
-scale (:func:`_row_writer`); a point list is written as one such row, at
-its points' common denominator.  :func:`write_json`, the one writer of the
-CLI's JSON files too, streams the text to the file.  A row of JSON integers
-and plain decimals ``digits[.digits]``, mixed as the writer writes them
-(one regular expression on the joined row), is read in one pass at the
-row's scale 10**F, F its longest fraction; any other row, or one past 512
-digits at that scale, entry by entry, to the same ints and messages.  Each
-row is then scaled up to the matrix's common denominator, as the
-constructor scales its rows.
+parsed as exact decimals.  Writing follows the same rule: a whole number
+below 2**53 in magnitude is a JSON integer, any other number a decimal
+string, and one with no finite decimal expansion is rejected rather than
+rounded.  A value or cost matrix is read to the instance's integer table
+and written from it, with no Fraction per entry, a row at a time at the
+matrix's one decimal scale (:func:`_row_writer`); a point list is written
+as one such row, at its points' common denominator.  :func:`write_json`,
+the one writer of the CLI's JSON files too, streams the text to the file.
+A row of JSON integers and plain decimals ``digits[.digits]``, mixed as the
+writer writes them (one regular expression on the joined row), is read in
+one pass at the row's scale 10**F, F its longest fraction; any other row,
+or one past 512 digits at that scale, entry by entry, to the same ints and
+messages.  Each row is then scaled up to the matrix's common denominator,
+as the constructor scales its rows.
 
 Strings are read by :func:`rsdlab.core.parse_ratio`, the same reader
 :func:`rsdlab.core.as_fraction` and the constructor use, whose one ASCII
@@ -110,7 +111,7 @@ def _parse_item(x, where: str) -> int:
     return x
 
 
-def _parse_list(xs: list, where: str, parse=parse_literal) -> list:
+def _parse_list(xs: list, where: str, parse) -> list:
     """The entries of ``xs``, each read by ``parse``; the address ``where[j]``
     of an entry is formatted only when it fails, by parsing it again."""
     try:
@@ -121,7 +122,7 @@ def _parse_list(xs: list, where: str, parse=parse_literal) -> list:
         raise
 
 
-def _parse_matrix(rows, where: str, parse=parse_literal) -> tuple[tuple, ...]:
+def _parse_matrix(rows, where: str, parse) -> tuple[tuple, ...]:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceFormatError(f"{where}: expected a list of rows")
     return tuple(tuple(_parse_list(row, f"{where}[{i}]", parse)) for i, row in enumerate(rows, start=1))
@@ -130,7 +131,7 @@ def _parse_matrix(rows, where: str, parse=parse_literal) -> tuple[tuple, ...]:
 def _parse_points(xs, where: str) -> list[Fraction]:
     if not isinstance(xs, list):
         raise InstanceFormatError(f"{where}: expected a list")
-    return _parse_list(xs, where)
+    return _parse_list(xs, where, parse_literal)
 
 
 def _plain_row(row: list) -> tuple[list[int], int] | None:
@@ -196,9 +197,12 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
 
 
 def _row_writer(denom: int):
-    """The function that writes a row of ints ``t`` as :func:`format_number`
-    writes each ``t / denom``: at the decimal scale of ``denom``, found once,
-    trailing zeros cut.  A row of non-negative entries below 2**53 at a scale
+    """The function that writes a row of ints ``t``, each ``t / denom``
+    exactly: a whole number below 2**53 in magnitude as a JSON int, any
+    other as a decimal string at the decimal scale of ``denom``, found once,
+    trailing zeros cut.  It raises :class:`ValueError` if ``denom`` leaves an
+    entry no finite decimal form, or if an entry's string is longer than the
+    reader takes.  A row of non-negative entries below 2**53 at a scale
     of at most 512 digits takes ``divmod`` and ``str`` with no check per
     entry: its literals stay far below :data:`MAX_LITERAL_LENGTH`, and its
     whole numbers are JSON ints.  Any other row goes entry by entry."""
@@ -230,15 +234,6 @@ def _row_writer(denom: int):
         return [f"{q}.{str(unit + r)[1:].rstrip('0')}" if r else q for q, r in (divmod(t * factor, unit) for t in row)]
 
     return write
-
-
-def format_number(x: Fraction) -> int | str:
-    """Exact JSON encoding: small integers stay integers, everything else
-    becomes a decimal string.  Raises if ``x`` has no finite decimal form,
-    or if its string is longer than the reader takes."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return _row_writer(x.denominator)([x.numerator])[0]
 
 
 def instance_to_dict(instance: AssignmentInstance) -> dict:

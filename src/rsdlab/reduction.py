@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    SETTING_ABSTRACT,
     SETTING_METRIC,
     SETTING_VALUE,
     AssignmentInstance,
@@ -58,13 +59,13 @@ def _offsets(n: int, setting: str) -> tuple[list[list[int]], int | None]:
     elif setting == SETTING_METRIC:
         ranks, top = range(n), n * n * q
     else:
-        raise ValueError(f"setting must be 'value' or 'metric', got {setting!r}")
+        raise ValueError(f"setting must be {SETTING_VALUE!r} or {SETTING_METRIC!r}, got {setting!r}")
     return [[(i * n + r) * q for r in ranks] for i in range(n)], top
 
 
 def build_reduction(source: AssignmentInstance, setting: str) -> AssignmentInstance:
     """Value or metric instance whose preferences equal ``source``'s rankings."""
-    if source.setting != "abstract":
+    if source.setting != SETTING_ABSTRACT:
         raise ValueError("reduce expects an abstract instance (rankings only)")
     problems = validate(source)
     if problems:

@@ -290,7 +290,7 @@ def int_digit_limit(digits):
         sys.set_int_max_str_digits(saved)
 
 
-def format_number_by_division(x: Fraction) -> int | str:
+def entry_by_division(x: Fraction) -> int | str:
     """Reference writer for one entry: strip the powers of 2, then of 5,
     from the denominator by division, on every call."""
     x = Fraction(x)
@@ -318,8 +318,8 @@ def format_number_by_division(x: Fraction) -> int | str:
 
 def dumps_value_instance_by_division(instance: AssignmentInstance) -> str:
     """Reference bytes of a value instance's file, every entry written by
-    :func:`format_number_by_division`."""
-    values = [[format_number_by_division(x) for x in row] for row in instance.values]
+    :func:`entry_by_division`."""
+    values = [[entry_by_division(x) for x in row] for row in instance.values]
     return json.dumps({"n": instance.n, "setting": instance.setting, "values": values}, indent=2) + "\n"
 
 

@@ -54,6 +54,9 @@ def test_sample_size_domain_checks():
         sample_size(Method.WELFARE_BERNSTEIN, 5, "1.5", "0.1")
     with pytest.raises(ValueError):
         sample_size(Method.WELFARE_BERNSTEIN, 5, "0.5", 0)
+    # a method's value is not the method: each branch compares by identity
+    with pytest.raises(ValueError, match="^unknown method 'welfare-bernstein'$"):
+        sample_size("welfare-bernstein", 5, "0.5", "0.1")
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -137,6 +140,12 @@ def test_lower_bound_window_refuses_eps_or_delta_out_of_range(eps, delta, messag
     with pytest.raises(ValueError) as info:
         welfare_lower_bound_window(10, eps, delta)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_lower_bound_window_refuses_fewer_than_two_agents(n):
+    with pytest.raises(ValueError, match="^n must be at least 2$"):
+        welfare_lower_bound_window(n, "0.5", "0.1")
 
 
 def test_bernstein_bound_worked_example():

@@ -116,6 +116,14 @@ def test_bounds_window_mode(capsys):
     assert "applicable: False" in out
 
 
+def test_bounds_window_mode_refuses_one_agent(capsys):
+    code, out, err = run_cli(
+        capsys, "bounds", "--method", "welfare-lower-window",
+        "--n", "1", "--eps", "0.5", "--delta", "0.1",
+    )
+    assert (code, out, err) == (1, "", "error: n must be at least 2\n")
+
+
 def test_estimate_subcommand_deterministic(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run_cli(capsys, "gen", "--family", "worst-case-metric-line", "--n", "4", "--out", str(path))

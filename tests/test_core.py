@@ -591,6 +591,12 @@ def test_equal_payoffs_make_equal_instances_however_built(inst):
         assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
 
 
+@pytest.mark.parametrize("denom", [-1, 0, True])
+def test_from_table_refuses_a_denominator_that_is_not_a_positive_int(denom):
+    with pytest.raises(ValueError, match=f"^denom must be a positive integer, got {denom!r}$"):
+        AssignmentInstance.from_table(2, "value", [[1, 2], [2, 1]], denom)
+
+
 def test_the_stored_table_is_reduced_whatever_the_literals_or_scale():
     half = AssignmentInstance.from_values([[Fraction(1, 2), 1]])
     assert (half.table, half.denom) == (((1, 2),), 2)

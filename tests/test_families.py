@@ -87,6 +87,12 @@ def test_zero_agents_rejected():
         canonical_ordering(0)
 
 
+def test_generate_refuses_a_family_that_is_not_a_family():
+    # a family's value is not the family: each branch compares by identity
+    with pytest.raises(ValueError, match="^unknown family 'random-value'$"):
+        generate(FamilySpec(family="random-value", n=3, seed=1))
+
+
 def test_random_values_are_scaled_integers():
     inst = generate(FamilySpec(family=Family.RANDOM_VALUE, n=3, seed=77))
     for row in inst.values:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     dumps_value_instance_by_division,
-    format_number_by_division,
+    entry_by_division,
     int_digit_limit,
     parse_table_by_entries,
 )
@@ -34,7 +34,6 @@ from rsdlab.instance_io import (
     _parse_table,
     _plain_row,
     _row_writer,
-    format_number,
     instance_from_dict,
     instance_to_dict,
     parse_literal,
@@ -88,14 +87,6 @@ def test_big_integers_become_decimal_strings():
     assert loads_instance(text).value(1, 1) == big
 
 
-def test_format_number_cases():
-    assert format_number(Fraction(257)) == 257
-    assert format_number(Fraction(-1, 4)) == "-0.25"
-    assert format_number(Fraction(123456, 10**6)) == "0.123456"
-    with pytest.raises(ValueError):
-        format_number(Fraction(1, 3))
-
-
 @pytest.mark.parametrize("build", [AssignmentInstance.from_values, AssignmentInstance.from_costs])
 @pytest.mark.parametrize("rows", [[[1, 2], []], [[], ["0.5", "2.25"]], [[]]])
 def test_an_empty_payoff_row_is_written_as_an_empty_list_and_read_back(build, rows):
@@ -118,10 +109,6 @@ def _written(write, x):
         return ValueError, str(exc)
 
 
-def _assert_written_as_by_division(x):
-    assert _written(format_number, x) == _written(format_number_by_division, x)
-
-
 _TWO_FIVE = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 60), st.integers(0, 60))
 _ENTRIES = st.one_of(
     st.builds(Fraction, st.integers(-(10**40), 10**40), _TWO_FIVE),
@@ -135,29 +122,25 @@ _ENTRIES = st.one_of(
 )
 
 
-@settings(deadline=None)
-@given(_ENTRIES)
-@example(0)
-@example(Fraction(0))
-@example(0.375)
-@example(-2.5e-3)
-@example(_FractionSubclass(-3, 8))
-@example(Fraction(-1, 3))
-def test_format_number_matches_the_division_writer(x):
-    _assert_written_as_by_division(x)
+_LENGTH_BOUND_ERROR = (ValueError, f"literal longer than {MAX_LITERAL_LENGTH} characters")
 
 
-# denominators thousands of digits long, passed by index: their repr is
-# longer than the least int-to-str digit limit (640) lets Python print
-@pytest.mark.parametrize("x", [
-    Fraction(1, 2**3000),
-    Fraction(-(10**2000) - 7, 5**4000),
-    Fraction(3, 2**1500 * 5**2500),
-    Fraction(1, 3 * 10**2000),
-    Fraction(1, 2**MAX_LITERAL_LENGTH),
-])
-def test_format_number_matches_the_division_writer_on_long_denominators(x):
-    _assert_written_as_by_division(x)
+# a decimal 1/2**k has k digits after "0."; the sign counts, as on reading
+@pytest.mark.parametrize("x, written", [
+    (Fraction(257), [257]),
+    (Fraction(-1, 4), ["-0.25"]),
+    (Fraction(123456, 10**6), ["0.123456"]),
+    (Fraction(1, 3), (ValueError, "1/3 has no finite decimal representation")),
+    (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 2)),
+     ["0." + exact_str(5 ** (MAX_LITERAL_LENGTH - 2)).zfill(MAX_LITERAL_LENGTH - 2)]),
+    (Fraction(10 ** (MAX_LITERAL_LENGTH - 1)), ["1" + "0" * (MAX_LITERAL_LENGTH - 1)]),
+    (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 1)), _LENGTH_BOUND_ERROR),
+    (Fraction(-(10 ** (MAX_LITERAL_LENGTH - 1))), _LENGTH_BOUND_ERROR),
+    (Fraction(exact_int("1" * 5000), 10), ["1" * 4999 + ".1"]),  # past the int-to-str digit limit
+], ids=["257", "-1/4", "0.123456", "1/3", "longest-decimal", "longest-integer", "decimal-too-long",
+        "integer-too-long", "past-the-int-str-limit"])
+def test_the_row_writer_writes_a_one_entry_row(x, written):
+    assert _written(_row_writer(x.denominator), [x.numerator]) == written
 
 
 def test_dumps_instance_matches_the_division_writer_byte_for_byte():
@@ -189,9 +172,15 @@ def _row_and_denom(draw):
 @example(([2**53 * 10**6 - 1, 2**53 * 10**6, 2**53 * 10**6 + 1], 10**6))
 @example(([1, 10**(MAX_LITERAL_LENGTH - 1), 10**MAX_LITERAL_LENGTH], 1))
 @example(([3, 4], 6))
+# one entry over a denominator thousands of digits long
+@example(([1], 2**3000))
+@example(([-(10**2000) - 7], 5**4000))
+@example(([3], 2**1500 * 5**2500))
+@example(([1], 3 * 10**2000))
+@example(([1], 2**MAX_LITERAL_LENGTH))
 def test_the_row_writer_writes_each_entry_as_the_division_writer(row_and_denom):
     row, denom = row_and_denom
-    expected = _written(lambda r: [format_number_by_division(Fraction(t, denom)) for t in r], row)
+    expected = _written(lambda r: [entry_by_division(Fraction(t, denom)) for t in r], row)
     assert _written(_row_writer(denom), row) == expected
     with int_digit_limit(640):
         assert _written(_row_writer(denom), tuple(row)) == expected
@@ -387,15 +376,6 @@ def test_the_writer_refuses_a_literal_the_reader_refuses(setting):
     assert str(read.value) == f"values[1][1]: {written.value}"
 
 
-def test_format_number_writes_no_literal_longer_than_the_reader_takes():
-    # a decimal 1/2**k has k digits after "0."; the sign counts, as on reading
-    fits = (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 2)), Fraction(10 ** (MAX_LITERAL_LENGTH - 1)))
-    assert [len(format_number(x)) for x in fits] == [MAX_LITERAL_LENGTH] * 2
-    for x in (Fraction(1, 2 ** (MAX_LITERAL_LENGTH - 1)), Fraction(-(10 ** (MAX_LITERAL_LENGTH - 1)))):
-        with pytest.raises(ValueError, match=f"^literal longer than {MAX_LITERAL_LENGTH} characters$"):
-            format_number(x)
-
-
 @pytest.mark.parametrize("sign", ["", "-", "+"])
 def test_integer_strings_up_to_the_length_bound_load(sign):
     digits = "7" * (MAX_LITERAL_LENGTH - len(sign))
@@ -487,10 +467,6 @@ def test_a_mantissa_of_any_length_takes_an_exponent(entry):
 def test_decimals_past_the_int_string_limit_round_trip(value):
     inst = AssignmentInstance.from_values([[value]])
     assert loads_instance(dumps_instance(inst)) == inst
-
-
-def test_format_number_writes_decimals_past_the_int_string_limit():
-    assert format_number(Fraction(exact_int("1" * 5000), 10)) == "1" * 4999 + ".1"
 
 
 @pytest.mark.parametrize("entry, value", [
@@ -611,15 +587,15 @@ def _table_by_fractions(rows):
 def _dumped_by_division(inst, rows):
     """Reference bytes of an instance's file: a value instance's by
     :func:`conftest.dumps_value_instance_by_division`, any other with every
-    number written by :func:`conftest.format_number_by_division`."""
+    number written by :func:`conftest.entry_by_division`."""
     if inst.setting == "value":
         return dumps_value_instance_by_division(inst)
     doc = {"n": inst.n, "setting": inst.setting}
     if inst.point_based:
-        doc["agent_points"] = [format_number_by_division(x) for x in inst.agent_points]
-        doc["item_points"] = [format_number_by_division(x) for x in inst.item_points]
+        doc["agent_points"] = [entry_by_division(x) for x in inst.agent_points]
+        doc["item_points"] = [entry_by_division(x) for x in inst.item_points]
     else:
-        doc["costs"] = [[format_number_by_division(x) for x in row] for row in rows]
+        doc["costs"] = [[entry_by_division(x) for x in row] for row in rows]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -824,7 +800,8 @@ def test_the_abstract_generator_stores_no_table():
 
 def _points_by_entry(inst):
     return {"n": inst.n, "setting": inst.setting,
-            **{name: [format_number(x) for x in getattr(inst, name)] for name in ("agent_points", "item_points")}}
+            **{name: [_row_writer(x.denominator)([x.numerator])[0] for x in getattr(inst, name)]
+               for name in ("agent_points", "item_points")}}
 
 
 @settings(max_examples=100, deadline=None)
