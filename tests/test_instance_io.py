@@ -172,18 +172,30 @@ def _row_and_denom(draw):
 @example(([2**53 * 10**6 - 1, 2**53 * 10**6, 2**53 * 10**6 + 1], 10**6))
 @example(([1, 10**(MAX_LITERAL_LENGTH - 1), 10**MAX_LITERAL_LENGTH], 1))
 @example(([3, 4], 6))
-# one entry over a denominator thousands of digits long
-@example(([1], 2**3000))
-@example(([-(10**2000) - 7], 5**4000))
-@example(([3], 2**1500 * 5**2500))
-@example(([1], 3 * 10**2000))
-@example(([1], 2**MAX_LITERAL_LENGTH))
 def test_the_row_writer_writes_each_entry_as_the_division_writer(row_and_denom):
     row, denom = row_and_denom
     expected = _written(lambda r: [entry_by_division(Fraction(t, denom)) for t in r], row)
     assert _written(_row_writer(denom), row) == expected
     with int_digit_limit(640):
         assert _written(_row_writer(denom), tuple(row)) == expected
+
+
+# denominators thousands of digits long, passed by index: their repr is
+# longer than the least int-to-str digit limit (640) lets Python print
+@pytest.mark.parametrize("x", [
+    Fraction(1, 2**3000),
+    Fraction(-(10**2000) - 7, 5**4000),
+    Fraction(3, 2**1500 * 5**2500),
+    Fraction(1, 3 * 10**2000),
+    Fraction(1, 2**MAX_LITERAL_LENGTH),
+])
+def test_format_number_matches_the_division_writer_on_long_denominators(x):
+    """A one-entry row over a long denominator is written as the division
+    writer writes the entry."""
+    expected = _written(lambda v: [entry_by_division(v)], x)
+    assert _written(_row_writer(x.denominator), [x.numerator]) == expected
+    with int_digit_limit(640):
+        assert _written(_row_writer(x.denominator), (x.numerator,)) == expected
 
 
 @pytest.mark.parametrize("inst", [
