@@ -10,8 +10,8 @@ convention used throughout the package) under one of three payoff settings:
   on the real line from which ``c[i][g] = |agent_pos[i] - item_pos[g]|`` is
   materialized; lower is better and the objective is social cost.
   :func:`validate` checks the inequality exactly in O(n^3) on a cost
-  matrix, one test per pair of agents; a point instance's costs are its
-  points' distances by construction, so it skips the check.
+  matrix, one test per pair of agents deciding and locating failures; a
+  point instance's costs are its points' distances, so it skips the check.
 * ``"abstract"``: per-agent strict rankings of the items, no numbers.
 
 A payoff matrix is stored as one integer table: int rows, the payoffs times
@@ -323,8 +323,10 @@ class AssignmentInstance:
         """Value or metric instance of payoffs ``rows[i][g] / denom``, ints over a positive int ``denom``
         (:class:`ValueError` names any other), both divided by their gcd; no Fraction is built."""
         if not isinstance(denom, int) or isinstance(denom, bool) or denom < 1:
-            raise ValueError(f"denom must be a positive integer, got {denom!r}")
-        instance = cls(n, setting, **{PAYOFF_FIELD.get(setting, PAYOFF_FIELD[SETTING_METRIC]): ()})  # the field rule
+            shown = clipped(exact_str(denom)) if isinstance(denom, int) else repr(denom)
+            raise ValueError(f"denom must be a positive integer, got {shown}")
+        field = PAYOFF_FIELD[SETTING_VALUE if setting == SETTING_VALUE else SETTING_METRIC]  # compared, never hashed
+        instance = cls(n, setting, **{field: ()})  # the field rule
         table, denom = _reduced(rows, denom)
         vars(instance).update(table=table, denom=denom)
         return instance
@@ -493,35 +495,33 @@ def _triangle_violations(instance: AssignmentInstance) -> list[Violation]:
     per failing cell (i1, g1) of a square, non-negative cost matrix, in
     (i1, g1) order: the cell's first failing (i2, g2), i2 before g2.
 
-    Exact and O(n^3) on the integer table, decided one pair of agents at a
-    time: (i1, i2) and (i2, i1) hold at every (g1, g2) iff ``max_g
-    |c[i1][g] - c[i2][g]| <= min_g (c[i1][g] + c[i2][g])``, and i1 = i2
-    holds on non-negative entries.  Only a matrix that fails a pair is
-    scanned: cell (i1, g1) holds for every (i2, g2) iff ``c[i1][g1] <=
-    min_i2 (M[i1][i2] + c[i2][g1])`` with ``M[i1][i2] = min_g (c[i1][g] +
-    c[i2][g])``, two min-plus products.  A failing cell's witness is read
-    off the same rows in O(n): i2 is the first index whose term of that
-    minimum is below ``c[i1][g1]``, g2 the first whose term of
-    ``M[i1][i2]`` is below ``c[i1][g1] - c[i2][g1]``.  The report is O(n^2)
+    Exact and O(n^3) on the integer table, one test per pair of agents
+    i1 < i2 that decides and locates: with ``m = min_g (c[i1][g] +
+    c[i2][g])``, the pair fails at cell (i1, g1) iff ``c[i1][g1] -
+    c[i2][g1] > m`` and at (i2, g1) iff ``c[i2][g1] - c[i1][g1] > m``, so it
+    holds iff ``max_g |c[i1][g] - c[i2][g]| <= m``; i1 = i2 holds on
+    non-negative entries.  Pairs come in ``combinations`` order, so a cell
+    keeps its least witness; g2, read off the two rows in O(n), is the first
+    item whose term of ``m`` is below that difference.  The report is O(n^2)
     on every input.
     """
     c, denom = instance.table, instance.denom
-    if all(max(map(abs, map(sub, row, other))) <= min(map(add, row, other)) for row, other in combinations(c, 2)):
-        return []
-    cols = list(zip(*c))
+    witness = {}
+    for (i1, row), (i2, other) in combinations(enumerate(c), 2):
+        if max(map(abs, map(sub, row, other))) <= (m := min(map(add, row, other))):
+            continue
+        for g1, d in enumerate(map(sub, row, other)):
+            if d > m:
+                witness.setdefault((i1, g1), i2)
+            elif -d > m:
+                witness.setdefault((i2, g1), i1)
     out = []
-    for i1, row in enumerate(c):
-        m_row = [min(map(int.__add__, row, other)) for other in c]
-        for g1, col in enumerate(cols):
-            lhs = row[g1]
-            if lhs <= min(map(int.__add__, m_row, col)):
-                continue
-            i2 = next(i for i, (m, x) in enumerate(zip(m_row, col)) if lhs > m + x)
-            other = c[i2]
-            g2 = next(g for g, (x, y) in enumerate(zip(row, other)) if lhs > x + y + other[g1])
-            out.append(Violation("triangle", (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
-                                 f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(Fraction(lhs, denom)))} exceeds "
-                                 f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]"))
+    for (i1, g1), i2 in sorted(witness.items()):
+        row, other, lhs = c[i1], c[i2], c[i1][g1]
+        g2 = next(g for g, (x, y) in enumerate(zip(row, other)) if lhs > x + y + other[g1])
+        out.append(Violation("triangle", (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                             f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(Fraction(lhs, denom)))} exceeds "
+                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]"))
     return out
 
 
@@ -533,10 +533,10 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     payoff, a ranking that is not a permutation of 1..n, a point list whose
     length is not n, and four-point failures, each naming its indices.  The
     metric check is exact and O(n^3) on the integer payoff table, one test
-    per pair of agents, then a min-plus scan of a matrix that fails one;
-    each failing cell (i1, g1) is listed once, with its first failing
-    (i2, g2), so at most n^2 violations come back.  A point instance's costs
-    are its points' distances, a line metric, so it skips the check.
+    per pair of agents that decides it and locates the failing cells; each
+    failing cell (i1, g1) is listed once, with its first failing (i2, g2),
+    so at most n^2 violations come back.  A point instance's costs are its
+    points' distances, a line metric, so it skips the check.
     """
     n = instance.n
     if n < 1:

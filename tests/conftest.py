@@ -10,7 +10,8 @@ import math
 import sys
 import warnings
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from operator import add, sub
 from random import Random
 
 from rsdlab import AssignmentInstance, random_abstract, random_metric_line, random_value
@@ -189,6 +190,34 @@ def four_point_scan(costs) -> list[Violation]:
                             f"c[{i1 + 1}][{g1 + 1}]={clipped(str(lhs))} exceeds "
                             f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]",
                         ))
+    return out
+
+
+def min_plus_violations(table, denom: int) -> list[Violation]:
+    """Reference metric check on an integer cost table over ``denom``, what
+    ``validate`` lists of it: every pair of agents is tested first, and only
+    a matrix that fails a pair is scanned by two min-plus products.  Cell
+    (i1, g1) holds iff ``c[i1][g1] <= min_i2 (M[i1][i2] + c[i2][g1])`` with
+    ``M[i1][i2] = min_g (c[i1][g] + c[i2][g])``; a failing cell's i2 is the
+    first index whose term of that minimum is below ``c[i1][g1]``, and g2
+    the first whose term of ``M[i1][i2]`` is below ``c[i1][g1] - c[i2][g1]``."""
+    c = table
+    if all(max(map(abs, map(sub, row, other))) <= min(map(add, row, other)) for row, other in combinations(c, 2)):
+        return []
+    cols = list(zip(*c))
+    out = []
+    for i1, row in enumerate(c):
+        m_row = [min(map(int.__add__, row, other)) for other in c]
+        for g1, col in enumerate(cols):
+            lhs = row[g1]
+            if lhs <= min(map(int.__add__, m_row, col)):
+                continue
+            i2 = next(i for i, (m, x) in enumerate(zip(m_row, col)) if lhs > m + x)
+            other = c[i2]
+            g2 = next(g for g, (x, y) in enumerate(zip(row, other)) if lhs > x + y + other[g1])
+            out.append(Violation("triangle", (i1 + 1, g1 + 1, i2 + 1, g2 + 1),
+                                 f"c[{i1 + 1}][{g1 + 1}]={clipped(exact_str(Fraction(lhs, denom)))} exceeds "
+                                 f"c[{i1 + 1}][{g2 + 1}]+c[{i2 + 1}][{g2 + 1}]+c[{i2 + 1}][{g1 + 1}]"))
     return out
 
 

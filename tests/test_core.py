@@ -10,8 +10,10 @@ from conftest import (
     abstract_battery,
     first_per_cell,
     four_point_scan,
+    int_digit_limit,
     matrix_violations_by_fractions,
     metric_battery,
+    min_plus_violations,
     preference_rows_by_fractions,
 )
 from rsdlab import (
@@ -92,7 +94,47 @@ def test_metric_check_lists_the_first_four_point_failure_of_each_cell(data):
         costs = [[Fraction(abs(a - b)) for b in items] for a in agents]
         i, g = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         costs[i][g] = max(Fraction(0), costs[i][g] + Fraction(data.draw(st.integers(-6, 6)), 2))
-    assert validate(AssignmentInstance.from_costs(costs)) == first_per_cell(four_point_scan(costs))
+    inst = AssignmentInstance.from_costs(costs)
+    assert validate(inst) == min_plus_violations(inst.table, inst.denom) == first_per_cell(four_point_scan(costs))
+
+
+def _nonmetric_matrix():
+    # the CI step's kind of matrix: entries drawn from {0, 1, 100}
+    draws = SplitMix64(1)
+    return [AssignmentInstance.from_costs([[(0, 1, 100)[draws.below(3)] for _ in range(60)] for _ in range(60)])]
+
+
+def _line_matrix_with_a_raised_corner():
+    # one corner at a time raised to the sum of all costs: in the first row every other agent is a
+    # witness of the failing cell, in the last row every agent before it
+    line = random_metric_line(60, 8)
+    out = []
+    for i, g in ((0, 0), (0, -1), (-1, 0), (-1, -1)):
+        table = [list(row) for row in line.table]
+        table[i][g] = sum(map(sum, table))
+        out.append(AssignmentInstance.from_table(line.n, line.setting, table, line.denom))
+    return out
+
+
+def _reduction_built_costs():
+    # the costs of test_metric_check_on_reduction_built_costs, before and after one entry is raised
+    out = []
+    for source in abstract_battery(10, 4100, ns=(2, 3, 4, 5, 6)):
+        costs = [list(row) for row in build_reduction(source, "metric").costs]
+        out.append(AssignmentInstance.from_costs(costs))
+        costs[-1][0] = sum(map(sum, costs))
+        out.append(AssignmentInstance.from_costs(costs))
+    return out
+
+
+@pytest.mark.parametrize("build, failing", [(_nonmetric_matrix, 1), (_line_matrix_with_a_raised_corner, 4),
+                                            (_reduction_built_costs, 10)],
+                         ids=["nonmetric-60", "line-60-raised-corner", "reduction-built"])
+def test_metric_check_lists_what_the_min_plus_scan_lists(build, failing):
+    instances = build()
+    expected = [min_plus_violations(inst.table, inst.denom) for inst in instances]
+    assert [validate(inst) for inst in instances] == expected
+    assert sum(map(bool, expected)) == failing
 
 
 def test_a_pair_that_fails_only_in_the_second_order_is_listed():
@@ -595,6 +637,20 @@ def test_equal_payoffs_make_equal_instances_however_built(inst):
 def test_from_table_refuses_a_denominator_that_is_not_a_positive_int(denom):
     with pytest.raises(ValueError, match=f"^denom must be a positive integer, got {denom!r}$"):
         AssignmentInstance.from_table(2, "value", [[1, 2], [2, 1]], denom)
+
+
+@pytest.mark.parametrize("digits", [4300, 640])
+def test_from_table_names_a_denominator_past_the_int_string_limit(digits):
+    with int_digit_limit(digits), pytest.raises(
+            ValueError, match=f"^denom must be a positive integer, got -1{'0' * 38}… \\(5002 characters\\)$"):
+        AssignmentInstance.from_table(1, "value", [[1]], -10**5000)
+
+
+def test_from_table_refuses_an_unhashable_setting_as_the_constructor_does():
+    for build in (lambda: AssignmentInstance(n=1, setting=["value"], values=[[1]]),
+                  lambda: AssignmentInstance.from_table(1, ["value"], [[1]], 1)):
+        with pytest.raises(ValueError, match=r"^field 'setting': unknown setting \['value'\]$"):
+            build()
 
 
 def test_the_stored_table_is_reduced_whatever_the_literals_or_scale():
