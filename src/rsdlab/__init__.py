@@ -66,7 +66,6 @@ from .reduction import (
 )
 from .families import (
     Family,
-    FamilySpec,
     bernoulli_welfare,
     canonical_ordering,
     generate,

@@ -30,7 +30,7 @@ from .core import SETTING_METRIC, SETTING_VALUE, Objective, exact_str, validate
 from .coverage import coverage_csv, run_coverage, write_coverage_csv
 from .estimate import estimate_median_of_means
 from .exact import DEFAULT_ORACLE_CAP, check_cap, enumerate_rsd
-from .families import Family, FamilySpec, generate
+from .families import Family, generate
 from .instance_io import InstanceFormatError, load_instance, parse_literal, save_instance, write_json
 from .optimal import solve_opt
 from .reduction import build_artifact, round_trip_matches
@@ -110,8 +110,7 @@ def _write_json(path, payload) -> None:
 
 
 def cmd_gen(args) -> int:
-    spec = FamilySpec(family=Family(args.family), n=args.n, seed=args.seed)
-    instance = generate(spec)
+    instance = generate(Family(args.family), args.n, args.seed)
     with _writing(args.out):
         save_instance(instance, args.out)
     print(f"wrote {instance.setting} instance with n={instance.n} to {args.out}")

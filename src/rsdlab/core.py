@@ -548,7 +548,8 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
                       for i, row in enumerate(instance.rankings, start=1) if not _is_permutation(row, n)]
     if instance.point_based:
         lengths = len(instance.agent_points), len(instance.item_points)
-        return [] if lengths == (n, n) else [Violation("shape", lengths, "point lists must both have length n")]
+        return [] if lengths == (n, n) else [
+            Violation("shape", lengths, f"point lists have {lengths[0]} and {lengths[1]} entries, expected {n}")]
     out = _matrix_violations(PAYOFF_FIELD[instance.setting], instance.table, instance.denom, n)
     if out or instance.setting == SETTING_VALUE:
         return out

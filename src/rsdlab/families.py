@@ -1,4 +1,5 @@
-"""Instance families: the named constructions plus seeded random instances.
+"""Instance families: the named constructions plus seeded random instances,
+each built by ``generate(family, n, seed=0)``.
 
 Deterministic families:
 
@@ -22,7 +23,6 @@ instance's integer table, with no Fraction per entry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .core import SETTING_VALUE, AssignmentInstance, Ordering
 from .rng import substream
@@ -34,15 +34,6 @@ class Family(enum.Enum):
     RANDOM_VALUE = "random-value"
     RANDOM_METRIC_LINE = "random-metric-line"
     RANDOM_ABSTRACT = "random-abstract"
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Which family to build; ``seed`` is ignored by deterministic families."""
-
-    family: Family
-    n: int
-    seed: int = 0
 
 
 VALUE_SCALE = 10**6  # random values are multiples of 1/VALUE_SCALE in [0, 1]
@@ -87,20 +78,21 @@ instance at n = 500 (2 cores, Python 3.11), the costliest family there,
 and both grow as n²."""
 
 
-def generate(spec: FamilySpec) -> AssignmentInstance:
-    if not 1 <= spec.n <= MAX_N:
+def generate(family: Family, n: int, seed: int = 0) -> AssignmentInstance:
+    """The ``family`` instance of size ``n``; deterministic families ignore ``seed``."""
+    if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be between 1 and {MAX_N}")
-    if spec.family is Family.BERNOULLI_WELFARE:
-        return bernoulli_welfare(spec.n)
-    if spec.family is Family.WORST_CASE_METRIC_LINE:
-        return worst_case_metric_line(spec.n)
-    if spec.family is Family.RANDOM_VALUE:
-        return random_value(spec.n, spec.seed)
-    if spec.family is Family.RANDOM_METRIC_LINE:
-        return random_metric_line(spec.n, spec.seed)
-    if spec.family is Family.RANDOM_ABSTRACT:
-        return random_abstract(spec.n, spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}")
+    if family is Family.BERNOULLI_WELFARE:
+        return bernoulli_welfare(n)
+    if family is Family.WORST_CASE_METRIC_LINE:
+        return worst_case_metric_line(n)
+    if family is Family.RANDOM_VALUE:
+        return random_value(n, seed)
+    if family is Family.RANDOM_METRIC_LINE:
+        return random_metric_line(n, seed)
+    if family is Family.RANDOM_ABSTRACT:
+        return random_abstract(n, seed)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def canonical_ordering(n: int) -> Ordering:

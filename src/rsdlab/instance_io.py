@@ -14,7 +14,9 @@ of another setting (say ``rankings`` in a value file) is refused, and the
 refusal names it.  Fields outside these five are ignored.  The rule on
 ``n``, the setting and the payload fields is :func:`rsdlab.core.check_fields`,
 the one :class:`rsdlab.core.AssignmentInstance` applies too; the reader
-raises its message as :class:`InstanceFormatError`.
+raises its message as :class:`InstanceFormatError`.  Every payload is read
+at the file's ``n``: the reader compares no size, and a payload whose size
+disagrees with ``n`` is named by :func:`rsdlab.core.validate`.
 
 Numeric entries are integers or decimal strings and are parsed exactly:
 JSON number literals keep their text and are parsed like strings, so no
@@ -61,8 +63,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import (
-    MAX_EXPONENT,  # both limits are still importable from this module
-    MAX_LITERAL_LENGTH,
     PAYOFF_FIELD,
     SETTING_ABSTRACT,
     _PIECE_DIGITS,
@@ -188,12 +188,8 @@ def instance_from_dict(doc: dict) -> AssignmentInstance:
     if "agent_points" not in doc:
         field = PAYOFF_FIELD[setting]
         return AssignmentInstance.from_table(n, setting, *_parse_table(doc[field], field))
-    agents = _parse_points(doc["agent_points"], "agent_points")
-    items = _parse_points(doc["item_points"], "item_points")
-    inst = AssignmentInstance.from_line_points(agents, items)
-    if inst.n != n:
-        raise InstanceFormatError(f"field 'n'={n} disagrees with {inst.n} agent points")
-    return inst
+    agents, items = (_parse_points(doc[field], field) for field in ("agent_points", "item_points"))
+    return AssignmentInstance(n=n, setting=setting, agent_points=agents, item_points=items)
 
 
 def _row_writer(denom: int):
@@ -204,8 +200,8 @@ def _row_writer(denom: int):
     entry no finite decimal form, or if an entry's string is longer than the
     reader takes.  A row of non-negative entries below 2**53 at a scale
     of at most 512 digits takes ``divmod`` and ``str`` with no check per
-    entry: its literals stay far below :data:`MAX_LITERAL_LENGTH`, and its
-    whole numbers are JSON ints.  Any other row goes entry by entry."""
+    entry: its literals stay far below :data:`rsdlab.core.MAX_LITERAL_LENGTH`,
+    and its whole numbers are JSON ints.  Any other row goes entry by entry."""
     twos = (denom & -denom).bit_length() - 1
     odd, fives = denom >> twos, 0
     while odd % 5 == 0:

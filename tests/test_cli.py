@@ -25,8 +25,8 @@ from rsdlab import (
     worst_case_metric_line,
 )
 from rsdlab.cli import main
+from rsdlab.core import MAX_EXPONENT, MAX_LITERAL_LENGTH
 from rsdlab.families import MAX_N, Family
-from rsdlab.instance_io import MAX_EXPONENT, MAX_LITERAL_LENGTH
 
 
 def run_cli(capsys, *argv):

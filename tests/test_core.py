@@ -449,7 +449,7 @@ LONE_POINT_LIST = "point-based metric instance requires both 'agent_points' and 
     (dict(n=2, setting="value"), "value instance requires field 'values'"),
     (dict(n=2, setting="metric"), "metric instance requires 'costs' or 'agent_points'/'item_points'"),
     (dict(n=2, setting="metric", agent_points=(0, 1), item_points=(1,)),
-     Violation("shape", (2, 1), "point lists must both have length n")),
+     Violation("shape", (2, 1), "point lists have 2 and 1 entries, expected 2")),
     (dict(n=2, setting="metric", item_points=(0, 1)), LONE_POINT_LIST),
     (dict(n=2, setting="metric", agent_points=(0, 1)), LONE_POINT_LIST),
     (dict(n=2, setting="abstract"), "abstract instance requires field 'rankings'"),

@@ -9,7 +9,6 @@ from conftest import abstract_battery, enumerate_rsd_by_orderings, metric_batter
 from rsdlab import (
     AssignmentInstance,
     Family,
-    FamilySpec,
     Objective,
     bernoulli_welfare,
     binomial_failure_probability,
@@ -39,7 +38,7 @@ def test_dp_matches_ordering_enumeration_on_every_family(family):
     seeds = (0,) if family in (Family.BERNOULLI_WELFARE, Family.WORST_CASE_METRIC_LINE) else (0, 1, 2)
     for n in range(1, 8):
         for seed in seeds:
-            assert_matches_reference(generate(FamilySpec(family, n, seed)))
+            assert_matches_reference(generate(family, n, seed))
 
 
 @settings(max_examples=80, deadline=None)
@@ -68,7 +67,7 @@ def test_count_only_and_moment_calls_give_the_same_counts(n):
     # past the reach of the n!-ordering reference: each state's packed int
     # holds a zero partial sum in one call and a payoff sum in the other
     for family in Family:
-        inst = generate(FamilySpec(family, n, seed=n))
+        inst = generate(family, n, n)
         sources = [build_reduction(inst, setting) for setting in ("value", "metric")] if inst.setting == "abstract" else [inst]
         counts = enumerate_rsd(inst, cap=n).counts
         for built in sources:
@@ -101,7 +100,7 @@ def test_the_dp_mean_equals_the_mean_read_off_the_counts():
 
 @pytest.mark.parametrize("family", [Family.RANDOM_VALUE, Family.RANDOM_METRIC_LINE, Family.RANDOM_ABSTRACT])
 def test_raised_cap_reaches_n_twelve(family):
-    inst = generate(FamilySpec(family, 12, seed=3))
+    inst = generate(family, 12, 3)
     objective = OBJECTIVE_OF.get(inst.setting)
     summary = enumerate_rsd(inst, objective, cap=12)
     fact = math.factorial(12)

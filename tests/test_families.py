@@ -4,7 +4,6 @@ import pytest
 
 from rsdlab import (
     Family,
-    FamilySpec,
     Objective,
     bernoulli_welfare,
     canonical_ordering,
@@ -60,29 +59,30 @@ def test_bernoulli_exact_moments():
 @pytest.mark.parametrize("family", list(Family))
 def test_generated_instances_validate(family):
     for n in (1, 2, 5):
-        inst = generate(FamilySpec(family=family, n=n, seed=11))
+        inst = generate(family, n, 11)
         assert inst.n == n
         assert validate(inst) == []
 
 
 def test_random_families_are_seed_deterministic():
     for family in (Family.RANDOM_VALUE, Family.RANDOM_METRIC_LINE, Family.RANDOM_ABSTRACT):
-        a = generate(FamilySpec(family=family, n=4, seed=123))
-        b = generate(FamilySpec(family=family, n=4, seed=123))
-        c = generate(FamilySpec(family=family, n=4, seed=124))
+        a = generate(family, 4, 123)
+        b = generate(family, 4, 123)
+        c = generate(family, 4, 124)
         assert a == b
         assert a != c
+        assert generate(family, 4) == generate(family, 4, 0)
 
 
 def test_random_abstract_rankings_are_permutations():
-    inst = generate(FamilySpec(family=Family.RANDOM_ABSTRACT, n=5, seed=9))
+    inst = generate(Family.RANDOM_ABSTRACT, 5, 9)
     for row in inst.rankings:
         assert sorted(row) == [1, 2, 3, 4, 5]
 
 
 def test_zero_agents_rejected():
     with pytest.raises(ValueError):
-        generate(FamilySpec(family=Family.RANDOM_VALUE, n=0, seed=1))
+        generate(Family.RANDOM_VALUE, 0, 1)
     with pytest.raises(ValueError):
         canonical_ordering(0)
 
@@ -90,11 +90,11 @@ def test_zero_agents_rejected():
 def test_generate_refuses_a_family_that_is_not_a_family():
     # a family's value is not the family: each branch compares by identity
     with pytest.raises(ValueError, match="^unknown family 'random-value'$"):
-        generate(FamilySpec(family="random-value", n=3, seed=1))
+        generate("random-value", 3, 1)
 
 
 def test_random_values_are_scaled_integers():
-    inst = generate(FamilySpec(family=Family.RANDOM_VALUE, n=3, seed=77))
+    inst = generate(Family.RANDOM_VALUE, 3, 77)
     for row in inst.values:
         for x in row:
             assert 0 <= x <= 1

@@ -17,6 +17,7 @@ from conftest import (
 from rsdlab import (
     AssignmentInstance,
     InstanceFormatError,
+    Violation,
     bernoulli_welfare,
     build_reduction,
     dumps_instance,
@@ -24,13 +25,13 @@ from rsdlab import (
     random_abstract,
     random_metric_line,
     random_value,
+    validate,
     worst_case_metric_line,
 )
-from rsdlab.core import PAYOFF_FIELD, QUOTED_LENGTH, as_fraction, exact_int, exact_str
-from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, FamilySpec, generate
+from rsdlab.cli import main
+from rsdlab.core import MAX_EXPONENT, MAX_LITERAL_LENGTH, PAYOFF_FIELD, QUOTED_LENGTH, as_fraction, exact_int, exact_str
+from rsdlab.families import LINE_GRID, VALUE_SCALE, Family, generate
 from rsdlab.instance_io import (
-    MAX_EXPONENT,
-    MAX_LITERAL_LENGTH,
     _parse_table,
     _plain_row,
     _row_writer,
@@ -254,8 +255,6 @@ _MALFORMED = [
     pytest.param("value", '"values": [[1, 2], 3]', "values: expected a list of rows", id="values-row"),
     pytest.param("metric", '"agent_points": {"1": 0}, "item_points": [2, 3]', "agent_points: expected a list",
                  id="points-field"),
-    pytest.param("metric", '"agent_points": [0, 1, 2], "item_points": [3, 4, 5]',
-                 "field 'n'=2 disagrees with 3 agent points", id="point-count"),
 ]
 
 
@@ -264,6 +263,28 @@ def test_malformed_files_give_the_whole_message(setting, fields, message):
     with pytest.raises(InstanceFormatError) as info:
         loads_instance(f'{{"n": 2, "setting": "{setting}", {fields}}}')
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("payload, command, shape", [
+    ('"setting": "value", "values": [[1, 2], [3, 4], [5, 6]]', ("opt", "--objective", "welfare"),
+     Violation("shape", (3,), "values has 3 rows, expected 2")),
+    ('"setting": "metric", "costs": [[0, 1], [1, 0], [1, 1]]', ("opt", "--objective", "cost"),
+     Violation("shape", (3,), "costs has 3 rows, expected 2")),
+    ('"setting": "abstract", "rankings": [[1, 2], [2, 1], [1, 2]]', ("exact",),
+     Violation("shape", (3,), "expected 2 rankings")),
+    ('"setting": "metric", "agent_points": [0, 1, 2], "item_points": [3, 4, 5]', ("opt", "--objective", "cost"),
+     Violation("shape", (3, 3), "point lists have 3 and 3 entries, expected 2")),
+], ids=["value-count", "cost-count", "ranking-count", "point-count"])
+def test_a_payload_whose_size_disagrees_with_n_is_read_and_fails_validation(tmp_path, capsys, payload, command, shape):
+    # the reader reads every payload at the file's n; validate alone compares the sizes
+    text = f'{{"n": 2, {payload}}}'
+    inst = loads_instance(text)
+    assert inst.n == 2
+    assert validate(inst) == [shape]
+    path = tmp_path / "size.json"
+    path.write_text(text)
+    assert main([*command, "--in", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: instance file {path} failed validation:\n  - {shape.message}\n")
 
 
 @pytest.mark.parametrize("points", [
@@ -802,7 +823,7 @@ def _family_rows(family: Family, n: int, seed: int):
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(1, 12), seed=st.integers(0, 2**64 - 1))
 def test_every_generator_stores_the_table_its_fraction_rows_give(family, n, seed):
-    _assert_stored_as_by_fractions(generate(FamilySpec(family, n, seed)), _family_rows(family, n, seed))
+    _assert_stored_as_by_fractions(generate(family, n, seed), _family_rows(family, n, seed))
 
 
 def test_the_abstract_generator_stores_no_table():
