@@ -477,10 +477,13 @@ def derive_preferences(instance: AssignmentInstance, agent: int) -> tuple[int, .
     return tuple(g + 1 for g in preference_rows(instance)[agent - 1])
 
 
+def _count_violations(name: str, rows: Sequence, n: int) -> list[Violation]:
+    """The one message for a matrix or ranking list without ``n`` rows."""
+    return [] if len(rows) == n else [Violation("shape", (len(rows),), f"{name} has {len(rows)} rows, expected {n}")]
+
+
 def _matrix_violations(name: str, rows: Sequence[Sequence[int]], denom: int, n: int) -> list[Violation]:
-    out = []
-    if len(rows) != n:
-        out.append(Violation("shape", (len(rows),), f"{name} has {len(rows)} rows, expected {n}"))
+    out = _count_violations(name, rows, n)
     for i, row in enumerate(rows, start=1):
         if len(row) != n:
             out.append(Violation("shape", (i, len(row)), f"{name} row {i} has {len(row)} entries, expected {n}"))
@@ -542,10 +545,9 @@ def validate(instance: AssignmentInstance) -> list[Violation]:
     if n < 1:
         return [Violation("size", (n,), f"n must be positive, got {n}")]
     if instance.setting == SETTING_ABSTRACT:
-        out = [] if len(instance.rankings) == n else [
-            Violation("shape", (len(instance.rankings),), f"expected {n} rankings")]
-        return out + [Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}")
-                      for i, row in enumerate(instance.rankings, start=1) if not _is_permutation(row, n)]
+        return _count_violations("rankings", instance.rankings, n) + [
+            Violation("ranking", (i,), f"ranking of agent {i} is not a permutation of 1..{n}")
+            for i, row in enumerate(instance.rankings, start=1) if not _is_permutation(row, n)]
     if instance.point_based:
         lengths = len(instance.agent_points), len(instance.item_points)
         return [] if lengths == (n, n) else [

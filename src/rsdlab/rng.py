@@ -27,8 +27,11 @@ bounded draw per position from ``n - 1`` down to ``1``.
 Masking with ``& lane`` (all-ones in the low half of every slot) after each
 shift-xor and before each multiply keeps every product of a lane and a
 64-bit constant inside its slot, so the packed arithmetic is the scalar
-arithmetic on every lane at once.  It yields one packed int per position,
-the products ``u * (i + 1)`` left as the multiply leaves them: each is below
+arithmetic on every lane at once.  ``packed_draws`` takes every constant
+that depends on the batch size alone, its golden-ratio step included, from
+``_lanes``, which builds them once per size; only the seeded base is
+computed per call.  It yields one packed int per position, the products
+``u * (i + 1)`` left as the multiply leaves them: each is below
 ``2**64 * (i + 1)``, so it stays inside its own slot and the draw
 ``(u * (i + 1)) >> 64`` is the slot's high 64-bit word, with no shift.
 :func:`rsdlab.sd.sd_total` reads them: on lanes each draw's low byte, eight
@@ -87,7 +90,7 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         if bound > 1 << 64 or count < 1:
             return [self.below(bound) for _ in range(count)]
-        ones, lane, ramp, _ = _lanes(count)
+        ones, lane, ramp, _, _ = _lanes(count)
         state = (self._state * ones + (ramp + ones) * _GOLDEN) & lane
         self._state = (self._state + count * _GOLDEN) & _MASK64
         return _words(_mix_lanes(state, lane) * bound, count).tolist()
@@ -116,18 +119,27 @@ def substream(seed: int, run: int, index: int) -> SplitMix64:
 
 
 @lru_cache(maxsize=8)  # rebuilding them for every lane batch or scalar chunk costs about 30% of an n=6 estimate
-def _lanes(count: int) -> tuple[int, int, int, int]:
-    """``(ones, lane, ramp, draw_byte)`` for ``count`` lanes: a 1, the 64-bit
-    mask and the slot's index at the bottom of every 128-bit slot, and 0xFF
-    at byte 8 of every slot, where a draw below 256 sits."""
+def _lanes(count: int) -> tuple[int, int, int, int, int]:
+    """``(ones, lane, ramp, draw_byte, step)`` for ``count`` lanes, each an
+    int of ``count`` 128-bit slots that depends on ``count`` alone:
+
+    * ``ones``: a 1 at the bottom of every slot;
+    * ``lane``: the 64-bit mask in the low half of every slot;
+    * ``ramp``: the slot's index in the low half of every slot;
+    * ``draw_byte``: 0xFF at byte 8 of every slot, where a draw below 256 sits;
+    * ``step``: the golden-ratio increment in the low half of every slot,
+      zero above, which :func:`packed_draws` adds at every position.
+
+    The cache holds at most 8 batch sizes, five ints of ``16 * count`` bytes
+    each."""
     bits = 8 * SLOT_BYTES
     ones = ((1 << (bits * count)) - 1) // ((1 << bits) - 1)
-    ramp, step, width = 0, 1, 1  # the indices of `width` slots and a 1 in each, doubled until they cover count
+    ramp, unit, width = 0, 1, 1  # the indices of `width` slots and a 1 in each, doubled until they cover count
     while width < count:
-        ramp += (ramp + width * step) << bits * width
-        step += step << bits * width
+        ramp += (ramp + width * unit) << bits * width
+        unit += unit << bits * width
         width *= 2
-    return ones, ones * _MASK64, ramp & ((1 << bits * count) - 1), ones * 0xFF << 64
+    return ones, ones * _MASK64, ramp & ((1 << bits * count) - 1), ones * 0xFF << 64, ones * _GOLDEN
 
 
 def _mix_lanes(z: int, lane: int) -> int:
@@ -152,8 +164,7 @@ def packed_draws(seed: int, run: int, start: int, count: int, n: int) -> Iterato
     int whose slot ``s`` holds the 128-bit product ``u * (i + 1)`` of sample
     ``start + s``'s word ``u``, so its high 64-bit word is the draw
     ``below(i + 1)``."""
-    ones, lane, ramp, _ = _lanes(count)
-    step = _GOLDEN * ones
+    ones, lane, ramp, _, step = _lanes(count)
     state = _mix_lanes(((_run_state(seed, run) + start) * ones + ramp) & lane, lane)
     for i in range(n - 1, 0, -1):
         state = (state + step) & lane

@@ -598,7 +598,7 @@ def test_a_huge_declared_n_fails_validation_without_a_traceback(tmp_path, capsys
     assert (code, out) == (1, "")
     assert err.splitlines() == [
         f"error: instance file {path} failed validation:",
-        "  - expected 1000000000000000000 rankings",
+        "  - rankings has 1 rows, expected 1000000000000000000",
         "  - ranking of agent 1 is not a permutation of 1..1000000000000000000",
     ]
     # exact refuses an n above its cap before validating

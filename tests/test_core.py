@@ -204,7 +204,7 @@ def test_validate_checks_rankings_against_a_huge_declared_n_without_allocating_i
     n = 10**18
     inst = AssignmentInstance(n=n, setting="abstract", rankings=((1,),))
     assert [(v.code, v.message) for v in validate(inst)] == [
-        ("shape", f"expected {n} rankings"),
+        ("shape", f"rankings has 1 rows, expected {n}"),
         ("ranking", f"ranking of agent 1 is not a permutation of 1..{n}"),
     ]
 

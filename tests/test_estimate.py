@@ -255,3 +255,16 @@ def test_run_means_equal_the_scalar_reference(k, runs, instances, samplers):
         report = estimate_median_of_means(inst, objective_of(inst), k=k, runs=runs, seed=seed)
         assert report.run_values == reference_run_means(inst, objective_of(inst), k, runs, seed), inst
         assert samplers == expected_paths(inst.n, k, runs), inst
+
+
+def test_reseeded_lane_batches_in_one_process_equal_the_scalar_reference(samplers):
+    # every call below runs batches of one size, 3,456 lanes, and so reads
+    # one cached set of lane constants: seed 1, seed 2 and seed 1 again, two
+    # runs each, must each give the reference, or a seed- or run-dependent
+    # value hides in that cache
+    inst = value_battery(1, 9100, ns=(6,))[0]
+    for seed in (1, 2, 1):
+        samplers.clear()
+        report = estimate_median_of_means(inst, Objective.WELFARE, k=3456, runs=2, seed=seed)
+        assert report.run_values == reference_run_means(inst, Objective.WELFARE, 3456, 2, seed), seed
+        assert samplers == ["lanes", "lanes"]

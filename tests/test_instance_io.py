@@ -271,7 +271,7 @@ def test_malformed_files_give_the_whole_message(setting, fields, message):
     ('"setting": "metric", "costs": [[0, 1], [1, 0], [1, 1]]', ("opt", "--objective", "cost"),
      Violation("shape", (3,), "costs has 3 rows, expected 2")),
     ('"setting": "abstract", "rankings": [[1, 2], [2, 1], [1, 2]]', ("exact",),
-     Violation("shape", (3,), "expected 2 rankings")),
+     Violation("shape", (3,), "rankings has 3 rows, expected 2")),
     ('"setting": "metric", "agent_points": [0, 1, 2], "item_points": [3, 4, 5]', ("opt", "--objective", "cost"),
      Violation("shape", (3, 3), "point lists have 3 and 3 entries, expected 2")),
 ], ids=["value-count", "cost-count", "ranking-count", "point-count"])

@@ -170,6 +170,13 @@ def test_the_lane_ramp_counts_the_slots(count):
     assert ramp == int.from_bytes(b"".join(i.to_bytes(rng.SLOT_BYTES, "little") for i in range(count)), "little")
 
 
+@pytest.mark.parametrize("count", [1, 2, 7, 904, 3456, 4096])
+def test_the_lane_step_is_the_golden_increment_in_every_slot(count):
+    # the golden-ratio increment in the low half of each slot and zero above
+    step = rng._lanes(count)[4]
+    assert step == int.from_bytes(GOLDEN.to_bytes(rng.SLOT_BYTES, "little") * count, "little")
+
+
 @pytest.mark.parametrize("byteorder", ["little", "big"])
 @pytest.mark.parametrize("bound", [1, 1001, 10**6 + 1, 2**64, 2**64 + 1])
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 500])
